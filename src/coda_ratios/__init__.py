@@ -25,10 +25,10 @@ from .composition import (
 from .dataset import (
     AnalysisConfig,
     FirmDataset,
-    FirmRecord,
     ZeroPolicy,
     apply_zero_policy,
     format_config,
+    ilr_coordinates,
     load_config,
     load_dataset_csv,
     parse_config,
@@ -75,7 +75,6 @@ __all__ = [
     "DemoRow",
     "DescriptiveStats",
     "FirmDataset",
-    "FirmRecord",
     "GroupComparison",
     "PartitionNode",
     "PartitionTree",
@@ -97,6 +96,7 @@ __all__ = [
     "excess_kurtosis",
     "format_config",
     "format_sbp",
+    "ilr_coordinates",
     "ilr_inverse",
     "ilr_matrix",
     "ilr_transform",

@@ -24,8 +24,7 @@ import sys
 from datetime import datetime, timezone
 
 from .boxplot_svg import emit_boxplot_svg
-from .composition import ilr_matrix
-from .dataset import load_config, load_dataset_csv, split_by_group
+from .dataset import ilr_coordinates, load_config, load_dataset_csv, split_by_group
 from .errors import CodaError, SingleGroupError
 from .ratios import table1_demo
 from .report import emit_report, run_analysis
@@ -63,8 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _timestamp_for(data_path: str) -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    ts = int(epoch) if epoch else int(os.stat(data_path).st_mtime)
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    try:
+        ts = int(epoch) if epoch else int(os.stat(data_path).st_mtime)
+        when = datetime.fromtimestamp(ts, tz=timezone.utc)
+    except (ValueError, OverflowError):
+        raise CodaError(
+            f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}"
+        ) from None
+    return when.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _cmd_analyze(args) -> int:
@@ -86,13 +91,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_transform(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
-    tree = config.tree
-    order = [ds.part_labels.index(label) for label in tree.leaf_labels]
-    coords = ilr_matrix(ds.matrix()[:, order], tree)
+    coords = ilr_coordinates(ds, config.tree)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["firm_id", *tree.coordinate_names])
-    for firm, row in zip(ds.firms, coords):
-        writer.writerow([firm.firm_id, *[repr(float(v)) for v in row]])
+    writer.writerow(["firm_id", *config.tree.coordinate_names])
+    for firm_id, row in zip(ds.firm_ids, coords):
+        writer.writerow([firm_id, *[repr(float(v)) for v in row]])
     return 0
 
 
@@ -105,7 +108,7 @@ def _cmd_validate(args) -> int:
         groups = split_by_group(ds, config.group_variable)
         if len(groups) != 2:
             raise SingleGroupError(len(groups))
-        sizes = ", ".join(f"{value}: {g.n}" for value, g in sorted(groups.items()))
+        sizes = ", ".join(f"{value}: {int(mask.sum())}" for value, mask in sorted(groups.items()))
         print(f"OK: group variable {config.group_variable!r} splits as {sizes}")
     return 0
 

@@ -26,7 +26,6 @@ from .errors import (
     CodaError,
     DuplicateLabelError,
     EmptyGroupError,
-    LabelMismatchError,
     LengthMismatchError,
     NonPositivePartError,
     OverlappingGroupsError,
@@ -35,7 +34,7 @@ from .errors import (
     TreeMismatchError,
     UnknownLabelError,
 )
-from .sbp import PartitionNode, PartitionTree
+from .sbp import PartitionTree, validate_tree
 
 
 @dataclass(frozen=True)
@@ -198,16 +197,9 @@ def clr_transform(x: Composition) -> np.ndarray:
     return logs - logs.mean()
 
 
-def _check_labels(tree: PartitionTree, labels) -> None:
-    expected = frozenset(labels)
-    actual = frozenset(tree.leaf_labels)
-    if expected != actual:
-        raise LabelMismatchError(missing=expected - actual, extra=actual - expected)
-
-
 def ilr_transform(x: Composition, tree: PartitionTree) -> BalanceVector:
     """All D-1 balances of ``x``, one per internal node in pre-order."""
-    _check_labels(tree, x.labels)
+    validate_tree(tree, x.labels)
     values = tuple(
         balance(x, node.numerator_leaves(), node.denominator_leaves())
         for node in tree.nodes
@@ -245,8 +237,8 @@ def aitchison_distance(x: Composition, z: Composition, tree: PartitionTree) -> f
     The value does not depend on which valid tree over the same labels is
     used (orthonormal bases differ by a rotation).
     """
-    _check_labels(tree, x.labels)
-    _check_labels(tree, z.labels)
+    validate_tree(tree, x.labels)
+    validate_tree(tree, z.labels)
     dx = ilr_transform(x, tree).as_array() - ilr_transform(z, tree).as_array()
     return float(np.linalg.norm(dx))
 

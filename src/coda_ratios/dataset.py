@@ -20,18 +20,21 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .composition import Composition
+from .composition import ilr_matrix
 from .errors import (
     AllRowsDroppedError,
     ConfigError,
     DuplicateFirmIdError,
     DuplicateLabelError,
+    LengthMismatchError,
     MalformedNumberError,
     MissingColumnError,
-    MissingValueError,
     NonPositivePartError,
     TooFewPartsError,
     UnknownLabelError,
@@ -103,91 +106,106 @@ class AnalysisConfig:
         object.__setattr__(self, "tree", tree)
 
 
-@dataclass(frozen=True)
-class FirmRecord:
-    firm_id: str
-    composition: Composition
-    externals: dict[str, str]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirmDataset:
-    """An immutable sector sample: one composition per firm."""
+    """An immutable sector sample in columns: row i of every field is firm i.
 
-    firms: tuple[FirmRecord, ...]
+    ``values`` is a read-only (n, D) float64 array whose columns follow
+    ``part_labels``; ``externals`` maps each categorical column name to one
+    string per firm.
+    """
+
+    firm_ids: tuple[str, ...]
     part_labels: tuple[str, ...]
+    values: np.ndarray
+    externals: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "firms", tuple(self.firms))
-        object.__setattr__(self, "part_labels", tuple(self.part_labels))
+        firm_ids = tuple(self.firm_ids)
+        part_labels = tuple(self.part_labels)
+        n = len(firm_ids)
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (n, len(part_labels)):
+            raise LengthMismatchError((n, len(part_labels)), values.shape)
+        externals = {name: tuple(column) for name, column in self.externals.items()}
+        for column in externals.values():
+            if len(column) != n:
+                raise LengthMismatchError(n, len(column))
         seen = set()
-        for f in self.firms:
-            if f.firm_id in seen:
-                raise DuplicateFirmIdError(None, f.firm_id)
-            seen.add(f.firm_id)
-            if f.composition.labels != self.part_labels:
-                raise UnknownLabelError(
-                    sorted(set(f.composition.labels) ^ set(self.part_labels))
-                )
+        for firm_id in firm_ids:
+            if firm_id in seen:
+                raise DuplicateFirmIdError(None, firm_id)
+            seen.add(firm_id)
+        _raise_non_positive(firm_ids, part_labels, values, ~((values > 0.0) & np.isfinite(values)))
+        values.setflags(write=False)
+        object.__setattr__(self, "firm_ids", firm_ids)
+        object.__setattr__(self, "part_labels", part_labels)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "externals", MappingProxyType(externals))
 
     @property
     def n(self) -> int:
-        return len(self.firms)
+        return len(self.firm_ids)
 
-    def matrix(self) -> np.ndarray:
-        """(n, D) array of magnitudes in part_labels order."""
-        return np.array(
-            [f.composition.as_array(self.part_labels) for f in self.firms], dtype=float
+
+def _raise_non_positive(firm_ids, part_labels, values, bad) -> None:
+    """Raise NonPositivePartError listing the ``bad`` cells row by row, if any."""
+    if bad.any():
+        raise NonPositivePartError(
+            (f"{firm_ids[i]}:{part_labels[j]}", float(values[i, j]))
+            for i, j in zip(*np.nonzero(bad))
         )
 
 
-def apply_zero_policy(rows, part_labels, policy: ZeroPolicy):
-    """Resolve zero cells in parsed rows per the policy.
+def ilr_coordinates(ds: FirmDataset, tree: PartitionTree) -> np.ndarray:
+    """(n, D-1) ilr coordinates of every firm, one column per balance.
 
-    ``rows`` is a sequence of (firm_id, values) with values aligned to
-    part_labels; values must already be non-negative.  Returns a new list
-    of rows.  drop_row logs how many firms were removed.
+    The columns are reordered to the tree's leaf order by fancy indexing,
+    which yields an F-ordered array; the row means inside ilr_matrix round
+    differently on a C-ordered copy once D >= 8, and the report bytes pin
+    this layout.
+    """
+    validate_tree(tree, ds.part_labels)
+    order = [ds.part_labels.index(label) for label in tree.leaf_labels]
+    return ilr_matrix(ds.values[:, order], tree)
+
+
+def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
+    """Resolve zero cells per the policy.
+
+    ``values`` is a non-negative (n, D) array with one row per firm id and
+    one column per part label.  Returns ``(keep, values)``: a boolean mask
+    of the input rows that are kept, and those rows with zeros resolved.
+    drop_row logs how many firms were removed.
     """
     part_labels = tuple(part_labels)
-    rows = [(firm_id, tuple(float(v) for v in values)) for firm_id, values in rows]
-    zero_cells = [
-        (firm_id, part)
-        for firm_id, values in rows
-        for part, v in zip(part_labels, values)
-        if v == 0.0
-    ]
-    if not zero_cells:
-        return rows
+    values = np.asarray(values, dtype=np.float64)
+    zero = values == 0.0
+    keep = np.ones(len(firm_ids), dtype=bool)
+    if not zero.any():
+        return keep, values
     if policy.mode == "reject":
-        raise ZeroCellError(zero_cells)
-    if policy.mode == "drop_row":
-        bad_firms = {firm_id for firm_id, _ in zero_cells}
-        kept = [row for row in rows if row[0] not in bad_firms]
-        if not kept:
-            raise AllRowsDroppedError(len(rows))
-        logger.info("zero policy drop_row removed %d firm(s)", len(bad_firms))
-        return kept
-    # replace: 0 -> delta_fraction * (column's smallest positive value)
-    replacement = {}
-    for j, part in enumerate(part_labels):
-        column = [values[j] for _, values in rows]
-        positives = [v for v in column if v > 0.0]
-        if 0.0 in column:
-            if not positives:
-                raise ZeroCellError(
-                    [(firm_id, part) for firm_id, values in rows if values[j] == 0.0],
-                    detail="cannot replace zeros: column has no positive values",
-                )
-            replacement[j] = policy.delta_fraction * min(positives)
-    out = []
-    for firm_id, values in rows:
-        out.append(
-            (
-                firm_id,
-                tuple(replacement[j] if v == 0.0 else v for j, v in enumerate(values)),
-            )
+        raise ZeroCellError(
+            (firm_ids[i], part_labels[j]) for i, j in zip(*np.nonzero(zero))
         )
-    return out
+    if policy.mode == "drop_row":
+        keep = ~zero.any(axis=1)
+        if not keep.any():
+            raise AllRowsDroppedError(len(firm_ids))
+        logger.info("zero policy drop_row removed %d firm(s)", int((~keep).sum()))
+        return keep, values[keep]
+    # replace: 0 -> delta_fraction * (column's smallest positive value)
+    fill = np.zeros(len(part_labels))
+    for j in np.nonzero(zero.any(axis=0))[0]:
+        column = values[:, j]
+        positives = column[column > 0.0]
+        if not positives.size:
+            raise ZeroCellError(
+                [(firm_ids[i], part_labels[j]) for i in np.nonzero(zero[:, j])[0]],
+                detail="cannot replace zeros: column has no positive values",
+            )
+        fill[j] = policy.delta_fraction * positives.min()
+    return keep, np.where(zero, fill, values)
 
 
 def load_dataset_csv(path, config: AnalysisConfig) -> FirmDataset:
@@ -210,19 +228,19 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
         if name not in header:
             raise MissingColumnError(name)
     col = {name: header.index(name) for name in header}
-    external_names = [
-        name for name in header if name != "firm_id" and name not in config.parts
-    ]
+    externals = {
+        name: [] for name in header if name != "firm_id" and name not in config.parts
+    }
 
-    parsed = []  # (line, firm_id, values, externals)
+    firm_ids, lines, flat = [], [], []
     malformed = []  # (line, column_name, raw)
     for row in reader:
         if not row:
             continue
         line = reader.line_num
         cells = [row[i] if i < len(row) else "" for i in range(len(header))]
-        firm_id = cells[col["firm_id"]].strip()
-        values = []
+        firm_ids.append(cells[col["firm_id"]].strip())
+        lines.append(line)
         for part in config.parts:
             raw = cells[col[part]]
             try:
@@ -232,62 +250,43 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
             if not math.isfinite(v):
                 malformed.append((line, part, raw))
                 v = math.nan
-            values.append(v)
-        externals = {name: cells[col[name]].strip() for name in external_names}
-        parsed.append((line, firm_id, values, externals))
+            flat.append(v)
+        for name, column in externals.items():
+            column.append(cells[col[name]].strip())
 
     if malformed:
         raise MalformedNumberError(malformed)
 
-    first_line = {}
-    for line, firm_id, _, _ in parsed:
-        if firm_id in first_line:
+    seen = set()
+    for line, firm_id in zip(lines, firm_ids):
+        if firm_id in seen:
             raise DuplicateFirmIdError(line, firm_id)
-        first_line[firm_id] = line
+        seen.add(firm_id)
 
-    negatives = [
-        (f"{firm_id}:{part}", v)
-        for _, firm_id, values, _ in parsed
-        for part, v in zip(config.parts, values)
-        if v < 0.0
-    ]
-    if negatives:
-        raise NonPositivePartError(negatives)
+    values = np.array(flat, dtype=np.float64).reshape(len(firm_ids), len(config.parts))
+    _raise_non_positive(firm_ids, config.parts, values, values < 0.0)
 
-    rows = [(firm_id, values) for _, firm_id, values, _ in parsed]
-    rows = apply_zero_policy(rows, config.parts, config.zero_policy)
-
-    externals_by_firm = {firm_id: ext for _, firm_id, _, ext in parsed}
-    firms = tuple(
-        FirmRecord(
-            firm_id=firm_id,
-            composition=Composition(labels=config.parts, values=values),
-            externals=externals_by_firm[firm_id],
-        )
-        for firm_id, values in rows
+    keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
+    return FirmDataset(
+        firm_ids=tuple(compress(firm_ids, keep)),
+        part_labels=config.parts,
+        values=values,
+        externals={name: tuple(compress(column, keep)) for name, column in externals.items()},
     )
-    return FirmDataset(firms=firms, part_labels=config.parts)
 
 
-def split_by_group(ds: FirmDataset, variable: str) -> dict[str, FirmDataset]:
-    """Partition a dataset by one categorical external variable.
+def split_by_group(ds: FirmDataset, variable: str) -> dict[str, np.ndarray]:
+    """Boolean row masks of ``ds``, one per value of a categorical external variable.
 
-    Groups appear in order of first appearance; each keeps the original
-    firm order, so group sizes always sum to ds.n.
+    Groups appear in order of first appearance; the masks are disjoint and
+    together cover every firm.
     """
     if ds.n == 0:
         return {}
-    if not any(variable in f.externals for f in ds.firms):
+    if variable not in ds.externals:
         raise UnknownVariableError(variable)
-    buckets: dict[str, list[FirmRecord]] = {}
-    for f in ds.firms:
-        if variable not in f.externals:
-            raise MissingValueError(f.firm_id, variable)
-        buckets.setdefault(f.externals[variable], []).append(f)
-    return {
-        value: FirmDataset(firms=tuple(records), part_labels=ds.part_labels)
-        for value, records in buckets.items()
-    }
+    labels = np.array(ds.externals[variable], dtype=object)
+    return {value: labels == value for value in dict.fromkeys(ds.externals[variable])}
 
 
 # ---------------------------------------------------------------------------

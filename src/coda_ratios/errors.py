@@ -206,13 +206,6 @@ class UnknownVariableError(CodaError):
         super().__init__(f"unknown external variable {name!r}")
 
 
-class MissingValueError(CodaError):
-    def __init__(self, firm_id, variable):
-        self.firm_id = firm_id
-        self.variable = variable
-        super().__init__(f"firm {firm_id!r} has no value for variable {variable!r}")
-
-
 class ConfigError(CodaError):
     def __init__(self, message):
         super().__init__(message)

@@ -23,15 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import ilr_matrix
-from .dataset import AnalysisConfig, FirmDataset, split_by_group
+from .dataset import AnalysisConfig, FirmDataset, ilr_coordinates, split_by_group
 from .errors import (
     SingleGroupError,
     TooFewObservationsError,
     ZeroPooledVarianceError,
     ZeroVarianceError,
 )
-from .ratios import eval_ratio, invert_spec
+from .ratios import invert_spec
 from .stats import (
     BoxSummary,
     DescriptiveStats,
@@ -42,13 +41,13 @@ from .stats import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariableReport:
-    """One analyzed variable: its per-firm values and statistics."""
+    """One analyzed variable: its per-firm values (read-only) and statistics."""
 
     name: str
     kind: str  # balance | balance_permuted | ratio | ratio_permuted
-    values: tuple[float, ...]
+    values: np.ndarray
     stats: DescriptiveStats | None
     stats_note: str | None
     box: BoxSummary
@@ -56,7 +55,7 @@ class VariableReport:
     comparison_note: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalysisReport:
     variables: tuple[VariableReport, ...]
     n: int
@@ -108,12 +107,9 @@ def run_analysis(
     for a timestamp-free (fully input-determined) report.
     """
     tree = config.tree
-    order = [ds.part_labels.index(label) for label in tree.leaf_labels]
-    X = ds.matrix()[:, order]
-    Y = ilr_matrix(X, tree) if ds.n else np.zeros((0, tree.dimension - 1))
+    Y = ilr_coordinates(ds, tree)
 
-    # group masks, fixed once: ascending group values; t compares high vs low
-    group_low = group_high = None
+    # groups fixed once: ascending group values; t compares high vs low
     groups_meta = None
     mask_high = None
     if config.group_variable is not None:
@@ -121,12 +117,16 @@ def run_analysis(
         if len(split) != 2:
             raise SingleGroupError(len(split))
         group_low, group_high = sorted(split)
-        labels = [f.externals[config.group_variable] for f in ds.firms]
-        mask_high = np.array([lab == group_high for lab in labels])
+        mask_high = split[group_high]
         groups_meta = (
             (group_low, int((~mask_high).sum())),
             (group_high, int(mask_high.sum())),
         )
+
+    def part_sum(labels):
+        # summed left to right from 0 like eval_ratio, so every entry
+        # equals eval_ratio on that firm bit for bit
+        return sum(ds.values[:, ds.part_labels.index(label)] for label in labels)
 
     columns: list[tuple[str, str, np.ndarray]] = []
     for j, name in enumerate(tree.coordinate_names):
@@ -136,14 +136,13 @@ def run_analysis(
         columns.append((name, "balance", y))
         columns.append((name + "p", "balance_permuted", -y))
     for spec in config.standard_ratios:
-        inv = invert_spec(spec)
-        r = np.array([eval_ratio(f.composition, spec) for f in ds.firms])
-        rp = np.array([eval_ratio(f.composition, inv) for f in ds.firms])
-        columns.append((spec.display_name, "ratio", r))
-        columns.append((inv.display_name, "ratio_permuted", rp))
+        num, den = part_sum(spec.numerator), part_sum(spec.denominator)
+        columns.append((spec.display_name, "ratio", num / den))
+        columns.append((invert_spec(spec).display_name, "ratio_permuted", den / num))
 
     variables = []
     for name, kind, values in columns:
+        values.setflags(write=False)
         stats, stats_note = _describe_or_note(values)
         box = box_summary(values)
         comparison = comparison_note = None
@@ -156,7 +155,7 @@ def run_analysis(
             VariableReport(
                 name=name,
                 kind=kind,
-                values=tuple(float(v) for v in values),
+                values=values,
                 stats=stats,
                 stats_note=stats_note,
                 box=box,

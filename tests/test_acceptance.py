@@ -15,7 +15,6 @@ from coda_ratios import (
     AnalysisConfig,
     Composition,
     FirmDataset,
-    FirmRecord,
     aitchison_distance,
     box_summary,
     contrast_matrix,
@@ -113,23 +112,17 @@ def test_criterion_04_sign_flip_property_suite():
         values = np.exp(rng.normal(loc=2.0, scale=1.5, size=(n, 3)))
         brands = ["yes" if rng.uniform() < 0.5 else "no" for _ in range(n)]
         brands[:4] = ["yes", "yes", "no", "no"]
-        firms = tuple(
-            FirmRecord(
-                firm_id=f"f{i}",
-                composition=Composition(
-                    labels=("TA", "NCL", "CL"), values=tuple(map(float, values[i]))
-                ),
-                externals={"brand": brands[i]},
-            )
-            for i in range(n)
+        ds = FirmDataset(
+            firm_ids=tuple(f"f{i}" for i in range(n)),
+            part_labels=("TA", "NCL", "CL"),
+            values=values,
+            externals={"brand": tuple(brands)},
         )
-        report = run_analysis(
-            FirmDataset(firms=firms, part_labels=("TA", "NCL", "CL")), config
-        )
+        report = run_analysis(ds, config)
         for base in ("y1", "y2"):
             v = report.variable(base)
             vp = report.variable(base + "p")
-            ok = ok and vp.values == tuple(-u for u in v.values)
+            ok = ok and np.array_equal(vp.values, -v.values)
             ok = ok and vp.stats.skewness == -v.stats.skewness
             ok = ok and vp.stats.excess_kurtosis == v.stats.excess_kurtosis
             ok = ok and vp.box.n_outliers == v.box.n_outliers

@@ -89,6 +89,23 @@ def test_analyze_timestamp_from_mtime(workdir, monkeypatch):
     assert main(["analyze", *_args(workdir)]) == 0
 
 
+def test_analyze_bad_source_date_epoch_exits_1(workdir, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    assert main(["analyze", *_args(workdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SOURCE_DATE_EPOCH")
+    assert "'abc'" in err
+
+
+def test_analyze_header_only_csv_exits_1(workdir, capsys):
+    (workdir / "empty.csv").write_text("firm_id,TA,NCL,CL,brand\n", encoding="utf-8")
+    code = main(
+        ["analyze", "--data", str(workdir / "empty.csv"), "--config", str(workdir / "analysis.ini")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analyze_missing_file_exits_1(workdir, capsys):
     code = main(
         ["analyze", "--data", str(workdir / "nope.csv"), "--config", str(workdir / "analysis.ini")]

@@ -8,7 +8,6 @@ import pytest
 from coda_ratios import (
     AnalysisConfig,
     FirmDataset,
-    FirmRecord,
     ZeroPolicy,
     apply_zero_policy,
     format_config,
@@ -18,15 +17,14 @@ from coda_ratios import (
     read_dataset_csv,
     split_by_group,
 )
-from coda_ratios.composition import Composition
 from coda_ratios.errors import (
     AllRowsDroppedError,
     ConfigError,
     DuplicateFirmIdError,
     DuplicateLabelError,
+    LengthMismatchError,
     MalformedNumberError,
     MissingColumnError,
-    MissingValueError,
     NonPositivePartError,
     TooFewPartsError,
     UnknownLabelError,
@@ -159,10 +157,10 @@ def test_read_csv_happy_path():
     ds = read_dataset_csv(io.StringIO(CSV_TEXT), make_config(group_variable="brand"))
     assert ds.n == 3
     assert ds.part_labels == ("TA", "NCL", "CL")
-    assert [f.firm_id for f in ds.firms] == ["f1", "f2", "f3"]
-    assert ds.firms[0].externals == {"brand": "yes"}
+    assert ds.firm_ids == ("f1", "f2", "f3")
+    assert dict(ds.externals) == {"brand": ("yes", "no", "yes")}
     np.testing.assert_array_equal(
-        ds.matrix(), [[100, 20, 30], [80, 35, 25], [120, 50, 10]]
+        ds.values, [[100, 20, 30], [80, 35, 25], [120, 50, 10]]
     )
 
 
@@ -176,14 +174,14 @@ def test_load_csv_from_file(tmp_path):
 def test_read_csv_column_order_and_quoting():
     text = 'brand,CL,firm_id,NCL,TA\nyes,30,"acme, inc",20,100\n'
     ds = read_dataset_csv(io.StringIO(text), make_config(group_variable="brand"))
-    assert ds.firms[0].firm_id == "acme, inc"
-    np.testing.assert_array_equal(ds.matrix(), [[100, 20, 30]])
+    assert ds.firm_ids == ("acme, inc",)
+    np.testing.assert_array_equal(ds.values, [[100, 20, 30]])
 
 
 def test_read_csv_extra_columns_become_externals():
     text = "firm_id,TA,NCL,CL,brand,country\nf1,1,2,3, yes ,NL\n"
     ds = read_dataset_csv(io.StringIO(text), make_config())
-    assert ds.firms[0].externals == {"brand": "yes", "country": "NL"}
+    assert dict(ds.externals) == {"brand": ("yes",), "country": ("NL",)}
 
 
 def test_read_csv_skips_blank_lines():
@@ -263,64 +261,68 @@ def test_zero_policy_validation():
 
 
 def test_zero_policy_no_zeros_is_identity():
-    rows = [("f1", (1.0, 2.0)), ("f2", (3.0, 4.0))]
+    ids, values = ("f1", "f2"), np.array([[1.0, 2.0], [3.0, 4.0]])
     for mode in ("reject", "drop_row", "replace"):
-        assert apply_zero_policy(rows, ("A", "B"), ZeroPolicy(mode=mode)) == rows
+        keep, out = apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy(mode=mode))
+        assert keep.tolist() == [True, True]
+        assert np.array_equal(out, values)
 
 
 def test_zero_policy_drop_row(caplog):
-    rows = [("f1", (1.0, 0.0)), ("f2", (3.0, 4.0)), ("f3", (0.0, 5.0))]
+    ids, values = ("f1", "f2", "f3"), np.array([[1.0, 0.0], [3.0, 4.0], [0.0, 5.0]])
     with caplog.at_level(logging.INFO, logger="coda_ratios.dataset"):
-        kept = apply_zero_policy(rows, ("A", "B"), ZeroPolicy(mode="drop_row"))
-    assert kept == [("f2", (3.0, 4.0))]
+        keep, kept = apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy(mode="drop_row"))
+    assert keep.tolist() == [False, True, False]
+    assert np.array_equal(kept, [[3.0, 4.0]])
     assert "2 firm(s)" in caplog.text
 
 
 def test_zero_policy_drop_row_all_dropped():
-    rows = [("f1", (1.0, 0.0)), ("f2", (0.0, 4.0))]
+    ids, values = ("f1", "f2"), np.array([[1.0, 0.0], [0.0, 4.0]])
     with pytest.raises(AllRowsDroppedError) as excinfo:
-        apply_zero_policy(rows, ("A", "B"), ZeroPolicy(mode="drop_row"))
+        apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy(mode="drop_row"))
     assert excinfo.value.n == 2
 
 
 def test_zero_policy_replace_uses_column_minimum():
     # column B: positives {2, 5, 10}, so 0 -> 0.65 * 2 = 1.3
-    rows = [
-        ("f1", (1.0, 2.0)),
-        ("f2", (1.0, 5.0)),
-        ("f3", (1.0, 10.0)),
-        ("f4", (1.0, 0.0)),
-    ]
-    out = apply_zero_policy(rows, ("A", "B"), ZeroPolicy(mode="replace"))
-    assert out[3] == ("f4", (1.0, pytest.approx(1.3, rel=1e-15)))
+    ids = ("f1", "f2", "f3", "f4")
+    values = np.array([[1.0, 2.0], [1.0, 5.0], [1.0, 10.0], [1.0, 0.0]])
+    keep, out = apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy(mode="replace"))
+    assert keep.all()
+    assert out[3].tolist() == [1.0, pytest.approx(1.3, rel=1e-15)]
     # untouched cells are passed through unchanged
-    assert out[:3] == rows[:3]
+    assert np.array_equal(out[:3], values[:3])
 
 
 def test_zero_policy_replace_is_per_column():
-    rows = [("f1", (0.0, 8.0)), ("f2", (4.0, 0.0)), ("f3", (6.0, 2.0))]
-    out = apply_zero_policy(rows, ("A", "B"), ZeroPolicy(mode="replace", delta_fraction=0.5))
-    assert out[0] == ("f1", (2.0, 8.0))
-    assert out[1] == ("f2", (4.0, 1.0))
+    ids, values = ("f1", "f2", "f3"), np.array([[0.0, 8.0], [4.0, 0.0], [6.0, 2.0]])
+    _, out = apply_zero_policy(
+        ids, values, ("A", "B"), ZeroPolicy(mode="replace", delta_fraction=0.5)
+    )
+    assert out[0].tolist() == [2.0, 8.0]
+    assert out[1].tolist() == [4.0, 1.0]
 
 
 def test_zero_policy_replace_without_positives():
-    rows = [("f1", (0.0, 1.0)), ("f2", (0.0, 2.0))]
+    ids, values = ("f1", "f2"), np.array([[0.0, 1.0], [0.0, 2.0]])
     with pytest.raises(ZeroCellError, match="no positive values"):
-        apply_zero_policy(rows, ("A", "B"), ZeroPolicy(mode="replace"))
+        apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy(mode="replace"))
 
 
 def test_zero_policy_replace_idempotent():
-    rows = [("f1", (1.0, 0.0)), ("f2", (3.0, 4.0))]
-    once = apply_zero_policy(rows, ("A", "B"), ZeroPolicy(mode="replace"))
-    assert apply_zero_policy(once, ("A", "B"), ZeroPolicy(mode="replace")) == once
+    ids, values = ("f1", "f2"), np.array([[1.0, 0.0], [3.0, 4.0]])
+    policy = ZeroPolicy(mode="replace")
+    _, once = apply_zero_policy(ids, values, ("A", "B"), policy)
+    _, twice = apply_zero_policy(ids, once, ("A", "B"), policy)
+    assert np.array_equal(twice, once)
 
 
 def test_read_csv_with_replace_policy_end_to_end():
     text = "firm_id,TA,NCL,CL\nf1,100,0,30\nf2,80,35,25\n"
     config = make_config(zero_policy=ZeroPolicy(mode="replace", delta_fraction=0.65))
     ds = read_dataset_csv(io.StringIO(text), config)
-    assert ds.matrix()[0, 1] == pytest.approx(0.65 * 35.0, rel=1e-15)
+    assert ds.values[0, 1] == pytest.approx(0.65 * 35.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +330,12 @@ def test_read_csv_with_replace_policy_end_to_end():
 
 
 def _dataset(rows, parts=("TA", "NCL", "CL"), externals=None):
-    externals = externals or [{} for _ in rows]
-    firms = tuple(
-        FirmRecord(
-            firm_id=firm_id,
-            composition=Composition(labels=tuple(parts), values=tuple(values)),
-            externals=ext,
-        )
-        for (firm_id, values), ext in zip(rows, externals)
+    return FirmDataset(
+        firm_ids=tuple(firm_id for firm_id, _ in rows),
+        part_labels=tuple(parts),
+        values=np.array([values for _, values in rows], dtype=float).reshape(-1, len(parts)),
+        externals=externals or {},
     )
-    return FirmDataset(firms=firms, part_labels=tuple(parts))
 
 
 def test_dataset_rejects_duplicate_ids():
@@ -348,49 +346,64 @@ def test_dataset_rejects_duplicate_ids():
 
 
 def test_dataset_rejects_label_mismatch():
-    comp = Composition(labels=("A", "B"), values=(1.0, 2.0))
-    with pytest.raises(UnknownLabelError):
-        FirmDataset(
-            firms=(FirmRecord("f1", comp, {}),), part_labels=("A", "C")
-        )
+    # two value columns cannot be labelled by three parts
+    with pytest.raises(LengthMismatchError):
+        FirmDataset(firm_ids=("f1",), part_labels=("A", "B", "C"), values=[[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_dataset_rejects_non_positive_values(bad):
+    with pytest.raises(NonPositivePartError) as excinfo:
+        _dataset([("f1", (1, 2, 3)), ("f2", (4, bad, 6))])
+    ((label, value),) = excinfo.value.parts
+    assert label == "f2:NCL"
+    assert value == bad or (math.isnan(bad) and math.isnan(value))
+
+
+def test_replace_underflowing_to_zero_is_rejected():
+    # 0.1 * 5e-324 rounds to 0.0, which no composition may hold
+    text = "firm_id,TA,NCL,CL\nf1,5e-324,2,3\nf2,0,5,6\n"
+    config = make_config(zero_policy=ZeroPolicy(mode="replace", delta_fraction=0.1))
+    with pytest.raises(NonPositivePartError) as excinfo:
+        read_dataset_csv(io.StringIO(text), config)
+    assert excinfo.value.parts == (("f2:TA", 0.0),)
 
 
 def test_split_by_group():
     ds = _dataset(
         [("f1", (1, 2, 3)), ("f2", (4, 5, 6)), ("f3", (7, 8, 9))],
-        externals=[{"brand": "yes"}, {"brand": "no"}, {"brand": "yes"}],
+        externals={"brand": ("yes", "no", "yes")},
     )
     groups = split_by_group(ds, "brand")
     assert list(groups) == ["yes", "no"]  # first-appearance order
-    assert [f.firm_id for f in groups["yes"].firms] == ["f1", "f3"]
-    assert [f.firm_id for f in groups["no"].firms] == ["f2"]
-    assert sum(g.n for g in groups.values()) == ds.n
+    assert groups["yes"].tolist() == [True, False, True]
+    assert groups["no"].tolist() == [False, True, False]
+    assert sum(int(mask.sum()) for mask in groups.values()) == ds.n
 
 
 def test_split_by_group_empty_dataset():
-    ds = FirmDataset(firms=(), part_labels=("TA", "NCL", "CL"))
+    ds = FirmDataset(firm_ids=(), part_labels=("TA", "NCL", "CL"), values=np.empty((0, 3)))
     assert split_by_group(ds, "brand") == {}
 
 
 def test_split_by_group_unknown_variable():
-    ds = _dataset([("f1", (1, 2, 3))], externals=[{"brand": "yes"}])
+    ds = _dataset([("f1", (1, 2, 3))], externals={"brand": ("yes",)})
     with pytest.raises(UnknownVariableError):
         split_by_group(ds, "country")
 
 
-def test_split_by_group_missing_value():
-    ds = _dataset(
-        [("f1", (1, 2, 3)), ("f2", (4, 5, 6))],
-        externals=[{"brand": "yes"}, {}],
-    )
-    with pytest.raises(MissingValueError) as excinfo:
-        split_by_group(ds, "brand")
-    assert excinfo.value.firm_id == "f2"
+def test_dataset_rejects_short_external_column():
+    # every firm carries a value for every external variable
+    with pytest.raises(LengthMismatchError) as excinfo:
+        _dataset([("f1", (1, 2, 3)), ("f2", (4, 5, 6))], externals={"brand": ("yes",)})
+    assert (excinfo.value.expected, excinfo.value.got) == (2, 1)
 
 
-def test_matrix_is_float_and_ordered():
+def test_values_are_float_read_only_and_ordered():
     ds = _dataset([("f1", (1, 2, 3)), ("f2", (4, 5, 6))])
-    m = ds.matrix()
-    assert m.dtype == float
+    m = ds.values
+    assert m.dtype == np.float64
     assert m.shape == (2, 3)
     np.testing.assert_array_equal(m[1], [4.0, 5.0, 6.0])
+    with pytest.raises(ValueError):
+        m[0, 0] = 9.0

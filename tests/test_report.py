@@ -6,9 +6,10 @@ import pytest
 from coda_ratios import (
     AnalysisConfig,
     FirmDataset,
-    FirmRecord,
     RatioSpec,
     emit_report,
+    eval_ratio,
+    invert_spec,
     run_analysis,
 )
 from coda_ratios.composition import Composition, ilr_transform
@@ -20,16 +21,12 @@ SBP = "(TA|(NCL|CL))"
 
 
 def make_dataset(rows, brands=None, parts=PARTS):
-    brands = brands or [None] * len(rows)
-    firms = tuple(
-        FirmRecord(
-            firm_id=f"f{i + 1}",
-            composition=Composition(labels=parts, values=tuple(map(float, values))),
-            externals={} if brand is None else {"brand": brand},
-        )
-        for i, (values, brand) in enumerate(zip(rows, brands))
+    return FirmDataset(
+        firm_ids=tuple(f"f{i + 1}" for i in range(len(rows))),
+        part_labels=parts,
+        values=np.array(rows, dtype=float),
+        externals={} if brands is None else {"brand": tuple(brands)},
     )
-    return FirmDataset(firms=firms, part_labels=parts)
 
 
 def random_dataset(seed, n=None, with_groups=True):
@@ -93,8 +90,8 @@ def test_balance_columns_match_single_firm_transform():
     tree = parse_sbp(SBP)
     # matrix route and per-firm route are different formulas, so only
     # near-equality is promised, not bit equality
-    for i, firm in enumerate(ds.firms):
-        expected = ilr_transform(firm.composition, tree).values
+    for i, row in enumerate(ds.values):
+        expected = ilr_transform(Composition(labels=parts, values=row), tree).values
         assert report.variable("y1").values[i] == pytest.approx(
             expected[0], rel=1e-12, abs=1e-12
         )
@@ -107,7 +104,28 @@ def test_permuted_balance_is_exact_negation():
     report = run_analysis(DATASET, make_config())
     y1 = report.variable("y1")
     y1p = report.variable("y1p")
-    assert y1p.values == tuple(-v for v in y1.values)
+    assert np.array_equal(y1p.values, -y1.values)
+
+
+def test_ratio_columns_equal_per_firm_eval_ratio_exactly():
+    # the column sums add parts in spec order like eval_ratio, so the
+    # vectorized columns and the scalar reference agree bit for bit
+    ds = random_dataset(3, n=50)
+    config = make_config()
+    report = run_analysis(ds, config)
+    for spec in config.standard_ratios:
+        for s in (spec, invert_spec(spec)):
+            expected = [
+                eval_ratio(Composition(labels=PARTS, values=row), s) for row in ds.values
+            ]
+            assert report.variable(s.display_name).values.tolist() == expected
+
+
+def test_variable_values_are_read_only():
+    report = run_analysis(DATASET, make_config())
+    for v in report.variables:
+        with pytest.raises(ValueError):
+            v.values[0] = 0.0
 
 
 def test_permuted_ratio_is_reciprocal():
@@ -284,4 +302,9 @@ def test_emitted_bytes_are_deterministic():
 
 def test_reports_compare_equal_across_runs():
     config = make_config(group_variable="brand")
-    assert run_analysis(DATASET, config) == run_analysis(DATASET, config)
+    a, b = run_analysis(DATASET, config), run_analysis(DATASET, config)
+    for fmt in ("json", "csv"):
+        assert emit_report(a, fmt) == emit_report(b, fmt)
+    assert [v.name for v in a.variables] == [v.name for v in b.variables]
+    for va, vb in zip(a.variables, b.variables):
+        assert np.array_equal(va.values, vb.values)
