@@ -11,7 +11,7 @@ identical input yields byte-identical SVG.
 
 from __future__ import annotations
 
-from .errors import EmptyInputError
+from .errors import CodaError
 from .stats import BoxSummary
 
 PANEL_W = 200
@@ -45,7 +45,7 @@ def emit_boxplot_svg(summaries) -> bytes:
     """Render (name, BoxSummary) pairs as one standalone SVG document."""
     summaries = list(summaries)
     if not summaries:
-        raise EmptyInputError("box plot summaries")
+        raise CodaError("box plot summaries: need at least one element")
     for name, box in summaries:
         if not isinstance(box, BoxSummary):
             raise TypeError(f"expected BoxSummary for {name!r}, got {type(box).__name__}")

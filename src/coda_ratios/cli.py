@@ -24,8 +24,8 @@ import sys
 from datetime import datetime, timezone
 
 from .boxplot_svg import emit_boxplot_svg
-from .dataset import ilr_coordinates, load_config, load_dataset_csv, split_by_group
-from .errors import CodaError, SingleGroupError
+from .dataset import ilr_coordinates, load_config, load_dataset_csv, two_groups
+from .errors import CodaError
 from .ratios import table1_demo
 from .report import emit_report, run_analysis
 
@@ -105,10 +105,8 @@ def _cmd_validate(args) -> int:
     parts = ", ".join(ds.part_labels)
     print(f"OK: {ds.n} firm(s), {len(ds.part_labels)} part(s) ({parts})")
     if config.group_variable is not None:
-        groups = split_by_group(ds, config.group_variable)
-        if len(groups) != 2:
-            raise SingleGroupError(len(groups))
-        sizes = ", ".join(f"{value}: {int(mask.sum())}" for value, mask in sorted(groups.items()))
+        groups = two_groups(ds, config.group_variable)
+        sizes = ", ".join(f"{value}: {int(mask.sum())}" for value, mask in groups)
         print(f"OK: group variable {config.group_variable!r} splits as {sizes}")
     return 0
 

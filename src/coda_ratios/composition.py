@@ -29,9 +29,7 @@ from .errors import (
     LengthMismatchError,
     NonPositivePartError,
     OverlappingGroupsError,
-    SameLabelError,
     TooFewPartsError,
-    TreeMismatchError,
     UnknownLabelError,
 )
 from .sbp import PartitionTree, validate_tree
@@ -165,7 +163,7 @@ def balance(x: Composition, num_labels, den_labels) -> float:
 def pairwise_logratio(x: Composition, a: str, b: str) -> float:
     """sqrt(1/2) * ln(x_a / x_b), the two-part balance of labels a and b."""
     if a == b:
-        raise SameLabelError(a)
+        raise CodaError(f"pairwise log-ratio needs two distinct labels, got {a!r} twice")
     va, vb = x.value(a), x.value(b)
     return math.sqrt(0.5) * math.log(va / vb)
 
@@ -198,14 +196,17 @@ def clr_transform(x: Composition) -> np.ndarray:
 
 
 def ilr_transform(x: Composition, tree: PartitionTree) -> BalanceVector:
-    """All D-1 balances of ``x``, one per internal node in pre-order."""
+    """All D-1 balances of ``x``, one per internal node in pre-order.
+
+    Computed as one row of :func:`ilr_matrix`, the formula the
+    dataset-level path uses.
+    """
     validate_tree(tree, x.labels)
-    values = tuple(
-        balance(x, node.numerator_leaves(), node.denominator_leaves())
-        for node in tree.nodes
-    )
+    row = ilr_matrix(x.as_array(tree.leaf_labels)[np.newaxis, :], tree)[0]
     return BalanceVector(
-        names=tree.coordinate_names, values=values, tree_fingerprint=tree.fingerprint
+        names=tree.coordinate_names,
+        values=tuple(row.tolist()),
+        tree_fingerprint=tree.fingerprint,
     )
 
 
@@ -218,7 +219,10 @@ def ilr_inverse(y, tree: PartitionTree) -> Composition:
     """
     if isinstance(y, BalanceVector):
         if y.tree_fingerprint != tree.fingerprint:
-            raise TreeMismatchError(y.tree_fingerprint, tree.fingerprint)
+            raise CodaError(
+                f"balance vector fingerprint {y.tree_fingerprint:#018x} "
+                f"does not match tree {tree.fingerprint:#018x}"
+            )
         coords = y.as_array()
     else:
         coords = np.asarray(y, dtype=float)
@@ -237,8 +241,6 @@ def aitchison_distance(x: Composition, z: Composition, tree: PartitionTree) -> f
     The value does not depend on which valid tree over the same labels is
     used (orthonormal bases differ by a rotation).
     """
-    validate_tree(tree, x.labels)
-    validate_tree(tree, z.labels)
     dx = ilr_transform(x, tree).as_array() - ilr_transform(z, tree).as_array()
     return float(np.linalg.norm(dx))
 
@@ -246,8 +248,8 @@ def aitchison_distance(x: Composition, z: Composition, tree: PartitionTree) -> f
 def ilr_matrix(values: np.ndarray, tree: PartitionTree) -> np.ndarray:
     """ilr coordinates for an (n, D) array whose columns follow ``tree.leaf_labels``.
 
-    Vectorized equivalent of calling :func:`ilr_transform` per row; used for
-    dataset-level work.
+    clr of each row times the transposed contrast matrix; the one formula
+    behind every ilr coordinate in the package.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != tree.dimension:

@@ -1,10 +1,12 @@
 """Firm-level CSV loading, zero handling, configuration, and group splits.
 
-The CSV dialect is deliberately plain: comma-separated, UTF-8, first row is
-the header, '.' as decimal separator, optional quoted fields.  The header
-must contain ``firm_id`` plus every configured part; any other column is
+The CSV dialect is deliberately plain: comma-separated, UTF-8 (a leading
+byte-order mark is dropped), first row is the header, '.' as decimal
+separator, optional quoted fields.  The header must contain ``firm_id``
+plus every configured part and may not repeat a name; any other column is
 kept verbatim as a categorical external variable (e.g. a yes/no brand
-flag).
+flag).  A row may be shorter than the header (missing cells are empty) but
+not longer, and every firm_id must be non-empty.
 
 Zeros are a policy decision, negatives are not: a negative magnitude is a
 hard error under every policy, because repairing it means restructuring
@@ -29,6 +31,7 @@ import numpy as np
 from .composition import ilr_matrix
 from .errors import (
     AllRowsDroppedError,
+    CodaError,
     ConfigError,
     DuplicateFirmIdError,
     DuplicateLabelError,
@@ -36,9 +39,9 @@ from .errors import (
     MalformedNumberError,
     MissingColumnError,
     NonPositivePartError,
+    SingleGroupError,
     TooFewPartsError,
     UnknownLabelError,
-    UnknownVariableError,
     ZeroCellError,
 )
 from .ratios import RatioSpec
@@ -210,7 +213,8 @@ def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
 
 def load_dataset_csv(path, config: AnalysisConfig) -> FirmDataset:
     """Load a firm-per-row CSV and return a validated dataset."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports put first
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return read_dataset_csv(fh, config)
 
 
@@ -221,6 +225,9 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     if header is None:
         raise MissingColumnError("firm_id")
     header = [name.strip() for name in header]
+    dupes = sorted({name for name in header if header.count(name) > 1})
+    if dupes:
+        raise CodaError(f"CSV header repeats column name(s): {', '.join(map(repr, dupes))}")
     required = ["firm_id", *config.parts]
     if config.group_variable is not None:
         required.append(config.group_variable)
@@ -232,14 +239,20 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
         name: [] for name in header if name != "firm_id" and name not in config.parts
     }
 
+    width = len(header)
     firm_ids, lines, flat = [], [], []
     malformed = []  # (line, column_name, raw)
     for row in reader:
         if not row:
             continue
         line = reader.line_num
-        cells = [row[i] if i < len(row) else "" for i in range(len(header))]
-        firm_ids.append(cells[col["firm_id"]].strip())
+        if len(row) > width:
+            raise CodaError(f"line {line} has {len(row)} fields but the header has {width}")
+        cells = row + [""] * (width - len(row))
+        firm_id = cells[col["firm_id"]].strip()
+        if not firm_id:
+            raise CodaError(f"empty firm_id at line {line}")
+        firm_ids.append(firm_id)
         lines.append(line)
         for part in config.parts:
             raw = cells[col[part]]
@@ -284,9 +297,20 @@ def split_by_group(ds: FirmDataset, variable: str) -> dict[str, np.ndarray]:
     if ds.n == 0:
         return {}
     if variable not in ds.externals:
-        raise UnknownVariableError(variable)
+        raise CodaError(f"unknown external variable {variable!r}")
     labels = np.array(ds.externals[variable], dtype=object)
     return {value: labels == value for value in dict.fromkeys(ds.externals[variable])}
+
+
+def two_groups(ds: FirmDataset, variable: str) -> tuple[tuple[str, np.ndarray], ...]:
+    """The ``(value, mask)`` pairs of a two-valued variable, low value first.
+
+    Raises SingleGroupError unless ``variable`` takes exactly two values.
+    """
+    split = split_by_group(ds, variable)
+    if len(split) != 2:
+        raise SingleGroupError(len(split))
+    return tuple(sorted(split.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +405,7 @@ def parse_config(text: str) -> AnalysisConfig:
 
 
 def load_config(path) -> AnalysisConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config(fh.read())
 
 

@@ -2,7 +2,10 @@
 
 Every error raised by this package derives from :class:`CodaError`, so
 callers (and the CLI) can distinguish data/usage problems from bugs.
-Errors carry their payload as attributes, not just message text.
+An error gets a class of its own only when it is raised from more than one
+place, some code catches it by type, or a caller or test reads the payload
+it carries as attributes; every other error is a plain CodaError whose
+message says what went wrong.
 """
 
 from __future__ import annotations
@@ -57,12 +60,6 @@ class EmptyGroupError(CodaError):
         super().__init__(f"{side} group is empty")
 
 
-class SameLabelError(CodaError):
-    def __init__(self, label):
-        self.label = label
-        super().__init__(f"pairwise log-ratio needs two distinct labels, got {label!r} twice")
-
-
 class LabelMismatchError(CodaError):
     """Tree leaves do not match the expected label set."""
 
@@ -81,19 +78,7 @@ class LengthMismatchError(CodaError):
     def __init__(self, expected, got):
         self.expected = expected
         self.got = got
-        super().__init__(f"expected {expected} coordinates, got {got}")
-
-
-class TreeMismatchError(CodaError):
-    """A balance vector is paired with a tree it was not produced by."""
-
-    def __init__(self, vector_fingerprint, tree_fingerprint):
-        self.vector_fingerprint = vector_fingerprint
-        self.tree_fingerprint = tree_fingerprint
-        super().__init__(
-            "balance vector fingerprint "
-            f"{vector_fingerprint:#018x} does not match tree {tree_fingerprint:#018x}"
-        )
+        super().__init__(f"size mismatch: expected {expected}, got {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +124,10 @@ class ZeroPooledVarianceError(CodaError):
         super().__init__("pooled variance is zero; t statistic undefined")
 
 
-class InvalidDfError(CodaError):
-    def __init__(self, df):
-        self.df = df
-        super().__init__(f"degrees of freedom must be a positive integer, got {df!r}")
-
-
 class SingleGroupError(CodaError):
     def __init__(self, n_groups):
         self.n_groups = n_groups
         super().__init__(f"need exactly two distinct groups, got {n_groups}")
-
-
-class ConvergenceError(CodaError):
-    def __init__(self, what, iterations):
-        self.iterations = iterations
-        super().__init__(f"{what} did not converge within {iterations} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +173,5 @@ class AllRowsDroppedError(CodaError):
         super().__init__(f"zero policy 'drop_row' removed all {n} firms")
 
 
-class UnknownVariableError(CodaError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"unknown external variable {name!r}")
-
-
 class ConfigError(CodaError):
-    def __init__(self, message):
-        super().__init__(message)
-
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-class EmptyInputError(CodaError):
-    def __init__(self, what):
-        super().__init__(f"{what}: need at least one element")
+    """The configuration file or object is invalid."""

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .composition import Composition
 from .errors import (
     EmptyGroupError,
-    NonPositivePartError,
     OverlappingGroupsError,
     UnknownLabelError,
 )
@@ -63,13 +62,7 @@ class DemoFirm:
     mg2: float
 
     def __post_init__(self):
-        bad = [
-            (label, v)
-            for label, v in (("mg1", self.mg1), ("mg2", self.mg2))
-            if not (math.isfinite(v) and v > 0)
-        ]
-        if bad:
-            raise NonPositivePartError(bad)
+        Composition(labels=("mg1", "mg2"), values=(self.mg1, self.mg2))
 
 
 @dataclass(frozen=True)

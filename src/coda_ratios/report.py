@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AnalysisConfig, FirmDataset, ilr_coordinates, split_by_group
+from .dataset import AnalysisConfig, FirmDataset, ilr_coordinates, two_groups
 from .errors import (
-    SingleGroupError,
+    CodaError,
     TooFewObservationsError,
     ZeroPooledVarianceError,
     ZeroVarianceError,
@@ -98,6 +98,24 @@ def _describe_or_note(values):
         return None, str(exc)
 
 
+def _numbers(result) -> list:
+    """Every number a describe, box or comparison result holds; [] for None."""
+    fields = () if result is None else vars(result).values()
+    return [x for v in fields for x in (v if isinstance(v, tuple) else (v,))]
+
+
+def _require_finite(name: str, numbers) -> None:
+    # a ratio sum or a moment can overflow the float range even though
+    # every part is finite; JSON has no inf or nan to report it with
+    if not np.isfinite(numbers).all():
+        raise CodaError(
+            f"variable {name!r} has a statistic that is not finite: "
+            "its values or their moments exceed the float range"
+        )
+
+
+# overflow is reported by _require_finite as an error, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def run_analysis(
     ds: FirmDataset, config: AnalysisConfig, timestamp: str | None = None
 ) -> AnalysisReport:
@@ -110,18 +128,9 @@ def run_analysis(
     Y = ilr_coordinates(ds, tree)
 
     # groups fixed once: ascending group values; t compares high vs low
-    groups_meta = None
-    mask_high = None
+    groups = None
     if config.group_variable is not None:
-        split = split_by_group(ds, config.group_variable)
-        if len(split) != 2:
-            raise SingleGroupError(len(split))
-        group_low, group_high = sorted(split)
-        mask_high = split[group_high]
-        groups_meta = (
-            (group_low, int((~mask_high).sum())),
-            (group_high, int(mask_high.sum())),
-        )
+        groups = two_groups(ds, config.group_variable)
 
     def part_sum(labels):
         # summed left to right from 0 like eval_ratio, so every entry
@@ -143,14 +152,18 @@ def run_analysis(
     variables = []
     for name, kind, values in columns:
         values.setflags(write=False)
+        _require_finite(name, values)
         stats, stats_note = _describe_or_note(values)
         box = box_summary(values)
+        _require_finite(name, _numbers(stats) + _numbers(box))
         comparison = comparison_note = None
-        if mask_high is not None:
+        if groups is not None:
+            (_, low), (_, high) = groups
             try:
-                comparison = two_sample_t_equal_var(values[mask_high], values[~mask_high])
+                comparison = two_sample_t_equal_var(values[high], values[low])
             except (TooFewObservationsError, ZeroPooledVarianceError) as exc:
                 comparison_note = str(exc)
+            _require_finite(name, _numbers(comparison))
         variables.append(
             VariableReport(
                 name=name,
@@ -170,7 +183,7 @@ def run_analysis(
         config_echo=_config_echo(config),
         timestamp=timestamp,
         group_variable=config.group_variable,
-        groups=groups_meta,
+        groups=None if groups is None else tuple((g, int(mask.sum())) for g, mask in groups),
     )
 
 

@@ -75,20 +75,21 @@ def _as_array(data) -> np.ndarray:
 
 
 def quantile_type7(data, q: float) -> float:
-    """Linear-interpolation (type 7) quantile.
-
-    Written in the symmetric two-product form (1-g)*lo + g*hi so that
-    quantile(-data, q) == -quantile(data, 1-q) holds bit-exactly for the
-    dyadic q used by box summaries; that exactness is what keeps outlier
-    counts identical under sign flips.
-    """
+    """Linear-interpolation (type 7) quantile."""
     a = _as_array(data)
     if a.size == 0:
         raise EmptyDataError()
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    xs = np.sort(a)
-    h = (a.size - 1) * q
+    return _sorted_quantile(np.sort(a), q)
+
+
+def _sorted_quantile(xs: np.ndarray, q: float) -> float:
+    # the symmetric two-product form (1-g)*lo + g*hi keeps
+    # quantile(-data, q) == -quantile(data, 1-q) bit-exact for the dyadic q
+    # used by box summaries; that exactness is what keeps outlier counts
+    # identical under sign flips
+    h = (xs.size - 1) * q
     lo = math.floor(h)
     hi = math.ceil(h)
     if lo == hi:
@@ -104,60 +105,61 @@ def _is_constant(a: np.ndarray) -> bool:
     return bool(np.all(a == a[0]))
 
 
-def _central_moments(a: np.ndarray, orders) -> list[float]:
+def _moments(data, min_n: int, what: str, zero_what: str):
+    """n, mean, sum of squared deviations and m2, m3, m4 in one pass.
+
+    Raises TooFewObservationsError below ``min_n`` observations and
+    ZeroVarianceError (naming ``zero_what``) for a constant sample or a
+    vanishing m2.
+    """
+    a = _as_array(data)
+    n = a.size
+    if n < min_n:
+        raise TooFewObservationsError(min_n, n, what)
+    if _is_constant(a):
+        raise ZeroVarianceError(zero_what)
+    mean = a.mean()
     # explicit products, not dev**k: numpy's vectorized pow is not
     # sign-symmetric at the last ulp, and skewness must flip its sign
     # bit-exactly when the data are negated
-    mean = a.mean()
     dev = a - mean
     dev2 = dev * dev
-    by_order = {2: dev2, 3: dev2 * dev, 4: dev2 * dev2}
-    return [float(by_order[k].mean()) for k in orders]
+    ss = float(dev2.sum())
+    m2 = ss / n
+    if m2 == 0.0:
+        raise ZeroVarianceError(zero_what)
+    return n, float(mean), ss, m2, float((dev2 * dev).mean()), float((dev2 * dev2).mean())
+
+
+def _g1(n: int, m2: float, m3: float) -> float:
+    return math.sqrt(n * (n - 1)) / (n - 2) * m3 / m2**1.5
+
+
+def _g2(n: int, m2: float, m4: float) -> float:
+    return ((n + 1) * (m4 / m2**2 - 3.0) + 6.0) * (n - 1) / ((n - 2) * (n - 3))
 
 
 def skewness(data) -> float:
     """Adjusted Fisher-Pearson sample skewness G1."""
-    a = _as_array(data)
-    n = a.size
-    if n < 3:
-        raise TooFewObservationsError(3, n, "skewness")
-    if _is_constant(a):
-        raise ZeroVarianceError("skewness input")
-    m2, m3 = _central_moments(a, (2, 3))
-    if m2 == 0.0:
-        raise ZeroVarianceError("skewness input")
-    return math.sqrt(n * (n - 1)) / (n - 2) * m3 / m2**1.5
+    n, _, _, m2, m3, _ = _moments(data, 3, "skewness", "skewness input")
+    return _g1(n, m2, m3)
 
 
 def excess_kurtosis(data) -> float:
     """Sample-adjusted excess kurtosis G2 (normal data -> 0)."""
-    a = _as_array(data)
-    n = a.size
-    if n < 4:
-        raise TooFewObservationsError(4, n, "kurtosis")
-    if _is_constant(a):
-        raise ZeroVarianceError("kurtosis input")
-    m2, m4 = _central_moments(a, (2, 4))
-    if m2 == 0.0:
-        raise ZeroVarianceError("kurtosis input")
-    return ((n + 1) * (m4 / m2**2 - 3.0) + 6.0) * (n - 1) / ((n - 2) * (n - 3))
+    n, _, _, m2, _, m4 = _moments(data, 4, "kurtosis", "kurtosis input")
+    return _g2(n, m2, m4)
 
 
 def describe(data) -> DescriptiveStats:
     """n, mean, sample sd, G1 skewness and G2 excess kurtosis in one shot."""
-    a = _as_array(data)
-    n = a.size
-    if n < 4:
-        raise TooFewObservationsError(4, n, "describe")
-    sd = float(a.std(ddof=1))
-    if sd == 0.0 or _is_constant(a):
-        raise ZeroVarianceError()
+    n, mean, ss, m2, m3, m4 = _moments(data, 4, "describe", "data")
     return DescriptiveStats(
         n=n,
-        mean=float(a.mean()),
-        sd=sd,
-        skewness=skewness(a),
-        excess_kurtosis=excess_kurtosis(a),
+        mean=mean,
+        sd=math.sqrt(ss / (n - 1)),
+        skewness=_g1(n, m2, m3),
+        excess_kurtosis=_g2(n, m2, m4),
     )
 
 
@@ -168,21 +170,21 @@ def box_summary(data) -> BoxSummary:
     beyond the outer fences; whiskers sit at the most extreme data points
     within the inner fences.
     """
-    a = _as_array(data)
-    if a.size == 0:
+    xs = np.sort(_as_array(data))
+    if xs.size == 0:
         raise EmptyDataError()
-    q1 = quantile_type7(a, 0.25)
-    median = quantile_type7(a, 0.5)
-    q3 = quantile_type7(a, 0.75)
+    q1 = _sorted_quantile(xs, 0.25)
+    median = _sorted_quantile(xs, 0.5)
+    q3 = _sorted_quantile(xs, 0.75)
     iqr = q3 - q1
     inner = (q1 - 1.5 * iqr, q3 + 1.5 * iqr)
     outer = (q1 - 3.0 * iqr, q3 + 3.0 * iqr)
-    inside = a[(a >= inner[0]) & (a <= inner[1])]
-    # a point inside the fences always exists: the order statistic right
-    # above q1 is within [q1, q3] for n >= 3, and n <= 2 has no outliers
-    whiskers = (float(inside.min()), float(inside.max()))
-    out = a[(a < inner[0]) | (a > inner[1])]
-    extreme = a[(a < outer[0]) | (a > outer[1])]
+    # xs[lo:hi] lies within the inner fences, xs[:lo_x] and xs[hi_x:]
+    # beyond the outer ones; the slice inside is never empty: the order
+    # statistic right above q1 is within [q1, q3] for n >= 3, and n <= 2
+    # has no outliers
+    lo, hi = np.searchsorted(xs, inner[0], "left"), np.searchsorted(xs, inner[1], "right")
+    lo_x, hi_x = np.searchsorted(xs, outer[0], "left"), np.searchsorted(xs, outer[1], "right")
     return BoxSummary(
         q1=q1,
         median=median,
@@ -190,9 +192,9 @@ def box_summary(data) -> BoxSummary:
         iqr=iqr,
         inner_fences=inner,
         outer_fences=outer,
-        whiskers=whiskers,
-        outliers=tuple(float(v) for v in np.sort(out)),
-        extreme_outliers=tuple(float(v) for v in np.sort(extreme)),
+        whiskers=(float(xs[lo]), float(xs[hi - 1])),
+        outliers=tuple(np.concatenate((xs[:lo], xs[hi:])).tolist()),
+        extreme_outliers=tuple(np.concatenate((xs[:lo_x], xs[hi_x:])).tolist()),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, InvalidDfError
+from .errors import CodaError
 
 _EPS = 1e-10
 _MAX_ITER = 300
@@ -54,7 +54,9 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
-    raise ConvergenceError("incomplete beta continued fraction", _MAX_ITER)
+    raise CodaError(
+        f"incomplete beta continued fraction did not converge within {_MAX_ITER} iterations"
+    )
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -85,9 +87,9 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     try:
         df_value = float(df)
     except (TypeError, ValueError):
-        raise InvalidDfError(df) from None
+        df_value = math.nan
     if not (math.isfinite(df_value) and df_value.is_integer() and df_value >= 1):
-        raise InvalidDfError(df)
+        raise CodaError(f"degrees of freedom must be a positive integer, got {df!r}")
     df = int(df_value)
     if t == 0.0:
         return 1.0

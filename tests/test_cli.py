@@ -106,6 +106,33 @@ def test_analyze_header_only_csv_exits_1(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "parts,variable",
+    [
+        ("1,1e308,1.5e308", "r1p"),  # NCL + CL overflows, so r1p = inf
+        ("1e200,1,1", "r1"),  # r1 is finite but its moments overflow
+        ("1e308,1e-300,1", "r1"),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # the error line is all that reaches stderr
+def test_analyze_overflowing_statistic_exits_1(workdir, capsys, parts, variable):
+    (workdir / "huge.csv").write_text(CSV_TEXT + f"f7,{parts},yes\n", encoding="utf-8")
+    out = workdir / "report.json"
+    code = main(
+        [
+            "analyze",
+            "--data", str(workdir / "huge.csv"),
+            "--config", str(workdir / "analysis.ini"),
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: variable {variable!r} has a statistic that is not finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_analyze_missing_file_exits_1(workdir, capsys):
     code = main(
         ["analyze", "--data", str(workdir / "nope.csv"), "--config", str(workdir / "analysis.ini")]

@@ -19,6 +19,7 @@ from coda_ratios import (
 )
 from coda_ratios.errors import (
     AllRowsDroppedError,
+    CodaError,
     ConfigError,
     DuplicateFirmIdError,
     DuplicateLabelError,
@@ -28,7 +29,6 @@ from coda_ratios.errors import (
     NonPositivePartError,
     TooFewPartsError,
     UnknownLabelError,
-    UnknownVariableError,
     ZeroCellError,
 )
 
@@ -149,6 +149,12 @@ def test_load_config_from_file(tmp_path):
     assert load_config(path) == parse_config(CONFIG_TEXT)
 
 
+def test_load_config_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "analysis.ini"
+    path.write_text(CONFIG_TEXT, encoding="utf-8-sig")
+    assert load_config(path) == parse_config(CONFIG_TEXT)
+
+
 # ---------------------------------------------------------------------------
 # CSV loading
 
@@ -169,6 +175,13 @@ def test_load_csv_from_file(tmp_path):
     path.write_text(CSV_TEXT, encoding="utf-8")
     ds = load_dataset_csv(path, make_config())
     assert ds.n == 3
+
+
+def test_load_csv_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "firms.csv"
+    path.write_text(CSV_TEXT, encoding="utf-8-sig")
+    ds = load_dataset_csv(path, make_config(group_variable="brand"))
+    assert ds.firm_ids == ("f1", "f2", "f3")
 
 
 def test_read_csv_column_order_and_quoting():
@@ -221,6 +234,26 @@ def test_read_csv_collects_all_malformed_cells():
     )
     assert excinfo.value.line == 2
     assert excinfo.value.column == "TA"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "firm_id,TA,NCL,CL,TA\nf1,1,2,3,4\n",
+            "^CSV header repeats column name\\(s\\): 'TA'$",
+        ),
+        (
+            "firm_id,TA,NCL,CL\nf1,1,2,3\nf2,4,5,6,7\n",
+            "^line 3 has 5 fields but the header has 4$",
+        ),
+        ("firm_id,TA,NCL,CL\nf1,1,2,3\n ,4,5,6\n", "^empty firm_id at line 3$"),
+    ],
+    ids=["duplicate_header", "long_row", "empty_firm_id"],
+)
+def test_read_csv_rejects_ambiguous_rows(text, message):
+    with pytest.raises(CodaError, match=message):
+        read_dataset_csv(io.StringIO(text), make_config())
 
 
 def test_read_csv_duplicate_firm_id_reports_line():
@@ -347,7 +380,8 @@ def test_dataset_rejects_duplicate_ids():
 
 def test_dataset_rejects_label_mismatch():
     # two value columns cannot be labelled by three parts
-    with pytest.raises(LengthMismatchError):
+    message = r"^size mismatch: expected \(1, 3\), got \(1, 2\)$"
+    with pytest.raises(LengthMismatchError, match=message):
         FirmDataset(firm_ids=("f1",), part_labels=("A", "B", "C"), values=[[1.0, 2.0]])
 
 
@@ -388,7 +422,7 @@ def test_split_by_group_empty_dataset():
 
 def test_split_by_group_unknown_variable():
     ds = _dataset([("f1", (1, 2, 3))], externals={"brand": ("yes",)})
-    with pytest.raises(UnknownVariableError):
+    with pytest.raises(CodaError, match="^unknown external variable 'country'$"):
         split_by_group(ds, "country")
 
 

@@ -138,9 +138,16 @@ def test_describe_bundles_all_moments():
     assert stats.mean == 4.0
     assert stats.sd == pytest.approx(math.sqrt(50.0 / 4.0), rel=1e-14)
     assert stats.skewness == pytest.approx(1.6970562748477143, rel=1e-12)
-    assert stats.excess_kurtosis == pytest.approx(
-        excess_kurtosis([1, 2, 3, 4, 10]), rel=1e-14
-    )
+    # describe shares one moment pass with skewness and excess_kurtosis
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_t(df=3, size=int(rng.integers(4, 60)))
+        for sample in (data, -data):
+            stats = describe(sample)
+            assert stats.skewness == skewness(sample)
+            assert stats.excess_kurtosis == excess_kurtosis(sample)
+            assert stats.mean == float(np.mean(sample))
+            assert stats.sd == float(np.std(sample, ddof=1))
 
 
 def test_describe_errors():
@@ -197,6 +204,9 @@ def test_box_summary_invariants_random():
         data = rng.standard_t(df=2, size=int(rng.integers(1, 60)))
         box = box_summary(data)
         assert box.q1 <= box.median <= box.q3
+        assert (box.q1, box.median, box.q3) == tuple(
+            quantile_type7(data, q) for q in (0.25, 0.5, 0.75)
+        )
         assert set(box.extreme_outliers) <= set(box.outliers)
         assert box.whiskers[0] >= box.inner_fences[0]
         assert box.whiskers[1] <= box.inner_fences[1]

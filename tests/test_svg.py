@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coda_ratios import box_summary, emit_boxplot_svg
-from coda_ratios.errors import EmptyInputError
+from coda_ratios.errors import CodaError
 
 
 def _svg_text(summaries) -> str:
@@ -97,7 +97,7 @@ def test_name_escaping():
 
 
 def test_empty_input_rejected():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(CodaError, match="^box plot summaries: need at least one element$"):
         emit_boxplot_svg([])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coda_ratios.errors import InvalidDfError
+from coda_ratios.errors import CodaError
 from coda_ratios.tdist import regularized_incomplete_beta, student_t_two_sided_p
 
 # two-sided p-values computed with 50-digit mpmath quadrature of the
@@ -94,7 +94,7 @@ def test_p_decreases_as_t_grows(df):
 
 @pytest.mark.parametrize("df", [0, -3, 2.5, float("nan"), float("inf"), "x", None])
 def test_invalid_df_rejected(df):
-    with pytest.raises(InvalidDfError):
+    with pytest.raises(CodaError, match="^degrees of freedom must be a positive integer, got "):
         student_t_two_sided_p(1.0, df)
 
 
