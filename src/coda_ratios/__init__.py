@@ -11,7 +11,6 @@ from .boxplot_svg import emit_boxplot_svg
 from .composition import (
     BalanceVector,
     Composition,
-    ContrastMatrix,
     aitchison_distance,
     balance,
     clr_transform,
@@ -70,7 +69,6 @@ __all__ = [
     "BoxSummary",
     "CodaError",
     "Composition",
-    "ContrastMatrix",
     "DemoFirm",
     "DemoRow",
     "DescriptiveStats",

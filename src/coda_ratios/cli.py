@@ -94,8 +94,9 @@ def _cmd_transform(args) -> int:
     coords = ilr_coordinates(ds, config.tree)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["firm_id", *config.tree.coordinate_names])
-    for firm_id, row in zip(ds.firm_ids, coords):
-        writer.writerow([firm_id, *[repr(float(v)) for v in row]])
+    writer.writerows(
+        [firm_id, *map(repr, row)] for firm_id, row in zip(ds.firm_ids, coords.tolist())
+    )
     return 0
 
 
@@ -144,10 +145,7 @@ def main(argv=None) -> int:
         parser.error("--out must end in .json or .csv")
     try:
         return _COMMANDS[args.command](args)
-    except CodaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CodaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -102,23 +102,6 @@ class BalanceVector:
         return len(self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class ContrastMatrix:
-    """(D-1) x D matrix of clr-space coefficients, one row per balance.
-
-    Rows are orthonormal and sum to zero; ilr = rows @ clr.
-    """
-
-    rows: np.ndarray
-    part_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "part_labels", tuple(self.part_labels))
-
-
 def validate_composition(raw) -> Composition:
     """Build a :class:`Composition` from (label, value) pairs.
 
@@ -168,9 +151,10 @@ def pairwise_logratio(x: Composition, a: str, b: str) -> float:
     return math.sqrt(0.5) * math.log(va / vb)
 
 
-def contrast_matrix(tree: PartitionTree) -> ContrastMatrix:
-    """The orthonormal log-contrast matrix of a partition tree.
+def contrast_matrix(tree: PartitionTree) -> np.ndarray:
+    """The read-only (D-1, D) orthonormal log-contrast matrix of a partition tree.
 
+    Columns follow ``tree.leaf_labels``; rows sum to zero and ilr = V @ clr.
     Row i carries +sqrt(s/(r(r+s))) for each numerator part and
     -sqrt(r/(s(r+s))) for each denominator part of internal node i
     (pre-order), zero elsewhere.
@@ -186,7 +170,8 @@ def contrast_matrix(tree: PartitionTree) -> ContrastMatrix:
             rows[i, index[label]] = math.sqrt(s / (r * (r + s)))
         for label in den:
             rows[i, index[label]] = -math.sqrt(r / (s * (r + s)))
-    return ContrastMatrix(rows=rows, part_labels=labels)
+    rows.setflags(write=False)
+    return rows
 
 
 def clr_transform(x: Composition) -> np.ndarray:
@@ -229,7 +214,7 @@ def ilr_inverse(y, tree: PartitionTree) -> Composition:
     expected = tree.dimension - 1
     if coords.shape != (expected,):
         raise LengthMismatchError(expected, coords.size)
-    clr = contrast_matrix(tree).rows.T @ coords
+    clr = contrast_matrix(tree).T @ coords
     parts = np.exp(clr)
     parts /= parts.sum()
     return Composition(labels=tree.leaf_labels, values=tuple(parts))
@@ -256,4 +241,4 @@ def ilr_matrix(values: np.ndarray, tree: PartitionTree) -> np.ndarray:
         raise LengthMismatchError(tree.dimension, values.shape)
     logs = np.log(values)
     clr = logs - logs.mean(axis=1, keepdims=True)
-    return clr @ contrast_matrix(tree).rows.T
+    return clr @ contrast_matrix(tree).T

@@ -115,8 +115,7 @@ class TooFewObservationsError(CodaError):
 
 
 class ZeroVarianceError(CodaError):
-    def __init__(self, what="data"):
-        super().__init__(f"{what} has zero variance")
+    """A sample's variance is zero, or too small for its higher moments."""
 
 
 class ZeroPooledVarianceError(CodaError):

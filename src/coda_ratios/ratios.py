@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .composition import Composition
 from .errors import (
     EmptyGroupError,
@@ -76,14 +78,24 @@ class DemoRow:
     ilr: float
 
 
+def ratio_column(values: np.ndarray, labels, spec: RatioSpec) -> np.ndarray:
+    """``spec`` on every row of an (n, D) array whose columns follow ``labels``.
+
+    Parts are added one column at a time in spec order, starting from 0, for
+    every ratio in the package (a matrix product may reorder the additions).
+    """
+    index = {label: j for j, label in enumerate(labels)}
+    num = sum(values[:, index[label]] for label in spec.numerator)
+    den = sum(values[:, index[label]] for label in spec.denominator)
+    return num / den
+
+
 def eval_ratio(x: Composition, spec: RatioSpec) -> float:
-    """Sum of numerator parts over sum of denominator parts."""
+    """Sum of numerator parts over sum of denominator parts: one row of ratio_column."""
     unknown = sorted(set(spec.numerator + spec.denominator) - set(x.labels))
     if unknown:
         raise UnknownLabelError(unknown)
-    num = sum(x.value(label) for label in spec.numerator)
-    den = sum(x.value(label) for label in spec.denominator)
-    return num / den
+    return float(ratio_column(x.as_array()[np.newaxis, :], x.labels, spec)[0])
 
 
 def invert_spec(spec: RatioSpec) -> RatioSpec:

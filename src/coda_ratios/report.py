@@ -30,7 +30,7 @@ from .errors import (
     ZeroPooledVarianceError,
     ZeroVarianceError,
 )
-from .ratios import invert_spec
+from .ratios import invert_spec, ratio_column
 from .stats import (
     BoxSummary,
     DescriptiveStats,
@@ -132,11 +132,6 @@ def run_analysis(
     if config.group_variable is not None:
         groups = two_groups(ds, config.group_variable)
 
-    def part_sum(labels):
-        # summed left to right from 0 like eval_ratio, so every entry
-        # equals eval_ratio on that firm bit for bit
-        return sum(ds.values[:, ds.part_labels.index(label)] for label in labels)
-
     columns: list[tuple[str, str, np.ndarray]] = []
     for j, name in enumerate(tree.coordinate_names):
         y = Y[:, j]
@@ -145,9 +140,8 @@ def run_analysis(
         columns.append((name, "balance", y))
         columns.append((name + "p", "balance_permuted", -y))
     for spec in config.standard_ratios:
-        num, den = part_sum(spec.numerator), part_sum(spec.denominator)
-        columns.append((spec.display_name, "ratio", num / den))
-        columns.append((invert_spec(spec).display_name, "ratio_permuted", den / num))
+        for s, kind in ((spec, "ratio"), (invert_spec(spec), "ratio_permuted")):
+            columns.append((s.display_name, kind, ratio_column(ds.values, ds.part_labels, s)))
 
     variables = []
     for name, kind, values in columns:
@@ -187,32 +181,10 @@ def run_analysis(
     )
 
 
-def _stats_dict(s: DescriptiveStats | None):
-    if s is None:
-        return None
-    return {
-        "n": s.n,
-        "mean": s.mean,
-        "sd": s.sd,
-        "skewness": s.skewness,
-        "excess_kurtosis": s.excess_kurtosis,
-    }
-
-
 def _box_dict(b: BoxSummary):
-    return {
-        "q1": b.q1,
-        "median": b.median,
-        "q3": b.q3,
-        "iqr": b.iqr,
-        "inner_fences": list(b.inner_fences),
-        "outer_fences": list(b.outer_fences),
-        "whiskers": list(b.whiskers),
-        "outliers": list(b.outliers),
-        "extreme_outliers": list(b.extreme_outliers),
-        "n_outliers": b.n_outliers,
-        "n_extreme_outliers": b.n_extreme_outliers,
-    }
+    # the JSON keys are the field names in field order; vars() is shallow,
+    # where dataclasses.asdict would copy every outlier tuple
+    return {**vars(b), "n_outliers": b.n_outliers, "n_extreme_outliers": b.n_extreme_outliers}
 
 
 def _comparison_dict(c: GroupComparison | None):
@@ -271,7 +243,7 @@ def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
                 {
                     "name": v.name,
                     "kind": v.kind,
-                    "stats": _stats_dict(v.stats),
+                    "stats": None if v.stats is None else vars(v.stats),
                     "stats_note": v.stats_note,
                     "box": _box_dict(v.box),
                     "comparison": _comparison_dict(v.comparison),

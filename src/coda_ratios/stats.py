@@ -109,15 +109,15 @@ def _moments(data, min_n: int, what: str, zero_what: str):
     """n, mean, sum of squared deviations and m2, m3, m4 in one pass.
 
     Raises TooFewObservationsError below ``min_n`` observations and
-    ZeroVarianceError (naming ``zero_what``) for a constant sample or a
-    vanishing m2.
+    ZeroVarianceError (naming ``zero_what``) for a constant sample, a
+    vanishing m2, or an m2 whose square underflows to 0.
     """
     a = _as_array(data)
     n = a.size
     if n < min_n:
         raise TooFewObservationsError(min_n, n, what)
     if _is_constant(a):
-        raise ZeroVarianceError(zero_what)
+        raise ZeroVarianceError(f"{zero_what} has zero variance")
     mean = a.mean()
     # explicit products, not dev**k: numpy's vectorized pow is not
     # sign-symmetric at the last ulp, and skewness must flip its sign
@@ -127,7 +127,9 @@ def _moments(data, min_n: int, what: str, zero_what: str):
     ss = float(dev2.sum())
     m2 = ss / n
     if m2 == 0.0:
-        raise ZeroVarianceError(zero_what)
+        raise ZeroVarianceError(f"{zero_what} has zero variance")
+    if m2 * m2 == 0.0:  # G1 and G2 would divide by m2**1.5 and m2**2
+        raise ZeroVarianceError(f"{zero_what} has a variance too small to compute higher moments")
     return n, float(mean), ss, m2, float((dev2 * dev).mean()), float((dev2 * dev2).mean())
 
 
@@ -241,7 +243,7 @@ def dummy_regression_r2(values, group) -> float:
     mask = np.asarray([label == distinct[0] for label in labels])
     ss_total = float(((v - v.mean()) ** 2).sum())
     if ss_total == 0.0 or _is_constant(v):
-        raise ZeroVarianceError("regression response")
+        raise ZeroVarianceError("regression response has zero variance")
     ss_res = float(((v[mask] - v[mask].mean()) ** 2).sum()) + float(
         ((v[~mask] - v[~mask].mean()) ** 2).sum()
     )

@@ -168,7 +168,7 @@ def test_criterion_07_basis_invariance():
                 abs(aitchison_distance(x, z, tree_a) - aitchison_distance(x, z, tree_b)),
             )
             for tree in (tree_a, tree_b):
-                V = contrast_matrix(tree).rows
+                V = contrast_matrix(tree)
                 gram = V @ V.T
                 worst_orth = max(
                     worst_orth, float(np.max(np.abs(gram - np.eye(d - 1))))

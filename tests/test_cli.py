@@ -133,6 +133,23 @@ def test_analyze_overflowing_statistic_exits_1(workdir, capsys, parts, variable)
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_analyze_underflowing_variance_exits_1(workdir, capsys):
+    # r1 = TA/2 has too small a variance for its moments (a stats note);
+    # its twin r1p = 2/TA overflows them, which is the run's error
+    rows = "".join(
+        f"f{k},{k}e-160,1,1,{brand}\n" for k, brand in zip((1, 2, 3, 5, 8, 13), ["yes", "no"] * 3)
+    )
+    (workdir / "tiny.csv").write_text("firm_id,TA,NCL,CL,brand\n" + rows, encoding="utf-8")
+    code = main(
+        ["analyze", "--data", str(workdir / "tiny.csv"), "--config", str(workdir / "analysis.ini")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: variable 'r1p' has a statistic that is not finite")
+    assert err.count("\n") == 1
+
+
 def test_analyze_missing_file_exits_1(workdir, capsys):
     code = main(
         ["analyze", "--data", str(workdir / "nope.csv"), "--config", str(workdir / "analysis.ini")]

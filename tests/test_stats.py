@@ -157,6 +157,13 @@ def test_describe_errors():
         describe([2, 2, 2, 2])
 
 
+@pytest.mark.parametrize("moment", [describe, skewness, excess_kurtosis])
+def test_underflowing_variance_raises(moment):
+    # m2 is about 2e-320, so m2**1.5 and m2**2 underflow to 0.0
+    with pytest.raises(ZeroVarianceError, match="too small to compute higher moments"):
+        moment([k * 1e-160 for k in (1, 2, 3, 5, 8, 13)])
+
+
 # ---------------------------------------------------------------------------
 # box summaries
 
