@@ -94,8 +94,9 @@ def _cmd_transform(args) -> int:
     coords = ilr_coordinates(ds, config.tree)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["firm_id", *config.tree.coordinate_names])
+    # one row at a time: a whole-array tolist() holds every coordinate as a Python float
     writer.writerows(
-        [firm_id, *map(repr, row)] for firm_id, row in zip(ds.firm_ids, coords.tolist())
+        [firm_id, *map(repr, row.tolist())] for firm_id, row in zip(ds.firm_ids, coords)
     )
     return 0
 

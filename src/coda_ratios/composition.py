@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     CodaError,
+    DuplicateFirmIdError,
     DuplicateLabelError,
     EmptyGroupError,
     LengthMismatchError,
@@ -33,6 +34,58 @@ from .errors import (
     UnknownLabelError,
 )
 from .sbp import PartitionTree, validate_tree
+
+
+def check_part_labels(labels) -> None:
+    """Raise unless the part labels are distinct and non-empty, and at least two."""
+    dupes = sorted({l for l in labels if labels.count(l) > 1})
+    if dupes:
+        raise DuplicateLabelError(dupes)
+    if any(not label for label in labels):
+        raise CodaError("part labels must be non-empty")
+    if len(labels) < 2:
+        raise TooFewPartsError(len(labels))
+
+
+def check_known(labels, known) -> None:
+    """Raise UnknownLabelError listing, sorted, every label not among ``known``."""
+    unknown = sorted(set(labels) - set(known))
+    if unknown:
+        raise UnknownLabelError(unknown)
+
+
+def check_groups(numerator, denominator) -> None:
+    """Raise unless the numerator and denominator label groups are non-empty and disjoint."""
+    for side, group in (("numerator", numerator), ("denominator", denominator)):
+        if not group:
+            raise EmptyGroupError(side)
+    overlap = sorted(set(numerator) & set(denominator))
+    if overlap:
+        raise OverlappingGroupsError(overlap)
+
+
+def check_positive(values, *labels, zero_ok=False) -> None:
+    """Raise NonPositivePartError listing every magnitude that is not finite and positive.
+
+    An entry is named by its labels, one sequence per axis of ``values``, joined
+    with ':'.  With ``zero_ok`` zeros pass, for a zero policy to resolve later.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bad = ~(((values >= 0.0) if zero_ok else (values > 0.0)) & np.isfinite(values))
+    if bad.any():
+        raise NonPositivePartError(
+            (":".join(str(axis[i]) for axis, i in zip(labels, index)), float(values[index]))
+            for index in zip(*np.nonzero(bad))
+        )
+
+
+def check_unique_ids(firm_ids, lines=None) -> None:
+    """Raise DuplicateFirmIdError at the first repeated firm id, citing its line from ``lines``."""
+    seen = set()
+    for i, firm_id in enumerate(firm_ids):
+        if firm_id in seen:
+            raise DuplicateFirmIdError(None if lines is None else lines[i], firm_id)
+        seen.add(firm_id)
 
 
 @dataclass(frozen=True)
@@ -47,40 +100,23 @@ class Composition:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.labels) != len(self.values):
             raise LengthMismatchError(len(self.labels), len(self.values))
-        bad = [
-            (label, value)
-            for label, value in zip(self.labels, self.values)
-            if not (value > 0 and math.isfinite(value))
-        ]
-        if bad:
-            raise NonPositivePartError(bad)
-        dupes = sorted({l for l in self.labels if self.labels.count(l) > 1})
-        if dupes:
-            raise DuplicateLabelError(dupes)
-        if any(not label for label in self.labels):
-            raise CodaError("part labels must be non-empty")
-        if len(self.labels) < 2:
-            raise TooFewPartsError(len(self.labels))
+        check_positive(self.values, self.labels)
+        check_part_labels(self.labels)
 
     @property
     def dimension(self) -> int:
         return len(self.labels)
 
     def value(self, label: str) -> float:
-        try:
-            return self.values[self.labels.index(label)]
-        except ValueError:
-            raise UnknownLabelError([label]) from None
+        check_known((label,), self.labels)
+        return self.values[self.labels.index(label)]
 
     def as_array(self, label_order=None) -> np.ndarray:
         """Values as a float array, optionally reordered to ``label_order``."""
         if label_order is None:
             return np.asarray(self.values, dtype=float)
-        index = {label: i for i, label in enumerate(self.labels)}
-        unknown = [l for l in label_order if l not in index]
-        if unknown:
-            raise UnknownLabelError(unknown)
-        return np.asarray([self.values[index[l]] for l in label_order], dtype=float)
+        check_known(label_order, self.labels)
+        return np.asarray([self.values[self.labels.index(l)] for l in label_order], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -115,32 +151,19 @@ def validate_composition(raw) -> Composition:
     )
 
 
-def _group_arrays(x: Composition, num_labels, den_labels):
-    num = tuple(dict.fromkeys(num_labels))
-    den = tuple(dict.fromkeys(den_labels))
-    if not num:
-        raise EmptyGroupError("numerator")
-    if not den:
-        raise EmptyGroupError("denominator")
-    overlap = set(num) & set(den)
-    if overlap:
-        raise OverlappingGroupsError(sorted(overlap))
-    unknown = [l for l in num + den if l not in x.labels]
-    if unknown:
-        raise UnknownLabelError(sorted(set(unknown)))
-    return x.as_array(num), x.as_array(den)
-
-
 def balance(x: Composition, num_labels, den_labels) -> float:
     """One balance coordinate of ``x`` for the given disjoint label groups.
 
     Swapping the two groups flips the sign and changes nothing else; the
     subtraction below makes that exact in floating point as well.
     """
-    num, den = _group_arrays(x, num_labels, den_labels)
+    num = tuple(dict.fromkeys(num_labels))
+    den = tuple(dict.fromkeys(den_labels))
+    check_groups(num, den)
+    logs = np.log(x.as_array(num + den))
     r, s = len(num), len(den)
     scale = math.sqrt(r * s / (r + s))
-    return scale * (float(np.mean(np.log(num))) - float(np.mean(np.log(den))))
+    return scale * (float(np.mean(logs[:r])) - float(np.mean(logs[r:])))
 
 
 def pairwise_logratio(x: Composition, a: str, b: str) -> float:
@@ -242,3 +265,4 @@ def ilr_matrix(values: np.ndarray, tree: PartitionTree) -> np.ndarray:
     logs = np.log(values)
     clr = logs - logs.mean(axis=1, keepdims=True)
     return clr @ contrast_matrix(tree).T
+

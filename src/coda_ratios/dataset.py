@@ -21,6 +21,8 @@ import csv
 import io
 import logging
 import math
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
 from types import MappingProxyType
@@ -28,20 +30,21 @@ from typing import Mapping
 
 import numpy as np
 
-from .composition import ilr_matrix
+from .composition import (
+    check_known,
+    check_part_labels,
+    check_positive,
+    check_unique_ids,
+    ilr_matrix,
+)
 from .errors import (
     AllRowsDroppedError,
     CodaError,
     ConfigError,
-    DuplicateFirmIdError,
-    DuplicateLabelError,
     LengthMismatchError,
     MalformedNumberError,
     MissingColumnError,
-    NonPositivePartError,
     SingleGroupError,
-    TooFewPartsError,
-    UnknownLabelError,
     ZeroCellError,
 )
 from .ratios import RatioSpec
@@ -94,17 +97,11 @@ class AnalysisConfig:
     def __post_init__(self):
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        if len(parts) < 2:
-            raise TooFewPartsError(len(parts))
-        dupes = sorted({p for p in parts if parts.count(p) > 1})
-        if dupes:
-            raise DuplicateLabelError(dupes)
+        check_part_labels(parts)
         tree = parse_sbp(self.sbp)
         validate_tree(tree, parts)
         for spec in self.standard_ratios:
-            unknown = sorted(set(spec.numerator + spec.denominator) - set(parts))
-            if unknown:
-                raise UnknownLabelError(unknown)
+            check_known(spec.numerator + spec.denominator, parts)
         object.__setattr__(self, "standard_ratios", tuple(self.standard_ratios))
         object.__setattr__(self, "tree", tree)
 
@@ -134,12 +131,8 @@ class FirmDataset:
         for column in externals.values():
             if len(column) != n:
                 raise LengthMismatchError(n, len(column))
-        seen = set()
-        for firm_id in firm_ids:
-            if firm_id in seen:
-                raise DuplicateFirmIdError(None, firm_id)
-            seen.add(firm_id)
-        _raise_non_positive(firm_ids, part_labels, values, ~((values > 0.0) & np.isfinite(values)))
+        check_unique_ids(firm_ids)
+        check_positive(values, firm_ids, part_labels)
         values.setflags(write=False)
         object.__setattr__(self, "firm_ids", firm_ids)
         object.__setattr__(self, "part_labels", part_labels)
@@ -149,15 +142,6 @@ class FirmDataset:
     @property
     def n(self) -> int:
         return len(self.firm_ids)
-
-
-def _raise_non_positive(firm_ids, part_labels, values, bad) -> None:
-    """Raise NonPositivePartError listing the ``bad`` cells row by row, if any."""
-    if bad.any():
-        raise NonPositivePartError(
-            (f"{firm_ids[i]}:{part_labels[j]}", float(values[i, j]))
-            for i, j in zip(*np.nonzero(bad))
-        )
 
 
 def ilr_coordinates(ds: FirmDataset, tree: PartitionTree) -> np.ndarray:
@@ -211,10 +195,27 @@ def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
     return keep, np.where(zero, fill, values)
 
 
+@contextmanager
+def _open_utf8(path, newline=None):
+    """``path`` opened as UTF-8 text, without the byte-order mark spreadsheet exports put first.
+
+    A byte that is not UTF-8 (a Latin-1 export, say) is a CodaError naming
+    the file and the byte's offset.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # exc.object is the decoded chunk, ending where reading stopped; a pipe has no tell()
+            offset = fh.buffer.tell() - len(exc.object) + exc.start if fh.seekable() else "unknown"
+            raise CodaError(
+                f"{path} is not valid UTF-8: byte {exc.object[exc.start]:#04x} at byte offset {offset}"
+            ) from None
+
+
 def load_dataset_csv(path, config: AnalysisConfig) -> FirmDataset:
     """Load a firm-per-row CSV and return a validated dataset."""
-    # utf-8-sig drops the byte-order mark spreadsheet exports put first
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         return read_dataset_csv(fh, config)
 
 
@@ -240,7 +241,7 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     }
 
     width = len(header)
-    firm_ids, lines, flat = [], [], []
+    firm_ids, lines, flat = [], array("q"), array("d")
     malformed = []  # (line, column_name, raw)
     for row in reader:
         if not row:
@@ -270,14 +271,9 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     if malformed:
         raise MalformedNumberError(malformed)
 
-    seen = set()
-    for line, firm_id in zip(lines, firm_ids):
-        if firm_id in seen:
-            raise DuplicateFirmIdError(line, firm_id)
-        seen.add(firm_id)
-
+    check_unique_ids(firm_ids, lines)
     values = np.array(flat, dtype=np.float64).reshape(len(firm_ids), len(config.parts))
-    _raise_non_positive(firm_ids, config.parts, values, values < 0.0)
+    check_positive(values, firm_ids, config.parts, zero_ok=True)
 
     keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
     return FirmDataset(
@@ -405,7 +401,7 @@ def parse_config(text: str) -> AnalysisConfig:
 
 
 def load_config(path) -> AnalysisConfig:
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with _open_utf8(path) as fh:
         return parse_config(fh.read())
 
 

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import Composition
-from .errors import (
-    EmptyGroupError,
-    OverlappingGroupsError,
-    UnknownLabelError,
-)
-
-_SQRT_HALF = math.sqrt(0.5)
+from .composition import Composition, check_groups, check_known, pairwise_logratio
 
 
 @dataclass(frozen=True)
@@ -42,13 +35,7 @@ class RatioSpec:
     permuted: bool = False
 
     def __post_init__(self):
-        if not self.numerator:
-            raise EmptyGroupError("numerator")
-        if not self.denominator:
-            raise EmptyGroupError("denominator")
-        overlap = sorted(set(self.numerator) & set(self.denominator))
-        if overlap:
-            raise OverlappingGroupsError(overlap)
+        check_groups(self.numerator, self.denominator)
 
     @property
     def display_name(self) -> str:
@@ -92,9 +79,7 @@ def ratio_column(values: np.ndarray, labels, spec: RatioSpec) -> np.ndarray:
 
 def eval_ratio(x: Composition, spec: RatioSpec) -> float:
     """Sum of numerator parts over sum of denominator parts: one row of ratio_column."""
-    unknown = sorted(set(spec.numerator + spec.denominator) - set(x.labels))
-    if unknown:
-        raise UnknownLabelError(unknown)
+    check_known(spec.numerator + spec.denominator, x.labels)
     return float(ratio_column(x.as_array()[np.newaxis, :], x.labels, spec)[0])
 
 
@@ -137,7 +122,7 @@ _DEMO_FIRMS = (
 
 
 def table1_demo() -> tuple[DemoRow, ...]:
-    """The ten-firm demonstration table.
+    """The ten-firm demonstration table, computed with the library functions.
 
     Firms on the same ray share alpha, both ratios, and the ilr value;
     reflected firms (mg1 and mg2 swapped) swap their two ratio columns and
@@ -145,15 +130,17 @@ def table1_demo() -> tuple[DemoRow, ...]:
     which the firm's ray cuts the line x=1, ratio12 the abscissa where it
     cuts y=1.
     """
+    ratio21 = RatioSpec(name="ratio21", numerator=("mg2",), denominator=("mg1",))
     rows = []
     for firm in _DEMO_FIRMS:
+        x = Composition(labels=("mg1", "mg2"), values=(firm.mg1, firm.mg2))
         rows.append(
             DemoRow(
                 firm=firm,
                 alpha_deg=ray_angle_degrees(firm),
-                ratio21=firm.mg2 / firm.mg1,
-                ratio12=firm.mg1 / firm.mg2,
-                ilr=_SQRT_HALF * math.log(firm.mg2 / firm.mg1),
+                ratio21=eval_ratio(x, ratio21),
+                ratio12=eval_ratio(x, invert_spec(ratio21)),
+                ilr=pairwise_logratio(x, "mg2", "mg1"),
             )
         )
     return tuple(rows)

@@ -199,20 +199,20 @@ def _comparison_dict(c: GroupComparison | None):
     }
 
 
-CSV_COLUMNS = (
-    "variable",
-    "n",
-    "mean",
-    "sd",
-    "skewness",
-    "kurtosis",
-    "n_outliers",
-    "n_extreme",
-    "t",
-    "df",
-    "p",
-    "r_squared",
-)
+# each CSV statistic column -> the (section, key) of the JSON entry it is read from
+_CSV_STATS = {
+    "mean": ("stats", "mean"),
+    "sd": ("stats", "sd"),
+    "skewness": ("stats", "skewness"),
+    "kurtosis": ("stats", "excess_kurtosis"),
+    "n_outliers": ("box", "n_outliers"),
+    "n_extreme": ("box", "n_extreme_outliers"),
+    "t": ("comparison", "t"),
+    "df": ("comparison", "df"),
+    "p": ("comparison", "p"),
+    "r_squared": ("comparison", "r_squared"),
+}
+CSV_COLUMNS = ("variable", "n", *_CSV_STATS)
 
 
 def _cell(x) -> str:
@@ -225,6 +225,18 @@ def _cell(x) -> str:
 
 def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
     """Serialize a report; identical reports give byte-identical output."""
+    entries = [
+        {
+            "name": v.name,
+            "kind": v.kind,
+            "stats": None if v.stats is None else vars(v.stats),
+            "stats_note": v.stats_note,
+            "box": _box_dict(v.box),
+            "comparison": _comparison_dict(v.comparison),
+            "comparison_note": v.comparison_note,
+        }
+        for v in report.variables
+    ]
     if format == "json":
         doc = {
             "metadata": {
@@ -239,41 +251,15 @@ def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
                 ),
                 "config": report.config_echo,
             },
-            "variables": [
-                {
-                    "name": v.name,
-                    "kind": v.kind,
-                    "stats": None if v.stats is None else vars(v.stats),
-                    "stats_note": v.stats_note,
-                    "box": _box_dict(v.box),
-                    "comparison": _comparison_dict(v.comparison),
-                    "comparison_note": v.comparison_note,
-                }
-                for v in report.variables
-            ],
+            "variables": entries,
         }
         return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for v in report.variables:
-            s, c = v.stats, v.comparison
-            writer.writerow(
-                [
-                    v.name,
-                    str(report.n),
-                    _cell(s.mean if s else None),
-                    _cell(s.sd if s else None),
-                    _cell(s.skewness if s else None),
-                    _cell(s.excess_kurtosis if s else None),
-                    str(v.box.n_outliers),
-                    str(v.box.n_extreme_outliers),
-                    _cell(c.t_value if c else None),
-                    _cell(c.df if c else None),
-                    _cell(c.p_value if c else None),
-                    _cell(c.r_squared if c else None),
-                ]
-            )
+        for e in entries:
+            stats = (_cell(e[section] and e[section][key]) for section, key in _CSV_STATS.values())
+            writer.writerow([e["name"], str(report.n), *stats])
         return out.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

@@ -133,12 +133,13 @@ def _moments(data, min_n: int, what: str, zero_what: str):
     return n, float(mean), ss, m2, float((dev2 * dev).mean()), float((dev2 * dev2).mean())
 
 
+# numpy powers: past the float range they give inf, where float ** raises OverflowError
 def _g1(n: int, m2: float, m3: float) -> float:
-    return math.sqrt(n * (n - 1)) / (n - 2) * m3 / m2**1.5
+    return float(math.sqrt(n * (n - 1)) / (n - 2) * m3 / np.float64(m2) ** 1.5)
 
 
 def _g2(n: int, m2: float, m4: float) -> float:
-    return ((n + 1) * (m4 / m2**2 - 3.0) + 6.0) * (n - 1) / ((n - 2) * (n - 3))
+    return float(((n + 1) * (m4 / np.float64(m2) ** 2 - 3.0) + 6.0) * (n - 1) / ((n - 2) * (n - 3)))
 
 
 def skewness(data) -> float:

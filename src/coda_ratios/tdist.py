@@ -5,7 +5,9 @@ The two-sided p-value of a t statistic with df degrees of freedom is
     p = I_x(df/2, 1/2)   with   x = df / (df + t^2),
 
 where I is the regularized incomplete beta function, evaluated here with the
-classical continued-fraction expansion (modified Lentz iteration).
+classical continued-fraction expansion (modified Lentz iteration).  Against
+an mpmath oracle the p-value's relative error stays below 1e-8 up to
+df = 1e7 (at most 4.1e-9 seen at df = 1e6); df above 1e7 is unverified.
 """
 
 from __future__ import annotations
@@ -33,25 +35,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise CodaError(

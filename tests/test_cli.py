@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -112,6 +115,7 @@ def test_analyze_header_only_csv_exits_1(workdir, capsys):
         ("1,1e308,1.5e308", "r1p"),  # NCL + CL overflows, so r1p = inf
         ("1e200,1,1", "r1"),  # r1 is finite but its moments overflow
         ("1e308,1e-300,1", "r1"),
+        ("1,1,1.3e103", "r1p"),  # m2 is finite, m2**1.5 is not
     ],
 )
 @pytest.mark.filterwarnings("error")  # the error line is all that reaches stderr
@@ -167,6 +171,44 @@ def test_analyze_bad_data_exits_1(workdir, capsys):
     )
     assert code == 1
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "transform", "validate"])
+@pytest.mark.parametrize(
+    "name,old,new,bad",
+    [
+        # a Latin-1 firm id in a row past the first 8 KiB the reader decodes
+        ("firms.csv", b"f6,", b"".join(b"g%d,1,2,3,no\n" % k for k in range(1000)) + b"f\xe96,", b"\xe9"),
+        ("analysis.ini", b"(NCL|CL)", b"(NCL|C\xffL)", b"\xff"),
+    ],
+    ids=["data", "config"],
+)
+def test_non_utf8_file_exits_1(workdir, capsys, command, name, old, new, bad):
+    path = workdir / name
+    # behind a byte-order mark: the offset counts from the start of the file
+    data = b"\xef\xbb\xbf" + path.read_bytes().replace(old, new)
+    path.write_bytes(data)
+    assert main([command, *_args(workdir)]) == 1
+    offset = data.index(bad)
+    assert capsys.readouterr().err == (
+        f"error: {path} is not valid UTF-8: byte {bad[0]:#04x} at byte offset {offset}\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_non_utf8_pipe_exits_1(workdir):
+    # a pipe cannot tell its position, so the offset is unknown
+    result = subprocess.run(
+        [sys.executable, "-m", "coda_ratios.cli", "validate", "--data", "/dev/stdin",
+         "--config", str(workdir / "analysis.ini")],
+        input=CSV_TEXT.encode("utf-8").replace(b"f6,", b"f\xe96,"),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        b"error: /dev/stdin is not valid UTF-8: byte 0xe9 at byte offset unknown\n"
+    )
 
 
 def test_analyze_bad_out_extension_exits_2(workdir):

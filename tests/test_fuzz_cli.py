@@ -66,10 +66,17 @@ def workdir(tmp_path_factory):
     firms=firms,
     junk=junk_rows,
     quoted=st.booleans(),
+    latin1=st.one_of(st.none(), st.tuples(st.integers(0, 10), st.integers(0, 7))),
 )
-def test_cli_exits_0_1_or_2_on_any_rows(workdir, command, mode, firms, junk, quoted):
+def test_cli_exits_0_1_or_2_on_any_rows(workdir, command, mode, firms, junk, quoted, latin1):
     (workdir / "fuzz.ini").write_text(CONFIG_TEXT.format(mode=mode), encoding="utf-8")
-    with open(workdir / "fuzz.csv", "w", encoding="utf-8", newline="") as fh:
+    firms, junk = [list(row) for row in firms], [list(row) for row in junk]
+    rows = [row for row in firms + junk if row]
+    if latin1 is not None and rows:
+        # "\udce9" is written as the single byte 0xe9 (Latin-1 "é"), not UTF-8
+        row = rows[latin1[0] % len(rows)]
+        row[latin1[1] % len(row)] += "\udce9"
+    with open(workdir / "fuzz.csv", "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows([HEADER, *firms])
         if quoted:

@@ -38,18 +38,15 @@ def test_p_value_against_frozen_oracle(t, df, expected):
     assert p == pytest.approx(expected, rel=1e-7)
 
 
-def test_p_value_against_live_oracle():
+def _oracle(t, df):
+    """Two-sided p-value I_x(df/2, 1/2), x = df/(df + t^2), from 30-digit mpmath."""
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
+    with mp.workdps(30):
+        x = mp.mpf(df) / (df + mp.mpf(t) ** 2)
+        return float(mp.betainc(mp.mpf(df) / 2, mp.mpf("0.5"), 0, x, regularized=True))
 
-    def oracle(t, df):
-        half = mp.betainc(
-            mp.mpf(df) / 2, mp.mpf("0.5"),
-            0, mp.mpf(df) / (df + mp.mpf(t) ** 2),
-            regularized=True,
-        )
-        return float(half)
 
+def test_p_value_against_live_oracle():
     rng = np.random.default_rng(7)
     for _ in range(60):
         df = int(rng.integers(1, 200))
@@ -57,8 +54,15 @@ def test_p_value_against_live_oracle():
         if t == 0.0:
             continue
         assert student_t_two_sided_p(t, df) == pytest.approx(
-            oracle(t, df), rel=1e-8, abs=1e-12
+            _oracle(t, df), rel=1e-8, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("df", [10**6, 10**7])
+def test_p_value_at_large_df_against_live_oracle(df):
+    # the accuracy bound tdist states; df above 1e7 is not pinned
+    for t in (0.01, 0.3, 1.0, 1.96, 3.0, 5.0, 8.0):
+        assert student_t_two_sided_p(t, df) == pytest.approx(_oracle(t, df), rel=1e-8)
 
 
 def test_p_at_zero_is_exactly_one():
