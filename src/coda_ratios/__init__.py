@@ -19,7 +19,6 @@ from .composition import (
     ilr_matrix,
     ilr_transform,
     pairwise_logratio,
-    validate_composition,
 )
 from .dataset import (
     AnalysisConfig,
@@ -27,7 +26,6 @@ from .dataset import (
     ZeroPolicy,
     apply_zero_policy,
     format_config,
-    ilr_coordinates,
     load_config,
     load_dataset_csv,
     parse_config,
@@ -94,7 +92,6 @@ __all__ = [
     "excess_kurtosis",
     "format_config",
     "format_sbp",
-    "ilr_coordinates",
     "ilr_inverse",
     "ilr_matrix",
     "ilr_transform",
@@ -114,6 +111,5 @@ __all__ = [
     "student_t_two_sided_p",
     "table1_demo",
     "two_sample_t_equal_var",
-    "validate_composition",
     "validate_tree",
 ]

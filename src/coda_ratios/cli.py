@@ -24,7 +24,8 @@ import sys
 from datetime import datetime, timezone
 
 from .boxplot_svg import emit_boxplot_svg
-from .dataset import ilr_coordinates, load_config, load_dataset_csv, two_groups
+from .composition import ilr_matrix
+from .dataset import load_config, load_dataset_csv, two_groups
 from .errors import CodaError
 from .ratios import table1_demo
 from .report import emit_report, run_analysis
@@ -91,7 +92,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_transform(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
-    coords = ilr_coordinates(ds, config.tree)
+    coords = ilr_matrix(ds.values, ds.part_labels, config.tree)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["firm_id", *config.tree.coordinate_names])
     # one row at a time: a whole-array tolist() holds every coordinate as a Python float

@@ -9,7 +9,9 @@ two disjoint groups of parts on a log scale:
 with r numerator parts and s denominator parts.  The D-1 balances defined by
 a partition tree are the isometric log-ratio (ilr) coordinates; they are an
 orthonormal basis of the log-ratio space, so Euclidean geometry applied to
-them is the Aitchison geometry of the original magnitudes.
+them is the Aitchison geometry of the original magnitudes.  Every balance,
+scalar or batch, is computed by that formula in one helper; the contrast
+matrix serves only the inverse transform.
 
 All logarithms are natural.  All functions here are pure and operate on
 immutable inputs.
@@ -138,32 +140,29 @@ class BalanceVector:
         return len(self.values)
 
 
-def validate_composition(raw) -> Composition:
-    """Build a :class:`Composition` from (label, value) pairs.
+def _balance(logs: np.ndarray, index, num, den) -> np.ndarray:
+    """sqrt(r*s/(r+s)) * (mean of numerator logs - mean of denominator logs), per row.
 
-    All offending parts are reported at once: zero or negative values raise
-    :class:`NonPositivePartError` naming every one of them.
+    ``logs`` is an (n, D) array of log parts; ``index`` maps a label to its
+    column.  Each mean adds its columns one at a time in group order,
+    starting from 0, like ratios.ratio_column: the one formula behind every
+    ilr coordinate in the package.  Swapping the groups negates the result
+    bit for bit.
     """
-    pairs = list(raw)
-    return Composition(
-        labels=tuple(label for label, _ in pairs),
-        values=tuple(value for _, value in pairs),
-    )
+    r, s = len(num), len(den)
+    num_sum = sum(logs[:, index[label]] for label in num)
+    den_sum = sum(logs[:, index[label]] for label in den)
+    return math.sqrt(r * s / (r + s)) * (num_sum / r - den_sum / s)
 
 
 def balance(x: Composition, num_labels, den_labels) -> float:
-    """One balance coordinate of ``x`` for the given disjoint label groups.
-
-    Swapping the two groups flips the sign and changes nothing else; the
-    subtraction below makes that exact in floating point as well.
-    """
+    """One balance coordinate of ``x`` for the given disjoint label groups."""
     num = tuple(dict.fromkeys(num_labels))
     den = tuple(dict.fromkeys(den_labels))
     check_groups(num, den)
-    logs = np.log(x.as_array(num + den))
-    r, s = len(num), len(den)
-    scale = math.sqrt(r * s / (r + s))
-    return scale * (float(np.mean(logs[:r])) - float(np.mean(logs[r:])))
+    check_known(num + den, x.labels)
+    index = {label: j for j, label in enumerate(x.labels)}
+    return float(_balance(np.log(x.as_array())[np.newaxis, :], index, num, den)[0])
 
 
 def pairwise_logratio(x: Composition, a: str, b: str) -> float:
@@ -204,13 +203,8 @@ def clr_transform(x: Composition) -> np.ndarray:
 
 
 def ilr_transform(x: Composition, tree: PartitionTree) -> BalanceVector:
-    """All D-1 balances of ``x``, one per internal node in pre-order.
-
-    Computed as one row of :func:`ilr_matrix`, the formula the
-    dataset-level path uses.
-    """
-    validate_tree(tree, x.labels)
-    row = ilr_matrix(x.as_array(tree.leaf_labels)[np.newaxis, :], tree)[0]
+    """All D-1 balances of ``x``, one per internal node in pre-order: a row of ilr_matrix."""
+    row = ilr_matrix(x.as_array()[np.newaxis, :], x.labels, tree)[0]
     return BalanceVector(
         names=tree.coordinate_names,
         values=tuple(row.tolist()),
@@ -253,16 +247,19 @@ def aitchison_distance(x: Composition, z: Composition, tree: PartitionTree) -> f
     return float(np.linalg.norm(dx))
 
 
-def ilr_matrix(values: np.ndarray, tree: PartitionTree) -> np.ndarray:
-    """ilr coordinates for an (n, D) array whose columns follow ``tree.leaf_labels``.
+def ilr_matrix(values: np.ndarray, labels, tree: PartitionTree) -> np.ndarray:
+    """(n, D-1) ilr coordinates of an (n, D) array whose columns follow ``labels``.
 
-    clr of each row times the transposed contrast matrix; the one formula
-    behind every ilr coordinate in the package.
+    Column i is the balance of internal node i (pre-order), summed by
+    :func:`_balance` without a matrix product, whose kernel and so whose
+    rounding would depend on the CPU.
     """
+    validate_tree(tree, labels)
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != tree.dimension:
-        raise LengthMismatchError(tree.dimension, values.shape)
+    if values.ndim != 2 or values.shape[1] != len(labels):
+        raise LengthMismatchError(len(labels), values.shape)
     logs = np.log(values)
-    clr = logs - logs.mean(axis=1, keepdims=True)
-    return clr @ contrast_matrix(tree).T
-
+    index = {label: j for j, label in enumerate(labels)}
+    return np.column_stack(
+        [_balance(logs, index, n.numerator_leaves(), n.denominator_leaves()) for n in tree.nodes]
+    )

@@ -35,7 +35,6 @@ from .composition import (
     check_part_labels,
     check_positive,
     check_unique_ids,
-    ilr_matrix,
 )
 from .errors import (
     AllRowsDroppedError,
@@ -144,19 +143,6 @@ class FirmDataset:
         return len(self.firm_ids)
 
 
-def ilr_coordinates(ds: FirmDataset, tree: PartitionTree) -> np.ndarray:
-    """(n, D-1) ilr coordinates of every firm, one column per balance.
-
-    The columns are reordered to the tree's leaf order by fancy indexing,
-    which yields an F-ordered array; the row means inside ilr_matrix round
-    differently on a C-ordered copy once D >= 8, and the report bytes pin
-    this layout.
-    """
-    validate_tree(tree, ds.part_labels)
-    order = [ds.part_labels.index(label) for label in tree.leaf_labels]
-    return ilr_matrix(ds.values[:, order], tree)
-
-
 def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
     """Resolve zero cells per the policy.
 
@@ -219,10 +205,24 @@ def load_dataset_csv(path, config: AnalysisConfig) -> FirmDataset:
         return read_dataset_csv(fh, config)
 
 
+def _records(reader):
+    """The records of ``reader``, with a csv.Error as a CodaError citing the record's first line."""
+    while True:
+        start = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise CodaError(f"malformed CSV at line {start}: {exc}") from None
+        yield row
+
+
 def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     """Like load_dataset_csv but from an open text stream."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
+    reader = csv.reader(fh, strict=True)
+    records = _records(reader)
+    header = next(records, None)
     if header is None:
         raise MissingColumnError("firm_id")
     header = [name.strip() for name in header]
@@ -243,7 +243,7 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     width = len(header)
     firm_ids, lines, flat = [], array("q"), array("d")
     malformed = []  # (line, column_name, raw)
-    for row in reader:
+    for row in records:
         if not row:
             continue
         line = reader.line_num

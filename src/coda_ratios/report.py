@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AnalysisConfig, FirmDataset, ilr_coordinates, two_groups
+from .composition import ilr_matrix
+from .dataset import AnalysisConfig, FirmDataset, two_groups
 from .errors import (
     CodaError,
     TooFewObservationsError,
@@ -125,7 +126,7 @@ def run_analysis(
     for a timestamp-free (fully input-determined) report.
     """
     tree = config.tree
-    Y = ilr_coordinates(ds, tree)
+    Y = ilr_matrix(ds.values, ds.part_labels, tree)
 
     # groups fixed once: ascending group values; t compares high vs low
     groups = None

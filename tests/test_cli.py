@@ -195,6 +195,16 @@ def test_non_utf8_file_exits_1(workdir, capsys, command, name, old, new, bad):
     )
 
 
+@pytest.mark.parametrize("command", ["analyze", "transform", "validate"])
+def test_csv_syntax_error_exits_1(workdir, capsys, command):
+    # a 140 KB cell passes the csv module's field limit
+    path = workdir / "firms.csv"
+    path.write_text(CSV_TEXT.replace("f3,", "f3" + "0" * 140_000 + ","), encoding="utf-8")
+    assert main([command, *_args(workdir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: malformed CSV at line 4: field larger than field limit (131072)\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 def test_non_utf8_pipe_exits_1(workdir):
     # a pipe cannot tell its position, so the offset is unknown

@@ -14,7 +14,6 @@ from coda_ratios import (
     ilr_transform,
     pairwise_logratio,
     parse_sbp,
-    validate_composition,
 )
 from coda_ratios.errors import (
     CodaError,
@@ -35,38 +34,38 @@ from conftest import random_composition, random_tree_text
 # construction and validation
 
 
-def test_validate_composition_accepts_positive_parts():
-    x = validate_composition([("TA", 8), ("NCL", 2), ("CL", 2)])
+def test_composition_accepts_positive_parts():
+    x = Composition(labels=("TA", "NCL", "CL"), values=(8, 2, 2))
     assert x.dimension == 3
     assert x.labels == ("TA", "NCL", "CL")
     assert x.value("NCL") == 2.0
 
 
-def test_validate_composition_rejects_zero_and_negative():
+def test_composition_rejects_zero_and_negative():
     with pytest.raises(NonPositivePartError) as err:
-        validate_composition([("TA", 8), ("NCL", 0), ("CL", 2)])
+        Composition(labels=("TA", "NCL", "CL"), values=(8, 0, 2))
     assert err.value.parts == (("NCL", 0.0),)
 
     with pytest.raises(NonPositivePartError) as err:
-        validate_composition([("TA", 8), ("NCL", -1), ("CL", 2)])
+        Composition(labels=("TA", "NCL", "CL"), values=(8, -1, 2))
     assert err.value.parts == (("NCL", -1.0),)
 
 
-def test_validate_composition_lists_every_offender():
+def test_composition_lists_every_offender():
     with pytest.raises(NonPositivePartError) as err:
-        validate_composition([("a", 0), ("b", -2), ("c", 1), ("d", math.nan)])
+        Composition(labels=("a", "b", "c", "d"), values=(0, -2, 1, math.nan))
     assert [label for label, _ in err.value.parts] == ["a", "b", "d"]
 
 
 def test_duplicate_labels_rejected():
     with pytest.raises(DuplicateLabelError) as err:
-        validate_composition([("TA", 1), ("TA", 2), ("CL", 3)])
+        Composition(labels=("TA", "TA", "CL"), values=(1, 2, 3))
     assert err.value.labels == ("TA",)
 
 
 def test_single_part_rejected():
     with pytest.raises(TooFewPartsError):
-        validate_composition([("TA", 1)])
+        Composition(labels=("TA",), values=(1,))
 
 
 def test_length_mismatch_rejected():
@@ -80,7 +79,7 @@ def test_empty_label_rejected():
 
 
 def test_as_array_follows_requested_order():
-    x = validate_composition([("TA", 8), ("NCL", 2), ("CL", 4)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(8, 2, 4))
     np.testing.assert_array_equal(x.as_array(("CL", "TA", "NCL")), [4.0, 8.0, 2.0])
     with pytest.raises(UnknownLabelError):
         x.as_array(("CL", "INV", "NCL"))
@@ -91,13 +90,13 @@ def test_as_array_follows_requested_order():
 
 
 def test_balance_zero_on_equal_parts():
-    x = validate_composition([("TA", 1), ("NCL", 1), ("CL", 1)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(1, 1, 1))
     assert balance(x, ("TA",), ("NCL", "CL")) == 0.0
 
 
 def test_balance_matches_closed_form():
     # independent route: sqrt(2/3) * ln(4 / sqrt(2*1))
-    x = validate_composition([("TA", 4), ("NCL", 2), ("CL", 1)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(4, 2, 1))
     expected = math.sqrt(2.0 / 3.0) * math.log(4.0 / math.sqrt(2.0))
     got = balance(x, ("TA",), ("NCL", "CL"))
     assert got == pytest.approx(expected, rel=1e-14)
@@ -105,7 +104,7 @@ def test_balance_matches_closed_form():
 
 
 def test_balance_two_parts_frozen_value():
-    x = validate_composition([("Mg1", 0.5), ("Mg2", 4.0)])
+    x = Composition(labels=("Mg1", "Mg2"), values=(0.5, 4.0))
     got = balance(x, ("Mg2",), ("Mg1",))
     assert got == pytest.approx(math.sqrt(0.5) * math.log(8.0), rel=1e-14)
     assert got == pytest.approx(1.4703872152028208, rel=1e-12)
@@ -125,7 +124,7 @@ def test_balance_permutation_flips_sign_exactly():
 
 
 def test_balance_input_validation():
-    x = validate_composition([("a", 1), ("b", 2), ("c", 3)])
+    x = Composition(labels=("a", "b", "c"), values=(1, 2, 3))
     with pytest.raises(UnknownLabelError):
         balance(x, ("a",), ("z",))
     with pytest.raises(OverlappingGroupsError):
@@ -139,17 +138,17 @@ def test_balance_input_validation():
 
 
 def test_pairwise_logratio():
-    x = validate_composition([("TA", 4), ("NCL", 2), ("CL", 1)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(4, 2, 1))
     got = pairwise_logratio(x, "TA", "NCL")
     assert got == pytest.approx(math.sqrt(0.5) * math.log(2.0), rel=1e-14)
     assert got == pytest.approx(0.49012907173427367, rel=1e-12)
 
-    same = validate_composition([("a", 3), ("b", 3)])
+    same = Composition(labels=("a", "b"), values=(3, 3))
     assert pairwise_logratio(same, "a", "b") == 0.0
 
 
 def test_pairwise_logratio_errors():
-    x = validate_composition([("a", 1), ("b", 2)])
+    x = Composition(labels=("a", "b"), values=(1, 2))
     with pytest.raises(CodaError, match="needs two distinct labels, got 'a' twice"):
         pairwise_logratio(x, "a", "a")
     with pytest.raises(UnknownLabelError):
@@ -204,10 +203,10 @@ def test_contrast_matrix_random_trees_orthonormal():
 
 
 def test_clr_components():
-    x = validate_composition([("a", 1), ("b", 1), ("c", 1)])
+    x = Composition(labels=("a", "b", "c"), values=(1, 1, 1))
     np.testing.assert_allclose(clr_transform(x), 0.0, rtol=0, atol=1e-15)
 
-    x = validate_composition([("a", math.e), ("b", 1), ("c", 1)])
+    x = Composition(labels=("a", "b", "c"), values=(math.e, 1, 1))
     np.testing.assert_allclose(
         clr_transform(x), [2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0], rtol=0, atol=1e-14
     )
@@ -222,36 +221,45 @@ def test_clr_sums_to_zero_random():
 
 
 def test_ilr_equals_contrast_times_clr(liability_tree):
-    # the contrast-matrix formula written out by hand
-    x = validate_composition([("TA", 4), ("NCL", 2), ("CL", 1)])
+    # independent route: the contrast matrix times clr, a matrix product
+    # that the forward transform does not take
+    x = Composition(labels=("TA", "NCL", "CL"), values=(4, 2, 1))
     via_matrix = contrast_matrix(liability_tree) @ clr_transform(x)
     via_balances = ilr_transform(x, liability_tree).as_array()
     np.testing.assert_allclose(via_balances, via_matrix, rtol=0, atol=1e-12)
 
 
 def test_ilr_matrix_route_agrees_with_balance_route():
-    labels = [f"p{i}" for i in range(6)]
-    for seed in range(50):
+    # one formula: rows of a many-row ilr_matrix call, ilr_transform and
+    # per-node balance() agree bit for bit
+    labels = [f"p{i:02d}" for i in range(24)]
+    for seed in range(30):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(2, len(labels) + 1))
         tree = parse_sbp(random_tree_text(rng, labels[:size]))
-        comps = [random_composition(rng, tree.leaf_labels) for _ in range(4)]
-        X = np.array([c.as_array(tree.leaf_labels) for c in comps])
-        Y = ilr_matrix(X, tree)
+        # columns in label order, not the tree's leaf order
+        comps = [random_composition(rng, labels[:size]) for _ in range(33)]
+        Y = ilr_matrix(np.array([c.values for c in comps]), labels[:size], tree)
+        assert Y.shape == (33, size - 1)
         for i, c in enumerate(comps):
-            # per-node balance() is the independent reference formula
             per_node = [
                 balance(c, node.numerator_leaves(), node.denominator_leaves())
                 for node in tree.nodes
             ]
-            np.testing.assert_allclose(Y[i], per_node, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                ilr_transform(c, tree).as_array(), per_node, rtol=0, atol=1e-12
-            )
+            assert Y[i].tolist() == per_node
+            assert list(ilr_transform(c, tree).values) == per_node
+
+
+def test_ilr_matrix_checks_labels_and_shape(liability_tree):
+    X = np.ones((2, 3))
+    with pytest.raises(LabelMismatchError):
+        ilr_matrix(X, ("TA", "NCL", "INV"), liability_tree)
+    with pytest.raises(LengthMismatchError):
+        ilr_matrix(X[:, :2], ("TA", "NCL", "CL"), liability_tree)
 
 
 def test_ilr_transform_worked_example(liability_tree):
-    x = validate_composition([("TA", 4), ("NCL", 2), ("CL", 1)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(4, 2, 1))
     y = ilr_transform(x, liability_tree)
     assert y.names == ("y1", "y2")
     assert y.values[0] == pytest.approx(0.8489284545103327, rel=1e-12)
@@ -260,12 +268,12 @@ def test_ilr_transform_worked_example(liability_tree):
 
 
 def test_ilr_transform_neutral(liability_tree):
-    x = validate_composition([("TA", 1), ("NCL", 1), ("CL", 1)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(1, 1, 1))
     np.testing.assert_array_equal(ilr_transform(x, liability_tree).as_array(), 0.0)
 
 
 def test_ilr_transform_label_mismatch(liability_tree):
-    x = validate_composition([("TA", 1), ("NCL", 1), ("INV", 1)])
+    x = Composition(labels=("TA", "NCL", "INV"), values=(1, 1, 1))
     with pytest.raises(LabelMismatchError):
         ilr_transform(x, liability_tree)
 
@@ -298,7 +306,7 @@ def test_ilr_inverse_neutral(liability_tree):
 
 
 def test_ilr_inverse_round_trip_closes(liability_tree):
-    x = validate_composition([("TA", 4), ("NCL", 2), ("CL", 1)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(4, 2, 1))
     back = ilr_inverse(ilr_transform(x, liability_tree), liability_tree)
     np.testing.assert_allclose(
         back.as_array(("TA", "NCL", "CL")), [4 / 7, 2 / 7, 1 / 7], rtol=0, atol=1e-12
@@ -334,7 +342,7 @@ def test_ilr_inverse_rejects_wrong_length(liability_tree):
 
 def test_ilr_inverse_rejects_foreign_balance_vector(liability_tree):
     other = parse_sbp("((TA|NCL)|CL)")
-    x = validate_composition([("TA", 4), ("NCL", 2), ("CL", 1)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(4, 2, 1))
     y = ilr_transform(x, other)
     message = "^balance vector fingerprint 0x[0-9a-f]{16} does not match tree 0x[0-9a-f]{16}$"
     with pytest.raises(CodaError, match=message):
@@ -346,20 +354,20 @@ def test_ilr_inverse_rejects_foreign_balance_vector(liability_tree):
 
 
 def test_distance_zero_on_self(liability_tree):
-    x = validate_composition([("TA", 4), ("NCL", 2), ("CL", 1)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(4, 2, 1))
     assert aitchison_distance(x, x, liability_tree) == 0.0
 
 
 def test_distance_scale_invariance(liability_tree):
-    x = validate_composition([("TA", 4), ("NCL", 2), ("CL", 1)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(4, 2, 1))
     scaled = Composition(labels=x.labels, values=tuple(37.5 * v for v in x.values))
     assert aitchison_distance(x, scaled, liability_tree) < 1e-12
 
 
 def test_distance_two_part_closed_form():
     tree = parse_sbp("(A|B)")
-    x = validate_composition([("A", 1), ("B", 1)])
-    z = validate_composition([("A", math.e), ("B", 1)])
+    x = Composition(labels=("A", "B"), values=(1, 1))
+    z = Composition(labels=("A", "B"), values=(math.e, 1))
     assert aitchison_distance(x, z, tree) == pytest.approx(
         math.sqrt(0.5), rel=1e-14
     )

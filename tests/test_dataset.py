@@ -248,8 +248,32 @@ def test_read_csv_collects_all_malformed_cells():
             "^line 3 has 5 fields but the header has 4$",
         ),
         ("firm_id,TA,NCL,CL\nf1,1,2,3\n ,4,5,6\n", "^empty firm_id at line 3$"),
+        (
+            "firm_id,TA,NCL,CL\nf1,1,2,3\nf2,\"" + "1" * 140_000 + "\",5,6\n",
+            "^malformed CSV at line 3: field larger than field limit \\(131072\\)$",
+        ),
+        (
+            "firm_id,TA,NCL,CL\n\"f1,1,2,3\n" + "f,1,2,3\n" * 20_000,
+            "^malformed CSV at line 2: field larger than field limit",
+        ),
+        (
+            "firm_id,TA,NCL,CL\n\"f1,1,2,3\nf2,4,5,6\nf3,7,8,9\n",
+            "^malformed CSV at line 2: unexpected end of data$",
+        ),
+        (
+            "firm_id,TA,NCL,CL\n\"f1\"x,1,2,3\n",
+            "^malformed CSV at line 2: ',' expected after '\"'$",
+        ),
     ],
-    ids=["duplicate_header", "long_row", "empty_firm_id"],
+    ids=[
+        "duplicate_header",
+        "long_row",
+        "empty_firm_id",
+        "huge_field",
+        "unclosed_quote_long_file",
+        "unclosed_quote",
+        "text_after_closing_quote",
+    ],
 )
 def test_read_csv_rejects_ambiguous_rows(text, message):
     with pytest.raises(CodaError, match=message):

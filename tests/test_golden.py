@@ -7,9 +7,14 @@ byte, down to the last ulp of one float, fails this test.
 * ``sector``: 2000 firms, D=5, three ratios, ``replace`` zeros and a
   two-valued group; ``analyze`` to JSON and SVG, plus ``validate``.
 * ``wide``: 300 firms over a balanced D=16 tree, ``reject`` zeros;
-  ``analyze`` to CSV and SVG, plus ``transform``.  With D >= 8 the row
-  means inside the ilr step round differently on a C-ordered and on an
-  F-ordered array, so this case pins the array layout as well.
+  ``analyze`` to CSV and SVG, plus ``transform``.  The config lists the
+  parts in another order than the tree's leaves, so this case pins that
+  every balance adds its log columns in leaf order, whatever the column
+  order of the data.
+
+The same bytes must come out whichever kernel OpenBLAS picks for the CPU:
+the ilr step takes no matrix product, and a test reruns both cases in
+subprocesses under several ``OPENBLAS_CORETYPE`` values.
 
 To regenerate after an intended output change, call ``write_outputs`` for
 each case and copy the files it writes into ``tests/golden/``.
@@ -19,11 +24,16 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coda_ratios
 from coda_ratios.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,4 +140,49 @@ def test_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
     differing = [
         name for name in names if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()
     ]
+    assert differing == []
+
+
+def _openblas_simd() -> set[str] | None:
+    """numpy's SIMD extensions if numpy is linked to OpenBLAS, else None."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 has no mode argument
+        return None
+    if "openblas" not in config["Build Dependencies"]["blas"].get("name", "").lower():
+        return None
+    simd = config.get("SIMD Extensions", {})
+    return set(simd.get("baseline", [])) | set(simd.get("found", []))
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Nehalem", "Sandybridge", "Haswell"])
+def test_golden_bytes_do_not_depend_on_openblas_kernel(coretype, tmp_path):
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+    simd = _openblas_simd()
+    if simd is None:
+        pytest.skip("numpy is not linked to OpenBLAS")
+    if coretype == "Haswell" and not simd & {"AVX2", "X86_V3", "X86_V4"}:
+        pytest.skip("the Haswell kernel needs AVX2")
+    paths = [str(Path(coda_ratios.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE=coretype,
+        SOURCE_DATE_EPOCH=SOURCE_DATE_EPOCH,
+        PYTHONPATH=os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]),
+    )
+    script = "import sys, test_golden; print(*test_golden.write_outputs(*sys.argv[1:]))"
+    differing = []
+    for case in ("sector", "wide"):
+        workdir = tmp_path / case
+        workdir.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", script, case, str(workdir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        differing += [
+            name for name in done.stdout.split()
+            if (workdir / name).read_bytes() != (GOLDEN / name).read_bytes()
+        ]
     assert differing == []

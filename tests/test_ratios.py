@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from coda_ratios import (
+    Composition,
     DemoFirm,
     RatioSpec,
     eval_ratio,
     invert_spec,
     ray_angle_degrees,
     table1_demo,
-    validate_composition,
 )
 from coda_ratios.errors import (
     EmptyGroupError,
@@ -31,13 +31,13 @@ def test_ratio_spec_validation():
 
 
 def test_eval_ratio_sums_groups():
-    x = validate_composition([("TA", 100), ("NCL", 20), ("CL", 30)])
+    x = Composition(labels=("TA", "NCL", "CL"), values=(100, 20, 30))
     spec = RatioSpec(name="r1", numerator=("TA",), denominator=("NCL", "CL"))
     assert eval_ratio(x, spec) == 2.0
 
 
 def test_eval_ratio_unknown_label():
-    x = validate_composition([("TA", 100), ("NCL", 20)])
+    x = Composition(labels=("TA", "NCL"), values=(100, 20))
     spec = RatioSpec(name="r", numerator=("TA",), denominator=("INV",))
     with pytest.raises(UnknownLabelError):
         eval_ratio(x, spec)
@@ -65,7 +65,7 @@ def test_ratio_product_is_one_up_to_rounding():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         vals = np.exp(rng.uniform(-4, 8, size=4))
-        x = validate_composition(list(zip("abcd", map(float, vals))))
+        x = Composition(labels=tuple("abcd"), values=vals)
         spec = RatioSpec(name="r", numerator=("a", "b"), denominator=("c", "d"))
         product = eval_ratio(x, spec) * eval_ratio(x, invert_spec(spec))
         assert product == pytest.approx(1.0, rel=1e-15)
