@@ -19,9 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
+import re
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from .boxplot_svg import emit_boxplot_svg
 from .composition import ilr_matrix
@@ -29,6 +33,10 @@ from .dataset import load_config, load_dataset_csv, two_groups
 from .errors import CodaError
 from .ratios import table1_demo
 from .report import emit_report, run_analysis
+
+# rows per transform write; ids that csv.writer may quote
+_CHUNK_ROWS = 8192
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,13 +101,27 @@ def _cmd_transform(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
     coords = ilr_matrix(ds.values, ds.part_labels, config.tree)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["firm_id", *config.tree.coordinate_names])
-    # one row at a time: a whole-array tolist() holds every coordinate as a Python float
-    writer.writerows(
-        [firm_id, *map(repr, row.tolist())] for firm_id, row in zip(ds.firm_ids, coords)
-    )
+    csv.writer(sys.stdout, lineterminator="\n").writerow(["firm_id", *config.tree.coordinate_names])
+    firm_ids = ds.firm_ids
+    if _NEEDS_QUOTES.search("".join(firm_ids)):
+        firm_ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in firm_ids]
+    # %r is float.__repr__, the string csv.writer was given, so the bytes are csv.writer's;
+    # one template per chunk formats every cell in C, and a chunk bounds the text held at once
+    template = "%s" + ",%r" * coords.shape[1] + "\n"
+    block = np.empty((min(ds.n, _CHUNK_ROWS), 1 + coords.shape[1]), dtype=object)
+    for start in range(0, ds.n, _CHUNK_ROWS):
+        rows = block[: min(_CHUNK_ROWS, ds.n - start)]
+        rows[:, 0] = firm_ids[start : start + len(rows)]
+        rows[:, 1:] = coords[start : start + len(rows)]  # float64 to Python float
+        sys.stdout.write(template * len(rows) % tuple(rows.ravel().tolist()))
     return 0
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it in a row, quoted or not."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text])
+    return out.getvalue()[:-1]
 
 
 def _cmd_validate(args) -> int:

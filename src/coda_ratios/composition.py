@@ -27,26 +27,13 @@ import numpy as np
 from .errors import (
     CodaError,
     DuplicateFirmIdError,
-    DuplicateLabelError,
     EmptyGroupError,
     LengthMismatchError,
     NonPositivePartError,
     OverlappingGroupsError,
-    TooFewPartsError,
     UnknownLabelError,
 )
-from .sbp import PartitionTree, validate_tree
-
-
-def check_part_labels(labels) -> None:
-    """Raise unless the part labels are distinct and non-empty, and at least two."""
-    dupes = sorted({l for l in labels if labels.count(l) > 1})
-    if dupes:
-        raise DuplicateLabelError(dupes)
-    if any(not label for label in labels):
-        raise CodaError("part labels must be non-empty")
-    if len(labels) < 2:
-        raise TooFewPartsError(len(labels))
+from .sbp import PartitionTree, check_part_labels, validate_tree
 
 
 def check_known(labels, known) -> None:
@@ -83,6 +70,8 @@ def check_positive(values, *labels, zero_ok=False) -> None:
 
 def check_unique_ids(firm_ids, lines=None) -> None:
     """Raise DuplicateFirmIdError at the first repeated firm id, citing its line from ``lines``."""
+    if len(set(firm_ids)) == len(firm_ids):
+        return
     seen = set()
     for i, firm_id in enumerate(firm_ids):
         if firm_id in seen:

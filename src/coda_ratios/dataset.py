@@ -21,6 +21,7 @@ import csv
 import io
 import logging
 import math
+import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,12 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .composition import (
-    check_known,
-    check_part_labels,
-    check_positive,
-    check_unique_ids,
-)
+from .composition import check_known, check_positive, check_unique_ids
 from .errors import (
     AllRowsDroppedError,
     CodaError,
@@ -47,11 +43,15 @@ from .errors import (
     ZeroCellError,
 )
 from .ratios import RatioSpec
-from .sbp import PartitionTree, parse_sbp, validate_tree
+from .sbp import PartitionTree, check_part_labels, parse_sbp, validate_tree
 
 logger = logging.getLogger(__name__)
 
 _ZERO_MODES = ("reject", "drop_row", "replace")
+
+# A quote needs the csv.reader path.  np.loadtxt strips these ASCII
+# separators from around a number as whitespace, and float() does not.
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ class AnalysisConfig:
     def __post_init__(self):
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        check_part_labels(parts)
         tree = parse_sbp(self.sbp)
         validate_tree(tree, parts)
         for spec in self.standard_ratios:
@@ -126,6 +125,7 @@ class FirmDataset:
         values = np.array(self.values, dtype=np.float64)
         if values.shape != (n, len(part_labels)):
             raise LengthMismatchError((n, len(part_labels)), values.shape)
+        check_part_labels(part_labels)
         externals = {name: tuple(column) for name, column in self.externals.items()}
         for column in externals.values():
             if len(column) != n:
@@ -219,10 +219,32 @@ def _records(reader):
 
 
 def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
-    """Like load_dataset_csv but from an open text stream."""
-    reader = csv.reader(fh, strict=True)
-    records = _records(reader)
-    header = next(records, None)
+    """Like load_dataset_csv but from an open text stream.
+
+    One ``np.loadtxt`` pass reads a plain file, one without quotes; a file
+    it cannot read, or whose columns fail a check, is read again from the
+    start by the ``csv.reader`` path, which words every error with its
+    line.  A stream that cannot seek (a pipe) is read into memory first.
+    """
+    if not fh.seekable():
+        fh = io.StringIO(fh.read(), newline="")
+    start = fh.tell()
+    columns = _loadtxt_columns(fh, config)
+    if columns is None:
+        fh.seek(start)
+        columns = _csv_reader_columns(fh, config)
+    firm_ids, values, externals = columns
+    keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
+    return FirmDataset(
+        firm_ids=tuple(compress(firm_ids, keep)),
+        part_labels=config.parts,
+        values=values,
+        externals={name: tuple(compress(column, keep)) for name, column in externals.items()},
+    )
+
+
+def _header_columns(header, config: AnalysisConfig) -> list[str]:
+    """The stripped column names of a header record, checked against ``config``."""
     if header is None:
         raise MissingColumnError("firm_id")
     header = [name.strip() for name in header]
@@ -235,6 +257,72 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     for name in required:
         if name not in header:
             raise MissingColumnError(name)
+    return header
+
+
+def _loadtxt_columns(fh, config: AnalysisConfig):
+    """``(firm_ids, values, externals)`` of ``fh`` from one ``np.loadtxt`` pass, or None.
+
+    None means the csv.reader path must read the file: a line holds a
+    character of ``_NOT_PLAIN`` or is longer than the csv field limit; the
+    header or a row is one that path rejects or reads differently (a short
+    row, say); an id or a part fails its check; or a part is named
+    firm_id.  A failed read may have consumed any part of ``fh``.
+    """
+    if "firm_id" in config.parts:  # one column, read as both text and number
+        return None
+    limit = csv.field_size_limit()
+
+    def lines():
+        # a batch of lines at a time keeps the checks in C
+        while batch := fh.readlines(1 << 16):
+            text = "".join(batch)
+            if any(c in text for c in _NOT_PLAIN) or max(map(len, batch)) > limit:
+                raise ValueError("not a plain file")  # np.loadtxt passes it on
+            yield from batch
+
+    rows = lines()
+    try:
+        header = _header_columns(next(csv.reader(rows, strict=True), None), config)
+        dtype = [
+            (f"c{j}", np.float64 if name in config.parts else object)
+            for j, name in enumerate(header)
+        ]
+        with warnings.catch_warnings():
+            # a header-only file is an empty dataset, and stderr carries only the error line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                rows, dtype=dtype, delimiter=",", quotechar=None, comments=None, ndmin=1
+            )
+    except (CodaError, csv.Error, ValueError):  # a UnicodeDecodeError too: the csv.reader path words it
+        return None
+    field = {name: f"c{j}" for j, name in enumerate(header)}
+    firm_ids = [firm_id.strip() for firm_id in table[field["firm_id"]]]
+    if not all(firm_ids) or len(set(firm_ids)) != len(firm_ids):
+        return None
+    values = np.empty((len(firm_ids), len(config.parts)))
+    for j, part in enumerate(config.parts):
+        values[:, j] = table[field[part]]
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+        return None
+    externals = {
+        name: [cell.strip() for cell in table[field[name]]]
+        for name in header
+        if name != "firm_id" and name not in config.parts
+    }
+    return firm_ids, values, externals
+
+
+def _csv_reader_columns(fh, config: AnalysisConfig):
+    """``(firm_ids, values, externals)`` of ``fh`` read by ``csv.reader``, cell by cell.
+
+    Raises a CodaError for the first problem found, citing its line: a
+    malformed record, a bad header, a row longer than the header, an empty
+    or repeated firm_id, every malformed number, and every negative part.
+    """
+    reader = csv.reader(fh, strict=True)
+    records = _records(reader)
+    header = _header_columns(next(records, None), config)
     col = {name: header.index(name) for name in header}
     externals = {
         name: [] for name in header if name != "firm_id" and name not in config.parts
@@ -261,7 +349,8 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
                 v = float(raw)
             except ValueError:
                 v = math.nan
-            if not math.isfinite(v):
+            # the grammar np.loadtxt reads too: no '_' separators, ASCII digits only
+            if not math.isfinite(v) or "_" in raw or not raw.strip().isascii():
                 malformed.append((line, part, raw))
                 v = math.nan
             flat.append(v)
@@ -274,14 +363,7 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     check_unique_ids(firm_ids, lines)
     values = np.array(flat, dtype=np.float64).reshape(len(firm_ids), len(config.parts))
     check_positive(values, firm_ids, config.parts, zero_ok=True)
-
-    keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
-    return FirmDataset(
-        firm_ids=tuple(compress(firm_ids, keep)),
-        part_labels=config.parts,
-        values=values,
-        externals={name: tuple(compress(column, keep)) for name, column in externals.items()},
-    )
+    return firm_ids, values, externals
 
 
 def split_by_group(ds: FirmDataset, variable: str) -> dict[str, np.ndarray]:

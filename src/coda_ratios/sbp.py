@@ -20,7 +20,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from .errors import DuplicateLeafError, LabelMismatchError, SbpSyntaxError
+from .errors import (
+    CodaError,
+    DuplicateLabelError,
+    DuplicateLeafError,
+    LabelMismatchError,
+    SbpSyntaxError,
+    TooFewPartsError,
+)
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -118,8 +125,24 @@ def format_sbp(tree: PartitionTree) -> str:
     return _format_sub(tree.root)
 
 
+def check_part_labels(labels) -> None:
+    """Raise unless the part labels are distinct and non-empty, and at least two."""
+    dupes = sorted({l for l in labels if labels.count(l) > 1})
+    if dupes:
+        raise DuplicateLabelError(dupes)
+    if any(not label for label in labels):
+        raise CodaError("part labels must be non-empty")
+    if len(labels) < 2:
+        raise TooFewPartsError(len(labels))
+
+
 def validate_tree(tree: PartitionTree, expected_labels) -> None:
-    """Raise :class:`LabelMismatchError` unless the leaf set equals ``expected_labels``."""
+    """Raise unless ``expected_labels`` pass :func:`check_part_labels` and are the leaf set.
+
+    A label set that differs from the leaves is a :class:`LabelMismatchError`.
+    """
+    expected_labels = tuple(expected_labels)
+    check_part_labels(expected_labels)
     expected = frozenset(expected_labels)
     actual = frozenset(tree.leaf_labels)
     if expected != actual:

@@ -100,13 +100,18 @@ def test_analyze_bad_source_date_epoch_exits_1(workdir, monkeypatch, capsys):
     assert "'abc'" in err
 
 
-def test_analyze_header_only_csv_exits_1(workdir, capsys):
+def test_analyze_header_only_csv_exits_1(workdir):
+    # a real process: pytest would capture a warning that a user sees on stderr
     (workdir / "empty.csv").write_text("firm_id,TA,NCL,CL,brand\n", encoding="utf-8")
-    code = main(
-        ["analyze", "--data", str(workdir / "empty.csv"), "--config", str(workdir / "analysis.ini")]
+    result = subprocess.run(
+        [sys.executable, "-m", "coda_ratios.cli", "analyze", "--data", str(workdir / "empty.csv"),
+         "--config", str(workdir / "analysis.ini")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert result.returncode == 1
+    (line,) = result.stderr.decode("utf-8").splitlines(keepends=True)
+    assert line.startswith("error: ") and line.endswith("\n")
 
 
 @pytest.mark.parametrize(
@@ -219,6 +224,20 @@ def test_non_utf8_pipe_exits_1(workdir):
     assert result.stderr == (
         b"error: /dev/stdin is not valid UTF-8: byte 0xe9 at byte offset unknown\n"
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_validate_reads_a_pipe_with_cr_line_ends(workdir):
+    # a pipe is read into memory first; a lone CR still ends a line, as it does in a file
+    result = subprocess.run(
+        [sys.executable, "-m", "coda_ratios.cli", "validate", "--data", "/dev/stdin",
+         "--config", str(workdir / "analysis.ini")],
+        input=CSV_TEXT.replace("\n", "\r").encode("utf-8"),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.startswith(b"OK: 6 firm(s)")
 
 
 def test_analyze_bad_out_extension_exits_2(workdir):

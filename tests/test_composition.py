@@ -256,6 +256,9 @@ def test_ilr_matrix_checks_labels_and_shape(liability_tree):
         ilr_matrix(X, ("TA", "NCL", "INV"), liability_tree)
     with pytest.raises(LengthMismatchError):
         ilr_matrix(X[:, :2], ("TA", "NCL", "CL"), liability_tree)
+    # the label sets match, but the first "A" column would be silently ignored
+    with pytest.raises(DuplicateLabelError, match="^duplicate part label\\(s\\): A$"):
+        ilr_matrix([[1.0, 5.0, 2.0]], ("A", "A", "B"), parse_sbp("(A|B)"))
 
 
 def test_ilr_transform_worked_example(liability_tree):

@@ -264,6 +264,12 @@ def test_read_csv_collects_all_malformed_cells():
             "firm_id,TA,NCL,CL\n\"f1\"x,1,2,3\n",
             "^malformed CSV at line 2: ',' expected after '\"'$",
         ),
+        # float() reads these three, np.loadtxt does not; neither reader accepts them
+        ("firm_id,TA,NCL,CL\nf1,1_000,2,3\n", "^malformed number\\(s\\): line 2, column 'TA': '1_000'$"),
+        ("firm_id,TA,NCL,CL\nf1,1,\uff11\uff12,3\n", "^malformed number\\(s\\): line 2, column 'NCL': '１２'$"),
+        ('firm_id,TA,NCL,CL\nf1,1,2,"\u0663"\n', "^malformed number\\(s\\): line 2, column 'CL': '٣'$"),
+        # np.loadtxt strips ASCII separators around a number, float() does not
+        ("firm_id,TA,NCL,CL\nf1,\x1c1,2,3\n", "^malformed number\\(s\\): line 2, column 'TA': '\\\\x1c1'$"),
     ],
     ids=[
         "duplicate_header",
@@ -273,11 +279,31 @@ def test_read_csv_collects_all_malformed_cells():
         "unclosed_quote_long_file",
         "unclosed_quote",
         "text_after_closing_quote",
+        "underscore_separator",
+        "full_width_digits",
+        "arabic_indic_digit_quoted",
+        "ascii_separator_padding",
     ],
 )
 def test_read_csv_rejects_ambiguous_rows(text, message):
     with pytest.raises(CodaError, match=message):
         read_dataset_csv(io.StringIO(text), make_config())
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "csv_reader"])
+def test_read_csv_accepts_whitespace_around_numbers(quote):
+    # a quote anywhere in the file sends it to the csv.reader path
+    text = f"firm_id,TA,NCL,CL\n{quote}f1{quote}, 1\t,\xa02\xa0,\u30003\u3000\n"
+    ds = read_dataset_csv(io.StringIO(text), make_config())
+    assert ds.firm_ids == ("f1",)
+    assert ds.values.tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_read_csv_part_may_be_named_firm_id():
+    config = AnalysisConfig(parts=("firm_id", "TA"), sbp="(firm_id|TA)")
+    ds = read_dataset_csv(io.StringIO("firm_id,TA\n1,2\n3,4\n"), config)
+    assert ds.firm_ids == ("1", "3")
+    assert ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_read_csv_duplicate_firm_id_reports_line():
@@ -400,6 +426,12 @@ def test_dataset_rejects_duplicate_ids():
         _dataset([("f1", (1, 2, 3)), ("f1", (4, 5, 6))])
     assert excinfo.value.line is None
     assert "at line" not in str(excinfo.value)
+
+
+def test_dataset_rejects_repeated_part_labels():
+    # with a repeated label, a lookup by label would silently read the last such column
+    with pytest.raises(DuplicateLabelError, match="^duplicate part label\\(s\\): A$"):
+        FirmDataset(firm_ids=("f1",), part_labels=("A", "A", "B"), values=[[1.0, 5.0, 2.0]])
 
 
 def test_dataset_rejects_label_mismatch():
