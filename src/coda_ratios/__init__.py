@@ -43,7 +43,7 @@ from .ratios import (
     table1_demo,
 )
 from .report import AnalysisReport, VariableReport, emit_report, run_analysis
-from .sbp import PartitionNode, PartitionTree, format_sbp, parse_sbp, validate_tree
+from .sbp import PartitionTree, format_sbp, parse_sbp, validate_tree
 from .stats import (
     BoxSummary,
     DescriptiveStats,
@@ -72,7 +72,6 @@ __all__ = [
     "DescriptiveStats",
     "FirmDataset",
     "GroupComparison",
-    "PartitionNode",
     "PartitionTree",
     "RatioSpec",
     "VariableReport",

@@ -6,12 +6,13 @@ two disjoint groups of parts on a log scale:
 
     balance = sqrt(r*s/(r+s)) * ln(gmean(numerator) / gmean(denominator))
 
-with r numerator parts and s denominator parts.  The D-1 balances defined by
-a partition tree are the isometric log-ratio (ilr) coordinates; they are an
-orthonormal basis of the log-ratio space, so Euclidean geometry applied to
-them is the Aitchison geometry of the original magnitudes.  Every balance,
-scalar or batch, is computed by that formula in one helper; the contrast
-matrix serves only the inverse transform.
+with r numerator parts and s denominator parts.  The D-1 balances of a
+partition tree, one per split in ``tree.splits``, are the isometric
+log-ratio (ilr) coordinates; they are an orthonormal basis of the log-ratio
+space, so Euclidean geometry applied to them is the Aitchison geometry of
+the original magnitudes.  Every balance, scalar, pairwise or batch, is
+computed by that formula in one helper; the contrast matrix serves only the
+inverse transform.
 
 All logarithms are natural.  All functions here are pure and operate on
 immutable inputs.
@@ -155,11 +156,10 @@ def balance(x: Composition, num_labels, den_labels) -> float:
 
 
 def pairwise_logratio(x: Composition, a: str, b: str) -> float:
-    """sqrt(1/2) * ln(x_a / x_b), the two-part balance of labels a and b."""
+    """sqrt(1/2) * ln(x_a / x_b): the balance of label a against label b."""
     if a == b:
         raise CodaError(f"pairwise log-ratio needs two distinct labels, got {a!r} twice")
-    va, vb = x.value(a), x.value(b)
-    return math.sqrt(0.5) * math.log(va / vb)
+    return balance(x, (a,), (b,))
 
 
 def contrast_matrix(tree: PartitionTree) -> np.ndarray:
@@ -167,15 +167,13 @@ def contrast_matrix(tree: PartitionTree) -> np.ndarray:
 
     Columns follow ``tree.leaf_labels``; rows sum to zero and ilr = V @ clr.
     Row i carries +sqrt(s/(r(r+s))) for each numerator part and
-    -sqrt(r/(s(r+s))) for each denominator part of internal node i
-    (pre-order), zero elsewhere.
+    -sqrt(r/(s(r+s))) for each denominator part of ``tree.splits[i]``,
+    zero elsewhere.
     """
     labels = tree.leaf_labels
     index = {label: i for i, label in enumerate(labels)}
-    rows = np.zeros((len(tree.nodes), len(labels)))
-    for i, node in enumerate(tree.nodes):
-        num = node.numerator_leaves()
-        den = node.denominator_leaves()
+    rows = np.zeros((len(tree.splits), len(labels)))
+    for i, (num, den) in enumerate(tree.splits):
         r, s = len(num), len(den)
         for label in num:
             rows[i, index[label]] = math.sqrt(s / (r * (r + s)))
@@ -192,7 +190,7 @@ def clr_transform(x: Composition) -> np.ndarray:
 
 
 def ilr_transform(x: Composition, tree: PartitionTree) -> BalanceVector:
-    """All D-1 balances of ``x``, one per internal node in pre-order: a row of ilr_matrix."""
+    """All D-1 balances of ``x``, one per split of ``tree``: a row of ilr_matrix."""
     row = ilr_matrix(x.as_array()[np.newaxis, :], x.labels, tree)[0]
     return BalanceVector(
         names=tree.coordinate_names,
@@ -239,7 +237,7 @@ def aitchison_distance(x: Composition, z: Composition, tree: PartitionTree) -> f
 def ilr_matrix(values: np.ndarray, labels, tree: PartitionTree) -> np.ndarray:
     """(n, D-1) ilr coordinates of an (n, D) array whose columns follow ``labels``.
 
-    Column i is the balance of internal node i (pre-order), summed by
+    Column i is the balance of ``tree.splits[i]``, summed by
     :func:`_balance` without a matrix product, whose kernel and so whose
     rounding would depend on the CPU.
     """
@@ -249,6 +247,4 @@ def ilr_matrix(values: np.ndarray, labels, tree: PartitionTree) -> np.ndarray:
         raise LengthMismatchError(len(labels), values.shape)
     logs = np.log(values)
     index = {label: j for j, label in enumerate(labels)}
-    return np.column_stack(
-        [_balance(logs, index, n.numerator_leaves(), n.denominator_leaves()) for n in tree.nodes]
-    )
+    return np.column_stack([_balance(logs, index, num, den) for num, den in tree.splits])

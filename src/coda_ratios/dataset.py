@@ -36,6 +36,7 @@ from .errors import (
     AllRowsDroppedError,
     CodaError,
     ConfigError,
+    EmptyDataError,
     LengthMismatchError,
     MalformedNumberError,
     MissingColumnError,
@@ -225,6 +226,7 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     it cannot read, or whose columns fail a check, is read again from the
     start by the ``csv.reader`` path, which words every error with its
     line.  A stream that cannot seek (a pipe) is read into memory first.
+    A file with no firm rows is an :class:`EmptyDataError`.
     """
     if not fh.seekable():
         fh = io.StringIO(fh.read(), newline="")
@@ -234,6 +236,8 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
         fh.seek(start)
         columns = _csv_reader_columns(fh, config)
     firm_ids, values, externals = columns
+    if not firm_ids:
+        raise EmptyDataError()
     keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
     return FirmDataset(
         firm_ids=tuple(compress(firm_ids, keep)),
@@ -289,7 +293,7 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
             for j, name in enumerate(header)
         ]
         with warnings.catch_warnings():
-            # a header-only file is an empty dataset, and stderr carries only the error line
+            # a header-only file is an EmptyDataError, and stderr carries only the error line
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(
                 rows, dtype=dtype, delimiter=",", quotechar=None, comments=None, ndmin=1

@@ -29,6 +29,8 @@ class NonPositivePartError(CodaError):
 
 
 class DuplicateLabelError(CodaError):
+    """Part labels, or the leaves of a partition tree, repeat; lists each repeat once."""
+
     def __init__(self, labels):
         self.labels = tuple(labels)
         super().__init__(f"duplicate part label(s): {', '.join(self.labels)}")
@@ -90,12 +92,6 @@ class SbpSyntaxError(CodaError):
         self.position = position  # byte offset into the input
         self.expected = expected
         super().__init__(f"syntax error at byte offset {position}: expected {expected}")
-
-
-class DuplicateLeafError(CodaError):
-    def __init__(self, label):
-        self.label = label
-        super().__init__(f"leaf label {label!r} appears more than once")
 
 
 # ---------------------------------------------------------------------------

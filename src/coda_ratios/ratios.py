@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import Composition, check_groups, check_known, pairwise_logratio
+from .sbp import check_part_labels
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,10 @@ def ratio_column(values: np.ndarray, labels, spec: RatioSpec) -> np.ndarray:
 
     Parts are added one column at a time in spec order, starting from 0, for
     every ratio in the package (a matrix product may reorder the additions).
+    ``labels`` must pass check_part_labels and name every part of ``spec``.
     """
+    check_part_labels(labels)
+    check_known(spec.numerator + spec.denominator, labels)
     index = {label: j for j, label in enumerate(labels)}
     num = sum(values[:, index[label]] for label in spec.numerator)
     den = sum(values[:, index[label]] for label in spec.denominator)
@@ -79,7 +83,6 @@ def ratio_column(values: np.ndarray, labels, spec: RatioSpec) -> np.ndarray:
 
 def eval_ratio(x: Composition, spec: RatioSpec) -> float:
     """Sum of numerator parts over sum of denominator parts: one row of ratio_column."""
-    check_known(spec.numerator + spec.denominator, x.labels)
     return float(ratio_column(x.as_array()[np.newaxis, :], x.labels, spec)[0])
 
 

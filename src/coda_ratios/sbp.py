@@ -10,7 +10,9 @@ denominator of each balance coordinate.  Concrete syntax::
 Whitespace between tokens is insignificant.  The left sub-expression of a
 node is the numerator, the right the denominator; swapping the two sides is
 how a permuted coordinate is expressed.  Coordinates are numbered by
-pre-order traversal, so the root split is coordinate 1.
+pre-order traversal, so the root split is coordinate 1.  A tree is stored
+as nothing but these splits, each its numerator and denominator leaves,
+which is what every balance reads.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
 
 from .errors import (
     CodaError,
     DuplicateLabelError,
-    DuplicateLeafError,
     LabelMismatchError,
     SbpSyntaxError,
     TooFewPartsError,
@@ -31,102 +31,82 @@ from .errors import (
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-Sub = Union["PartitionNode", str]
-
-
-@dataclass(frozen=True)
-class PartitionNode:
-    """One binary split: numerator side vs denominator side."""
-
-    numerator: Sub
-    denominator: Sub
-
-    def numerator_leaves(self) -> tuple[str, ...]:
-        return tuple(_leaves(self.numerator))
-
-    def denominator_leaves(self) -> tuple[str, ...]:
-        return tuple(_leaves(self.denominator))
-
-
-def _leaves(sub: Sub) -> Iterator[str]:
-    if isinstance(sub, str):
-        yield sub
-    else:
-        yield from _leaves(sub.numerator)
-        yield from _leaves(sub.denominator)
-
-
-def _internal_nodes(sub: Sub) -> Iterator[PartitionNode]:
-    # pre-order: node, then numerator-side, then denominator-side
-    if isinstance(sub, PartitionNode):
-        yield sub
-        yield from _internal_nodes(sub.numerator)
-        yield from _internal_nodes(sub.denominator)
-
 
 @dataclass(frozen=True)
 class PartitionTree:
     """A full sequential binary partition over D leaf labels.
 
-    ``leaf_labels`` follow left-to-right order of appearance in the DSL
-    text; ``nodes`` are the D-1 internal nodes in pre-order, one per
-    balance coordinate.
+    ``splits`` are the D-1 internal nodes in pre-order, one per balance
+    coordinate, each a ``(numerator leaves, denominator leaves)`` pair of
+    label tuples.  ``leaf_labels`` are the root split's leaves, in
+    left-to-right order of appearance in the DSL text.  Leaves must pass
+    :func:`check_part_labels`, and splits that do not nest into one full
+    partition are a :class:`CodaError`.
     """
 
-    root: PartitionNode
+    splits: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     leaf_labels: tuple[str, ...] = field(init=False)
-    nodes: tuple[PartitionNode, ...] = field(init=False)
     coordinate_names: tuple[str, ...] = field(init=False)
     fingerprint: int = field(init=False)
 
     def __post_init__(self):
-        leaves = tuple(_leaves(self.root))
-        seen = set()
-        for label in leaves:
-            if label in seen:
-                raise DuplicateLeafError(label)
-            seen.add(label)
-        nodes = tuple(_internal_nodes(self.root))
+        splits = tuple((tuple(num), tuple(den)) for num, den in self.splits)
+        leaves = splits[0][0] + splits[0][1] if splits else ()
+        check_part_labels(leaves)
+        object.__setattr__(self, "splits", splits)
         object.__setattr__(self, "leaf_labels", leaves)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(
-            self, "coordinate_names", tuple(f"y{i + 1}" for i in range(len(nodes)))
-        )
-        object.__setattr__(self, "fingerprint", _fingerprint(format_sbp(self)))
+        object.__setattr__(self, "coordinate_names", tuple(f"y{i + 1}" for i in range(len(splits))))
+        # a stable 64-bit hash of the canonical text (process-independent, unlike
+        # hash()); only used to detect vector/tree mispairing
+        digest = hashlib.blake2b(format_sbp(self).encode("utf-8"), digest_size=8).digest()
+        object.__setattr__(self, "fingerprint", int.from_bytes(digest, "big"))
 
     @property
     def dimension(self) -> int:
         return len(self.leaf_labels)
 
 
-def _fingerprint(canonical: str) -> int:
-    # stable 64-bit hash of the canonical serialization (process-independent,
-    # unlike the builtin hash()); only used to detect vector/tree mispairing
-    digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 def parse_sbp(text: str) -> PartitionTree:
     """Parse the DSL into a :class:`PartitionTree`.
 
     Raises :class:`SbpSyntaxError` (citing the byte offset of the problem)
-    or :class:`DuplicateLeafError`.
+    or, for a repeated leaf, :class:`DuplicateLabelError`.
     """
-    pos = _skip_ws(text, 0)
-    root, pos = _parse_node(text, pos)
+    splits = []
+    _expect(text, 0, "(")  # the root is a split, not a lone label
+    _, pos = _parse_sub(text, 0, splits)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise SbpSyntaxError(_byte_offset(text, pos), "end of input")
-    return PartitionTree(root)
+    return PartitionTree(tuple(splits))
 
 
 def format_sbp(tree: PartitionTree) -> str:
-    """Canonical text for a tree: no whitespace, parse/format round-trips."""
-    return _format_sub(tree.root)
+    """Canonical text for a tree: no whitespace, parse/format round-trips.
+
+    Walks ``tree.splits`` in pre-order; raises :class:`CodaError` unless
+    each group of two or more leaves is split by the next split, into two
+    non-empty sides, and every split is used.
+    """
+    splits = iter(tree.splits)
+
+    def sub(leaves):
+        if len(leaves) == 1:
+            return leaves[0]
+        split = next(splits, None)
+        if split is None or not all(split) or split[0] + split[1] != leaves:
+            raise CodaError(f"splits do not nest into one partition: expected a split of {leaves}")
+        return f"({sub(split[0])}|{sub(split[1])})"
+
+    text = sub(tree.leaf_labels)
+    if next(splits, None) is not None:
+        raise CodaError(f"splits do not nest into one partition: more than {tree.dimension - 1} splits")
+    return text
 
 
 def check_part_labels(labels) -> None:
     """Raise unless the part labels are distinct and non-empty, and at least two."""
+    labels = tuple(labels)
     dupes = sorted({l for l in labels if labels.count(l) > 1})
     if dupes:
         raise DuplicateLabelError(dupes)
@@ -149,12 +129,6 @@ def validate_tree(tree: PartitionTree, expected_labels) -> None:
         raise LabelMismatchError(missing=expected - actual, extra=actual - expected)
 
 
-def _format_sub(sub: Sub) -> str:
-    if isinstance(sub, str):
-        return sub
-    return f"({_format_sub(sub.numerator)}|{_format_sub(sub.denominator)})"
-
-
 def _skip_ws(text: str, pos: int) -> int:
     while pos < len(text) and text[pos].isspace():
         pos += 1
@@ -165,23 +139,21 @@ def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _parse_node(text: str, pos: int) -> tuple[PartitionNode, int]:
-    pos = _expect(text, pos, "(")
-    num, pos = _parse_sub(text, pos)
-    pos = _expect(text, pos, "|")
-    den, pos = _parse_sub(text, pos)
-    pos = _expect(text, pos, ")")
-    return PartitionNode(num, den), pos
-
-
-def _parse_sub(text: str, pos: int) -> tuple[Sub, int]:
+def _parse_sub(text: str, pos: int, splits: list) -> tuple[tuple[str, ...], int]:
+    """The leaves of the sub at ``pos`` and the position after it; appends its splits in pre-order."""
     pos = _skip_ws(text, pos)
     if pos < len(text) and text[pos] == "(":
-        return _parse_node(text, pos)
+        i = len(splits)
+        splits.append(None)  # this split precedes those of its two sides
+        num, pos = _parse_sub(text, pos + 1, splits)
+        pos = _expect(text, pos, "|")
+        den, pos = _parse_sub(text, pos, splits)
+        splits[i] = (num, den)
+        return num + den, _expect(text, pos, ")")
     m = _LABEL_RE.match(text, pos)
     if m is None:
         raise SbpSyntaxError(_byte_offset(text, pos), "label or '('")
-    return m.group(), m.end()
+    return (m.group(),), m.end()
 
 
 def _expect(text: str, pos: int, token: str) -> int:

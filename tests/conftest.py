@@ -10,8 +10,8 @@ def liability_tree():
     return parse_sbp("(TA|(NCL|CL))")
 
 
-def random_tree_text(rng: np.random.Generator, labels) -> str:
-    """Random sequential binary partition over the given labels."""
+def random_tree(rng: np.random.Generator, labels):
+    """Random sequential binary partition over the given labels, as nested pairs."""
     labels = list(labels)
     rng.shuffle(labels)
 
@@ -19,9 +19,19 @@ def random_tree_text(rng: np.random.Generator, labels) -> str:
         if len(group) == 1:
             return group[0]
         cut = int(rng.integers(1, len(group)))
-        return f"({build(group[:cut])}|{build(group[cut:])})"
+        return (build(group[:cut]), build(group[cut:]))
 
     return build(labels)
+
+
+def tree_text(sub) -> str:
+    """The DSL text of a nested-pairs tree."""
+    return sub if isinstance(sub, str) else f"({tree_text(sub[0])}|{tree_text(sub[1])})"
+
+
+def random_tree_text(rng: np.random.Generator, labels) -> str:
+    """Random sequential binary partition over the given labels."""
+    return tree_text(random_tree(rng, labels))
 
 
 def random_composition(rng: np.random.Generator, labels) -> Composition:

@@ -114,6 +114,24 @@ def test_analyze_header_only_csv_exits_1(workdir):
     assert line.startswith("error: ") and line.endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "transform"])
+def test_header_only_csv_exits_1(workdir, command):
+    # no group variable, so no group check can reject the file first
+    (workdir / "plain.ini").write_text(
+        "[analysis]\nparts = TA, NCL, CL\nsbp = (TA|(NCL|CL))\n", encoding="utf-8"
+    )
+    (workdir / "empty.csv").write_text("firm_id,TA,NCL,CL,brand\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "coda_ratios.cli", command, "--data", str(workdir / "empty.csv"),
+         "--config", str(workdir / "plain.ini")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr == b"error: empty data\n"
+
+
 @pytest.mark.parametrize(
     "parts,variable",
     [

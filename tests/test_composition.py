@@ -242,12 +242,9 @@ def test_ilr_matrix_route_agrees_with_balance_route():
         Y = ilr_matrix(np.array([c.values for c in comps]), labels[:size], tree)
         assert Y.shape == (33, size - 1)
         for i, c in enumerate(comps):
-            per_node = [
-                balance(c, node.numerator_leaves(), node.denominator_leaves())
-                for node in tree.nodes
-            ]
-            assert Y[i].tolist() == per_node
-            assert list(ilr_transform(c, tree).values) == per_node
+            per_split = [balance(c, num, den) for num, den in tree.splits]
+            assert Y[i].tolist() == per_split
+            assert list(ilr_transform(c, tree).values) == per_split
 
 
 def test_ilr_matrix_checks_labels_and_shape(liability_tree):

@@ -8,16 +8,20 @@ from coda_ratios import (
     DemoFirm,
     RatioSpec,
     eval_ratio,
+    ilr_transform,
     invert_spec,
+    parse_sbp,
     ray_angle_degrees,
     table1_demo,
 )
 from coda_ratios.errors import (
+    DuplicateLabelError,
     EmptyGroupError,
     NonPositivePartError,
     OverlappingGroupsError,
     UnknownLabelError,
 )
+from coda_ratios.ratios import ratio_column
 
 
 def test_ratio_spec_validation():
@@ -41,6 +45,21 @@ def test_eval_ratio_unknown_label():
     spec = RatioSpec(name="r", numerator=("TA",), denominator=("INV",))
     with pytest.raises(UnknownLabelError):
         eval_ratio(x, spec)
+
+
+def test_ratio_column_rejects_unknown_label():
+    spec = RatioSpec(name="r", numerator=("TA",), denominator=("INV",))
+    with pytest.raises(UnknownLabelError) as err:
+        ratio_column(np.array([[100.0, 20.0]]), ("TA", "NCL"), spec)
+    assert err.value.labels == ("INV",)
+
+
+def test_ratio_column_rejects_repeated_labels():
+    # without the check the second "A" column would silently be the one read
+    spec = RatioSpec(name="r", numerator=("A",), denominator=("B",))
+    with pytest.raises(DuplicateLabelError) as err:
+        ratio_column(np.array([[1.0, 5.0, 2.0]]), ("A", "A", "B"), spec)
+    assert err.value.labels == ("A",)
 
 
 def test_invert_spec_swaps_and_renames():
@@ -121,6 +140,17 @@ def test_table1_ilr_column_antisymmetric():
     assert rows[0].ilr == pytest.approx(1.4703872152028208, rel=1e-12)
     assert rows[2].ilr == pytest.approx(0.3612082625687801, rel=1e-12)
     assert rows[4].ilr == 0.0
+
+
+def test_table1_ilr_is_the_balance_of_mg2_against_mg1():
+    # one balance formula: the demo column equals ilr_transform bit for bit,
+    # so firms on the same ray (firm03 and firm04) share their ilr exactly
+    tree = parse_sbp("(mg2|mg1)")
+    rows = table1_demo()
+    for row in rows:
+        x = Composition(labels=("mg1", "mg2"), values=(row.firm.mg1, row.firm.mg2))
+        assert row.ilr == ilr_transform(x, tree).values[0], row.firm.id
+    assert rows[2].ilr == rows[3].ilr
 
 
 def test_table1_angles_mirror_about_45_degrees():

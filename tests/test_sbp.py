@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from coda_ratios import format_sbp, parse_sbp, validate_tree
-from coda_ratios.errors import DuplicateLeafError, LabelMismatchError, SbpSyntaxError
+from coda_ratios import PartitionTree, format_sbp, parse_sbp, validate_tree
+from coda_ratios.errors import CodaError, DuplicateLabelError, LabelMismatchError, SbpSyntaxError
 
-from conftest import random_tree_text
+from conftest import random_tree, tree_text
 
 
 def test_two_part_tree():
@@ -12,9 +12,7 @@ def test_two_part_tree():
     assert tree.leaf_labels == ("A", "B")
     assert tree.dimension == 2
     assert tree.coordinate_names == ("y1",)
-    assert len(tree.nodes) == 1
-    assert tree.nodes[0].numerator_leaves() == ("A",)
-    assert tree.nodes[0].denominator_leaves() == ("B",)
+    assert tree.splits == ((("A",), ("B",)),)
 
 
 def test_three_part_tree_preorder():
@@ -22,24 +20,18 @@ def test_three_part_tree_preorder():
     assert tree.leaf_labels == ("TA", "NCL", "CL")
     assert tree.coordinate_names == ("y1", "y2")
     # root balance first, nested balance second
-    assert tree.nodes[0].numerator_leaves() == ("TA",)
-    assert tree.nodes[0].denominator_leaves() == ("NCL", "CL")
-    assert tree.nodes[1].numerator_leaves() == ("NCL",)
-    assert tree.nodes[1].denominator_leaves() == ("CL",)
+    assert tree.splits == ((("TA",), ("NCL", "CL")), (("NCL",), ("CL",)))
 
 
 def test_preorder_on_deeper_tree():
     tree = parse_sbp("(((A|B)|C)|(D|E))")
-    splits = [
-        (node.numerator_leaves(), node.denominator_leaves()) for node in tree.nodes
-    ]
-    assert splits == [
+    assert tree.splits == (
         (("A", "B", "C"), ("D", "E")),
         (("A", "B"), ("C",)),
         (("A",), ("B",)),
         (("D",), ("E",)),
-    ]
-    assert len(tree.nodes) == len(tree.leaf_labels) - 1
+    )
+    assert len(tree.splits) == len(tree.leaf_labels) - 1
 
 
 def test_whitespace_insignificant():
@@ -60,9 +52,9 @@ def test_labels_allow_identifier_characters():
 
 
 def test_duplicate_leaf_rejected():
-    with pytest.raises(DuplicateLeafError) as err:
+    with pytest.raises(DuplicateLabelError) as err:
         parse_sbp("(A|(B|A))")
-    assert err.value.label == "A"
+    assert err.value.labels == ("A",)
 
 
 @pytest.mark.parametrize(
@@ -122,16 +114,56 @@ def test_fingerprint_distinguishes_trees():
     assert parse_sbp("(TA|(NCL|CL))").fingerprint == a.fingerprint
 
 
+def _reference_splits(sub):
+    """Pre-order (numerator leaves, denominator leaves) of a nested-tuple tree."""
+
+    def leaves(s):
+        return (s,) if isinstance(s, str) else leaves(s[0]) + leaves(s[1])
+
+    if isinstance(sub, str):
+        return []
+    return [(leaves(sub[0]), leaves(sub[1]))] + _reference_splits(sub[0]) + _reference_splits(sub[1])
+
+
 def test_random_trees_round_trip():
-    labels = [f"p{i}" for i in range(9)]
+    labels = [f"p{i}" for i in range(48)]
     for seed in range(100):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(2, len(labels) + 1))
-        text = random_tree_text(rng, labels[:size])
+        nested = random_tree(rng, labels[:size])
+        text = tree_text(nested)
         tree = parse_sbp(text)
         assert format_sbp(tree) == text
         again = parse_sbp(format_sbp(tree))
         assert again == tree
         assert again.fingerprint == tree.fingerprint
-        assert len(tree.nodes) == size - 1
+        assert tree.splits == tuple(_reference_splits(nested))
+        assert len(tree.splits) == size - 1
         assert sorted(tree.leaf_labels) == sorted(labels[:size])
+
+
+def test_splits_built_directly_match_parsed_tree():
+    splits = ((("TA",), ("NCL", "CL")), (("NCL",), ("CL",)))
+    assert PartitionTree(splits) == parse_sbp("(TA|(NCL|CL))")
+    assert PartitionTree([[["TA"], ["NCL", "CL"]], [["NCL"], ["CL"]]]) == PartitionTree(splits)
+
+
+A_BC = (("A",), ("B", "C"))
+
+
+@pytest.mark.parametrize(
+    "splits,message",
+    [
+        ((), "at least 2 parts, got 0"),  # no split at all
+        ((A_BC,), r"expected a split of \('B', 'C'\)"),  # (B, C) is never split
+        ((A_BC, (("C",), ("B",))), "expected a split of"),  # its sides out of order
+        ((A_BC, (("B",), ("C",)), (("B",), ("C",))), "more than 2 splits"),
+        (((("A", "B"), ("C",)), A_BC), "expected a split of"),  # reaches past its group
+        (((("A", "B"), ()), (("A",), ("B",))), "expected a split of"),  # an empty side
+        ((((), ("A", "B")), ((), ("A", "B"))), "expected a split of"),  # empty sides throughout
+    ],
+    ids=["none", "missing", "reordered", "extra", "overreaching", "empty_side", "empty_chain"],
+)
+def test_splits_that_do_not_nest_are_rejected(splits, message):
+    with pytest.raises(CodaError, match=message):
+        PartitionTree(splits)
