@@ -31,7 +31,6 @@ from .errors import (
     EmptyGroupError,
     LengthMismatchError,
     NonPositivePartError,
-    OverlappingGroupsError,
     UnknownLabelError,
 )
 from .sbp import PartitionTree, check_part_labels, validate_tree
@@ -45,13 +44,14 @@ def check_known(labels, known) -> None:
 
 
 def check_groups(numerator, denominator) -> None:
-    """Raise unless the numerator and denominator label groups are non-empty and disjoint."""
+    """Raise unless both label groups are non-empty and together pass check_part_labels.
+
+    A label repeated within a side or shared by both is one DuplicateLabelError.
+    """
     for side, group in (("numerator", numerator), ("denominator", denominator)):
         if not group:
             raise EmptyGroupError(side)
-    overlap = sorted(set(numerator) & set(denominator))
-    if overlap:
-        raise OverlappingGroupsError(overlap)
+    check_part_labels(tuple(numerator) + tuple(denominator))
 
 
 def check_positive(values, *labels, zero_ok=False) -> None:
@@ -103,12 +103,9 @@ class Composition:
         check_known((label,), self.labels)
         return self.values[self.labels.index(label)]
 
-    def as_array(self, label_order=None) -> np.ndarray:
-        """Values as a float array, optionally reordered to ``label_order``."""
-        if label_order is None:
-            return np.asarray(self.values, dtype=float)
-        check_known(label_order, self.labels)
-        return np.asarray([self.values[self.labels.index(l)] for l in label_order], dtype=float)
+    def as_array(self) -> np.ndarray:
+        """Values as a float array, in label order."""
+        return np.asarray(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -146,9 +143,8 @@ def _balance(logs: np.ndarray, index, num, den) -> np.ndarray:
 
 
 def balance(x: Composition, num_labels, den_labels) -> float:
-    """One balance coordinate of ``x`` for the given disjoint label groups."""
-    num = tuple(dict.fromkeys(num_labels))
-    den = tuple(dict.fromkeys(den_labels))
+    """One balance coordinate of ``x``; the label groups must pass check_groups."""
+    num, den = tuple(num_labels), tuple(den_labels)
     check_groups(num, den)
     check_known(num + den, x.labels)
     index = {label: j for j, label in enumerate(x.labels)}
@@ -157,8 +153,6 @@ def balance(x: Composition, num_labels, den_labels) -> float:
 
 def pairwise_logratio(x: Composition, a: str, b: str) -> float:
     """sqrt(1/2) * ln(x_a / x_b): the balance of label a against label b."""
-    if a == b:
-        raise CodaError(f"pairwise log-ratio needs two distinct labels, got {a!r} twice")
     return balance(x, (a,), (b,))
 
 

@@ -23,6 +23,7 @@ import logging
 import math
 import warnings
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
@@ -85,7 +86,12 @@ class ZeroPolicy:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Everything an analysis run needs besides the data itself."""
+    """Everything an analysis run needs besides the data itself.
+
+    ``variable_names`` are the reported variables in report order: each tree
+    coordinate, then each ratio, each followed by its permuted twin, named
+    with a trailing 'p'.  A name that repeats is a ConfigError.
+    """
 
     parts: tuple[str, ...]
     sbp: str
@@ -93,6 +99,7 @@ class AnalysisConfig:
     group_variable: str | None = None
     zero_policy: ZeroPolicy = ZeroPolicy()
     tree: PartitionTree = field(init=False, repr=False, compare=False)
+    variable_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -103,6 +110,12 @@ class AnalysisConfig:
             check_known(spec.numerator + spec.denominator, parts)
         object.__setattr__(self, "standard_ratios", tuple(self.standard_ratios))
         object.__setattr__(self, "tree", tree)
+        bases = tree.coordinate_names + tuple(spec.name for spec in self.standard_ratios)
+        names = tuple(n for base in bases for n in (base, base + "p"))
+        dupes = sorted({n for n, count in Counter(names).items() if count > 1})
+        if dupes:
+            raise ConfigError(f"duplicate variable name(s): {', '.join(dupes)}")
+        object.__setattr__(self, "variable_names", names)
 
 
 @dataclass(frozen=True, eq=False)

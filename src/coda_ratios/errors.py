@@ -29,7 +29,7 @@ class NonPositivePartError(CodaError):
 
 
 class DuplicateLabelError(CodaError):
-    """Part labels, or the leaves of a partition tree, repeat; lists each repeat once."""
+    """Part labels, tree leaves or the parts of a ratio or balance repeat; lists each once."""
 
     def __init__(self, labels):
         self.labels = tuple(labels)
@@ -39,21 +39,13 @@ class DuplicateLabelError(CodaError):
 class TooFewPartsError(CodaError):
     def __init__(self, dimension):
         self.dimension = dimension
-        super().__init__(f"a composition needs at least 2 parts, got {dimension}")
+        super().__init__(f"need at least 2 parts, got {dimension}")
 
 
 class UnknownLabelError(CodaError):
     def __init__(self, labels):
         self.labels = tuple(labels)
         super().__init__(f"unknown label(s): {', '.join(self.labels)}")
-
-
-class OverlappingGroupsError(CodaError):
-    def __init__(self, labels):
-        self.labels = tuple(labels)
-        super().__init__(
-            f"numerator and denominator share label(s): {', '.join(self.labels)}"
-        )
 
 
 class EmptyGroupError(CodaError):

@@ -22,25 +22,14 @@ from .sbp import check_part_labels
 
 @dataclass(frozen=True)
 class RatioSpec:
-    """A named quotient of two disjoint, non-empty groups of parts.
-
-    ``permuted`` marks a spec produced by invert_spec; it is a separate
-    flag (rather than a name suffix) so that inverting twice returns a
-    spec equal to the original whatever the name looks like.  The
-    reported name, display_name, appends 'p' when the flag is set.
-    """
+    """A named quotient of two non-empty groups of parts that pass check_groups."""
 
     name: str
     numerator: tuple[str, ...]
     denominator: tuple[str, ...]
-    permuted: bool = False
 
     def __post_init__(self):
         check_groups(self.numerator, self.denominator)
-
-    @property
-    def display_name(self) -> str:
-        return self.name + "p" if self.permuted else self.name
 
 
 @dataclass(frozen=True)
@@ -87,17 +76,8 @@ def eval_ratio(x: Composition, spec: RatioSpec) -> float:
 
 
 def invert_spec(spec: RatioSpec) -> RatioSpec:
-    """Swap numerator and denominator and toggle the permuted flag.
-
-    A true involution: applying it twice returns a spec equal to the
-    original.  The inverted spec of 'r1' reports as 'r1p'.
-    """
-    return RatioSpec(
-        name=spec.name,
-        numerator=spec.denominator,
-        denominator=spec.numerator,
-        permuted=not spec.permuted,
-    )
+    """``spec`` with numerator and denominator swapped; applied twice it returns ``spec``."""
+    return RatioSpec(name=spec.name, numerator=spec.denominator, denominator=spec.numerator)
 
 
 def ray_angle_degrees(firm: DemoFirm) -> float:

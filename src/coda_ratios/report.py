@@ -78,7 +78,7 @@ def _config_echo(config: AnalysisConfig) -> dict:
         "sbp": config.sbp,
         "ratios": [
             {
-                "name": spec.display_name,
+                "name": spec.name,
                 "numerator": list(spec.numerator),
                 "denominator": list(spec.denominator),
             }
@@ -125,27 +125,25 @@ def run_analysis(
     ``timestamp`` is echoed into the report metadata verbatim; pass None
     for a timestamp-free (fully input-determined) report.
     """
-    tree = config.tree
-    Y = ilr_matrix(ds.values, ds.part_labels, tree)
+    Y = ilr_matrix(ds.values, ds.part_labels, config.tree)
 
     # groups fixed once: ascending group values; t compares high vs low
     groups = None
     if config.group_variable is not None:
         groups = two_groups(ds, config.group_variable)
 
-    columns: list[tuple[str, str, np.ndarray]] = []
-    for j, name in enumerate(tree.coordinate_names):
-        y = Y[:, j]
+    # one (kind, values) per name of config.variable_names, in the same order
+    columns: list[tuple[str, np.ndarray]] = []
+    for y in Y.T:
         # the permuted balance is the exact negation: swapping the node's
         # numerator and denominator groups flips only the sign
-        columns.append((name, "balance", y))
-        columns.append((name + "p", "balance_permuted", -y))
+        columns += [("balance", y), ("balance_permuted", -y)]
     for spec in config.standard_ratios:
         for s, kind in ((spec, "ratio"), (invert_spec(spec), "ratio_permuted")):
-            columns.append((s.display_name, kind, ratio_column(ds.values, ds.part_labels, s)))
+            columns.append((kind, ratio_column(ds.values, ds.part_labels, s)))
 
     variables = []
-    for name, kind, values in columns:
+    for name, (kind, values) in zip(config.variable_names, columns, strict=True):
         values.setflags(write=False)
         _require_finite(name, values)
         stats, stats_note = _describe_or_note(values)

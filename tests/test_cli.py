@@ -132,6 +132,35 @@ def test_header_only_csv_exits_1(workdir, command):
     assert result.stderr == b"error: empty data\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize(
+    "ratios,message",
+    [
+        # a part repeated within a side was summed twice: r reported 2*A/B
+        ("r = TA + TA / CL\n", "duplicate part label(s): TA"),
+        ("r = TA / TA\n", "duplicate part label(s): TA"),
+        # each of these gave a report with one variable name twice
+        ("y1 = TA / CL\n", "duplicate variable name(s): y1, y1p"),
+        ("r = TA / CL\nrp = NCL / CL\n", "duplicate variable name(s): rp"),
+    ],
+    ids=["part-twice-in-numerator", "part-on-both-sides", "named-like-balance", "named-like-twin"],
+)
+def test_ambiguous_ratio_config_exits_1(workdir, command, ratios, message):
+    (workdir / "clash.ini").write_text(
+        "[analysis]\nparts = TA, NCL, CL\nsbp = (TA|(NCL|CL))\n[ratios]\n" + ratios,
+        encoding="utf-8",
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "coda_ratios.cli", command, "--data", str(workdir / "firms.csv"),
+         "--config", str(workdir / "clash.ini")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr == f"error: {message}\n".encode("utf-8")
+
+
 @pytest.mark.parametrize(
     "parts,variable",
     [

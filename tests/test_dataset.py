@@ -114,6 +114,15 @@ def test_parse_config_minimal():
             "unknown key",
         ),
         ("parts = A, B\n", "syntax"),
+        # a ratio named like a balance or like another ratio's twin
+        (
+            "[analysis]\nparts = A, B\nsbp = (A|B)\n[ratios]\ny1 = A / B\n",
+            "^duplicate variable name\\(s\\): y1, y1p$",
+        ),
+        (
+            "[analysis]\nparts = A, B\nsbp = (A|B)\n[ratios]\nq = A / B\nqp = B / A\n",
+            "^duplicate variable name\\(s\\): qp$",
+        ),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -135,6 +144,11 @@ def test_config_validates_against_tree_and_labels():
         make_config(
             standard_ratios=(RatioSpec("r", ("TA",), ("Equity",)),)
         )
+
+
+def test_config_names_each_variable_then_its_twin():
+    names = parse_config(CONFIG_TEXT).variable_names
+    assert names == ("y1", "y1p", "y2", "y2p", "r1", "r1p", "r2", "r2p")
 
 
 def test_config_round_trip():
@@ -432,6 +446,13 @@ def test_dataset_rejects_repeated_part_labels():
     # with a repeated label, a lookup by label would silently read the last such column
     with pytest.raises(DuplicateLabelError, match="^duplicate part label\\(s\\): A$"):
         FirmDataset(firm_ids=("f1",), part_labels=("A", "A", "B"), values=[[1.0, 5.0, 2.0]])
+
+
+def test_dataset_with_one_part_says_what_is_too_small():
+    # the count is a dataset's labels, so the message may not call them a composition
+    with pytest.raises(TooFewPartsError) as err:
+        FirmDataset(firm_ids=("f1",), part_labels=("A",), values=[[1.0]])
+    assert str(err.value) == "need at least 2 parts, got 1"
 
 
 def test_dataset_rejects_label_mismatch():
