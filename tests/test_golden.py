@@ -11,6 +11,7 @@ byte, down to the last ulp of one float, fails this test.
   parts in another order than the tree's leaves, so this case pins that
   every balance adds its log columns in leaf order, whatever the column
   order of the data.
+* ``demo table1``: the paper's ten-firm table, which needs no input.
 
 The same bytes must come out whichever kernel OpenBLAS picks for the CPU:
 the ilr step takes no matrix product, and a test reruns both cases in
@@ -141,6 +142,10 @@ def test_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
         name for name in names if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()
     ]
     assert differing == []
+
+
+def test_demo_table1_matches_golden_bytes():
+    assert _run("demo", "table1") == (GOLDEN / "demo_table1.csv").read_bytes()
 
 
 def _openblas_simd() -> set[str] | None:
