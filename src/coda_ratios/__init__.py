@@ -18,7 +18,6 @@ from .composition import (
     ilr_inverse,
     ilr_matrix,
     ilr_transform,
-    pairwise_logratio,
 )
 from .dataset import (
     AnalysisConfig,
@@ -33,15 +32,7 @@ from .dataset import (
     split_by_group,
 )
 from .errors import CodaError
-from .ratios import (
-    DemoFirm,
-    DemoRow,
-    RatioSpec,
-    eval_ratio,
-    invert_spec,
-    ray_angle_degrees,
-    table1_demo,
-)
+from .ratios import RatioSpec, eval_ratio, invert_spec, table1_demo
 from .report import AnalysisReport, VariableReport, emit_report, run_analysis
 from .sbp import PartitionTree, format_sbp, parse_sbp, validate_tree
 from .stats import (
@@ -67,8 +58,6 @@ __all__ = [
     "BoxSummary",
     "CodaError",
     "Composition",
-    "DemoFirm",
-    "DemoRow",
     "DescriptiveStats",
     "FirmDataset",
     "GroupComparison",
@@ -97,11 +86,9 @@ __all__ = [
     "invert_spec",
     "load_config",
     "load_dataset_csv",
-    "pairwise_logratio",
     "parse_config",
     "parse_sbp",
     "quantile_type7",
-    "ray_angle_degrees",
     "read_dataset_csv",
     "regularized_incomplete_beta",
     "run_analysis",

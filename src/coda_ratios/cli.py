@@ -101,20 +101,25 @@ def _cmd_transform(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
     coords = ilr_matrix(ds.values, ds.part_labels, config.tree)
-    csv.writer(sys.stdout, lineterminator="\n").writerow(["firm_id", *config.tree.coordinate_names])
-    firm_ids = ds.firm_ids
+    _write_table(["firm_id", *config.tree.coordinate_names], ds.firm_ids, coords)
+    return 0
+
+
+def _write_table(header, firm_ids, table: np.ndarray) -> None:
+    """Write ``header``, then each firm id followed by its row of ``table``, as csv.writer would."""
+    csv.writer(sys.stdout, lineterminator="\n").writerow(header)
     if _NEEDS_QUOTES.search("".join(firm_ids)):
         firm_ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in firm_ids]
     # %r is float.__repr__, the string csv.writer was given, so the bytes are csv.writer's;
     # one template per chunk formats every cell in C, and a chunk bounds the text held at once
-    template = "%s" + ",%r" * coords.shape[1] + "\n"
-    block = np.empty((min(ds.n, _CHUNK_ROWS), 1 + coords.shape[1]), dtype=object)
-    for start in range(0, ds.n, _CHUNK_ROWS):
-        rows = block[: min(_CHUNK_ROWS, ds.n - start)]
+    n, width = table.shape
+    template = "%s" + ",%r" * width + "\n"
+    block = np.empty((min(n, _CHUNK_ROWS), 1 + width), dtype=object)
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = block[: min(_CHUNK_ROWS, n - start)]
         rows[:, 0] = firm_ids[start : start + len(rows)]
-        rows[:, 1:] = coords[start : start + len(rows)]  # float64 to Python float
+        rows[:, 1:] = table[start : start + len(rows)]  # float64 to Python float
         sys.stdout.write(template * len(rows) % tuple(rows.ravel().tolist()))
-    return 0
 
 
 def _csv_field(text: str) -> str:
@@ -137,20 +142,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["firm", "mg1", "mg2", "alpha_deg", "ratio21", "ratio12", "ilr"])
-    for row in table1_demo():
-        writer.writerow(
-            [
-                row.firm.id,
-                repr(row.firm.mg1),
-                repr(row.firm.mg2),
-                repr(row.alpha_deg),
-                repr(row.ratio21),
-                repr(row.ratio12),
-                repr(row.ilr),
-            ]
-        )
+    firm_ids, columns = table1_demo()
+    _write_table(["firm", *columns], firm_ids, np.column_stack(list(columns.values())))
     return 0
 
 

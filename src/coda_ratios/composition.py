@@ -10,7 +10,7 @@ with r numerator parts and s denominator parts.  The D-1 balances of a
 partition tree, one per split in ``tree.splits``, are the isometric
 log-ratio (ilr) coordinates; they are an orthonormal basis of the log-ratio
 space, so Euclidean geometry applied to them is the Aitchison geometry of
-the original magnitudes.  Every balance, scalar, pairwise or batch, is
+the original magnitudes.  Every balance, scalar or batch, is
 computed by that formula in one helper; the contrast matrix serves only the
 inverse transform.
 
@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     CodaError,
     DuplicateFirmIdError,
-    EmptyGroupError,
     LengthMismatchError,
     NonPositivePartError,
     UnknownLabelError,
@@ -50,7 +49,7 @@ def check_groups(numerator, denominator) -> None:
     """
     for side, group in (("numerator", numerator), ("denominator", denominator)):
         if not group:
-            raise EmptyGroupError(side)
+            raise CodaError(f"{side} group is empty")
     check_part_labels(tuple(numerator) + tuple(denominator))
 
 
@@ -149,11 +148,6 @@ def balance(x: Composition, num_labels, den_labels) -> float:
     check_known(num + den, x.labels)
     index = {label: j for j, label in enumerate(x.labels)}
     return float(_balance(np.log(x.as_array())[np.newaxis, :], index, num, den)[0])
-
-
-def pairwise_logratio(x: Composition, a: str, b: str) -> float:
-    """sqrt(1/2) * ln(x_a / x_b): the balance of label a against label b."""
-    return balance(x, (a,), (b,))
 
 
 def contrast_matrix(tree: PartitionTree) -> np.ndarray:

@@ -23,7 +23,6 @@ import logging
 import math
 import warnings
 from array import array
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
@@ -45,7 +44,7 @@ from .errors import (
     ZeroCellError,
 )
 from .ratios import RatioSpec
-from .sbp import PartitionTree, check_part_labels, parse_sbp, validate_tree
+from .sbp import PartitionTree, check_part_labels, parse_sbp, repeats, validate_tree
 
 logger = logging.getLogger(__name__)
 
@@ -112,7 +111,7 @@ class AnalysisConfig:
         object.__setattr__(self, "tree", tree)
         bases = tree.coordinate_names + tuple(spec.name for spec in self.standard_ratios)
         names = tuple(n for base in bases for n in (base, base + "p"))
-        dupes = sorted({n for n, count in Counter(names).items() if count > 1})
+        dupes = repeats(names)
         if dupes:
             raise ConfigError(f"duplicate variable name(s): {', '.join(dupes)}")
         object.__setattr__(self, "variable_names", names)
@@ -265,7 +264,7 @@ def _header_columns(header, config: AnalysisConfig) -> list[str]:
     if header is None:
         raise MissingColumnError("firm_id")
     header = [name.strip() for name in header]
-    dupes = sorted({name for name in header if header.count(name) > 1})
+    dupes = repeats(header)
     if dupes:
         raise CodaError(f"CSV header repeats column name(s): {', '.join(map(repr, dupes))}")
     required = ["firm_id", *config.parts]
@@ -340,7 +339,7 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
     reader = csv.reader(fh, strict=True)
     records = _records(reader)
     header = _header_columns(next(records, None), config)
-    col = {name: header.index(name) for name in header}
+    col = {name: j for j, name in enumerate(header)}
     externals = {
         name: [] for name in header if name != "firm_id" and name not in config.parts
     }

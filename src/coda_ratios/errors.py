@@ -36,22 +36,10 @@ class DuplicateLabelError(CodaError):
         super().__init__(f"duplicate part label(s): {', '.join(self.labels)}")
 
 
-class TooFewPartsError(CodaError):
-    def __init__(self, dimension):
-        self.dimension = dimension
-        super().__init__(f"need at least 2 parts, got {dimension}")
-
-
 class UnknownLabelError(CodaError):
     def __init__(self, labels):
         self.labels = tuple(labels)
         super().__init__(f"unknown label(s): {', '.join(self.labels)}")
-
-
-class EmptyGroupError(CodaError):
-    def __init__(self, side):
-        self.side = side
-        super().__init__(f"{side} group is empty")
 
 
 class LabelMismatchError(CodaError):

@@ -73,22 +73,13 @@ class AnalysisReport:
 
 
 def _config_echo(config: AnalysisConfig) -> dict:
+    # a ratio's and the zero policy's JSON keys are their field names, in field order
     return {
         "parts": list(config.parts),
         "sbp": config.sbp,
-        "ratios": [
-            {
-                "name": spec.name,
-                "numerator": list(spec.numerator),
-                "denominator": list(spec.denominator),
-            }
-            for spec in config.standard_ratios
-        ],
+        "ratios": [dict(vars(spec)) for spec in config.standard_ratios],
         "group_variable": config.group_variable,
-        "zero_policy": {
-            "mode": config.zero_policy.mode,
-            "delta_fraction": config.zero_policy.delta_fraction,
-        },
+        "zero_policy": dict(vars(config.zero_policy)),
     }
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -26,7 +27,6 @@ from .errors import (
     DuplicateLabelError,
     LabelMismatchError,
     SbpSyntaxError,
-    TooFewPartsError,
 )
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -107,13 +107,18 @@ def format_sbp(tree: PartitionTree) -> str:
 def check_part_labels(labels) -> None:
     """Raise unless the part labels are distinct and non-empty, and at least two."""
     labels = tuple(labels)
-    dupes = sorted({l for l in labels if labels.count(l) > 1})
+    dupes = repeats(labels)
     if dupes:
         raise DuplicateLabelError(dupes)
     if any(not label for label in labels):
         raise CodaError("part labels must be non-empty")
     if len(labels) < 2:
-        raise TooFewPartsError(len(labels))
+        raise CodaError(f"need at least 2 parts, got {len(labels)}")
+
+
+def repeats(items) -> list:
+    """Every item that occurs more than once in ``items``, sorted, each listed once."""
+    return sorted(item for item, count in Counter(items).items() if count > 1)
 
 
 def validate_tree(tree: PartitionTree, expected_labels) -> None:

@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from coda_ratios.errors import (
     MalformedNumberError,
     MissingColumnError,
     NonPositivePartError,
-    TooFewPartsError,
     UnknownLabelError,
     ZeroCellError,
 )
@@ -131,7 +131,7 @@ def test_parse_config_rejects(text, fragment):
 
 
 def test_config_validates_against_tree_and_labels():
-    with pytest.raises(TooFewPartsError):
+    with pytest.raises(CodaError, match=r"^need at least 2 parts, got 1$"):
         make_config(parts=("TA",), sbp="(TA|CL)")
     with pytest.raises(DuplicateLabelError):
         make_config(parts=("TA", "TA", "CL"), sbp="(TA|CL)")
@@ -313,6 +313,20 @@ def test_read_csv_accepts_whitespace_around_numbers(quote):
     assert ds.values.tolist() == [[1.0, 2.0, 3.0]]
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "csv_reader"])
+def test_read_csv_with_50000_external_columns_takes_linear_time(quote):
+    # looking each header name up again in the whole header would take minutes here
+    extra = [f"x{j}" for j in range(50_000)]
+    text = ",".join(["firm_id", "TA", "NCL", "CL", *extra]) + "\n"
+    text += f"{quote}f1{quote},1,2,3," + ",".join(["y"] * len(extra)) + "\n"
+    start = time.perf_counter()
+    ds = read_dataset_csv(io.StringIO(text), make_config())
+    elapsed = time.perf_counter() - start
+    assert len(ds.externals) == 50_000
+    assert ds.externals["x49999"] == ("y",)
+    assert elapsed < 5.0
+
+
 def test_read_csv_part_may_be_named_firm_id():
     config = AnalysisConfig(parts=("firm_id", "TA"), sbp="(firm_id|TA)")
     ds = read_dataset_csv(io.StringIO("firm_id,TA\n1,2\n3,4\n"), config)
@@ -450,7 +464,7 @@ def test_dataset_rejects_repeated_part_labels():
 
 def test_dataset_with_one_part_says_what_is_too_small():
     # the count is a dataset's labels, so the message may not call them a composition
-    with pytest.raises(TooFewPartsError) as err:
+    with pytest.raises(CodaError) as err:
         FirmDataset(firm_ids=("f1",), part_labels=("A",), values=[[1.0]])
     assert str(err.value) == "need at least 2 parts, got 1"
 
