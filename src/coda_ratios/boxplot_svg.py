@@ -11,6 +11,8 @@ identical input yields byte-identical SVG.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import CodaError
 from .stats import BoxSummary
 
@@ -52,8 +54,11 @@ def emit_boxplot_svg(summaries) -> bytes:
 
     vmin, vmax = _extent(summaries)
     span = vmax - vmin
+    # the largest intermediate of scale(); once it is finite, every y is
+    if not np.isfinite(span * (BAND_BOTTOM - BAND_TOP)):
+        raise CodaError(f"box plot values from {vmin!r} to {vmax!r} span too wide a range")
 
-    def scale(v: float) -> float:
+    def scale(v):  # a float, or an array scaled elementwise by the same operations
         if span == 0.0:
             return (BAND_TOP + BAND_BOTTOM) / 2.0
         return BAND_TOP + (vmax - v) * (BAND_BOTTOM - BAND_TOP) / span
@@ -92,11 +97,14 @@ def emit_boxplot_svg(summaries) -> bytes:
         lines.append(
             f'<line x1="{_fmt(x_box_l)}" y1="{_fmt(y_med)}" x2="{_fmt(x_box_r)}" y2="{_fmt(y_med)}"/>'
         )
-        # outlier glyphs: open circles mild, filled circles extreme
-        extreme = set(box.extreme_outliers)
-        for v in box.outliers:
-            fill = ' fill="black"' if v in extreme else ""
-            lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(scale(v))}" r="{_GLYPH_R}"{fill}/>')
+        # open circles mild, filled extreme: each glyph is a reference, not a copy of its text.
+        # An outlier is not at q1 or q3, so span > 0, 20 <= y <= 380 and %.3f writes as _fmt
+        if box.outliers:
+            v = np.array(box.outliers)
+            extreme = (v < box.outer_fences[0]) | (v > box.outer_fences[1])
+            circle = f'<circle cx="{_fmt(cx)}" cy="%.3f" r="{_GLYPH_R}"'
+            glyph = np.array([circle + "/>", circle + ' fill="black"/>'], dtype=object)
+            lines.append("\n".join(glyph[extreme.astype(int)].tolist()) % tuple(scale(v).tolist()))
         lines.append("</g>")
     lines.append("</g>")
     for i, (name, _) in enumerate(summaries):

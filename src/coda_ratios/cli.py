@@ -85,15 +85,15 @@ def _cmd_analyze(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
     report = run_analysis(ds, config, timestamp=_timestamp_for(args.data))
-    if args.out:
-        fmt = "json" if args.out.endswith(".json") else "csv"
-        with open(args.out, "wb") as fh:
-            fh.write(emit_report(report, fmt))
-    else:
-        sys.stdout.write(emit_report(report, "json").decode("utf-8"))
-    if args.svg:
-        with open(args.svg, "wb") as fh:
-            fh.write(emit_boxplot_svg([(v.name, v.box) for v in report.variables]))
+    # both outputs are built before either file is opened, so an error writes neither
+    text = emit_report(report, "csv" if args.out and args.out.endswith(".csv") else "json")
+    svg = emit_boxplot_svg([(v.name, v.box) for v in report.variables]) if args.svg else None
+    if not args.out:
+        sys.stdout.write(text.decode("utf-8"))
+    for path, data in ((args.out, text), (args.svg, svg)):
+        if path:
+            with open(path, "wb") as fh:
+                fh.write(data)
     return 0
 
 
@@ -132,10 +132,11 @@ def _csv_field(text: str) -> str:
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
+    # the group split is checked before anything is printed
+    groups = None if config.group_variable is None else two_groups(ds, config.group_variable)
     parts = ", ".join(ds.part_labels)
     print(f"OK: {ds.n} firm(s), {len(ds.part_labels)} part(s) ({parts})")
-    if config.group_variable is not None:
-        groups = two_groups(ds, config.group_variable)
+    if groups is not None:
         sizes = ", ".join(f"{value}: {int(mask.sum())}" for value, mask in groups)
         print(f"OK: group variable {config.group_variable!r} splits as {sizes}")
     return 0

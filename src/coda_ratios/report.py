@@ -91,8 +91,8 @@ def _describe_or_note(values):
 
 
 def _numbers(result) -> list:
-    """Every number a describe, box or comparison result holds; [] for None."""
-    fields = () if result is None else vars(result).values()
+    """Every number a describe, box or comparison result holds, outliers aside; [] for None."""
+    fields = () if result is None else (v for k, v in vars(result).items() if "outliers" not in k)
     return [x for v in fields for x in (v if isinstance(v, tuple) else (v,))]
 
 
@@ -118,10 +118,10 @@ def run_analysis(
     """
     Y = ilr_matrix(ds.values, ds.part_labels, config.tree)
 
-    # groups fixed once: ascending group values; t compares high vs low
+    # groups fixed once, low value first, as row indices: same order as the mask, but faster
     groups = None
     if config.group_variable is not None:
-        groups = two_groups(ds, config.group_variable)
+        groups = [(g, np.flatnonzero(mask)) for g, mask in two_groups(ds, config.group_variable)]
 
     # one (kind, values) per name of config.variable_names, in the same order
     columns: list[tuple[str, np.ndarray]] = []
@@ -136,7 +136,7 @@ def run_analysis(
     variables = []
     for name, (kind, values) in zip(config.variable_names, columns, strict=True):
         values.setflags(write=False)
-        _require_finite(name, values)
+        _require_finite(name, values)  # and so every outlier, an element of values
         stats, stats_note = _describe_or_note(values)
         box = box_summary(values)
         _require_finite(name, _numbers(stats) + _numbers(box))
@@ -167,14 +167,29 @@ def run_analysis(
         config_echo=_config_echo(config),
         timestamp=timestamp,
         group_variable=config.group_variable,
-        groups=None if groups is None else tuple((g, int(mask.sum())) for g, mask in groups),
+        groups=None if groups is None else tuple((g, len(rows)) for g, rows in groups),
     )
 
 
+# json.dumps(indent=2) formats floats one by one in Python before 3.13, so each outlier
+# list is dumped as a hole and spliced in from one %r template (float.__repr__, as json).
+# A string escapes '"', so only a box's key writes the '"' after "outliers" in an anchor
+_HOLE = "<outliers>"
+_ANCHOR = 'outliers": ' + json.dumps(_HOLE)
+
+
 def _box_dict(b: BoxSummary):
-    # the JSON keys are the field names in field order; vars() is shallow,
-    # where dataclasses.asdict would copy every outlier tuple
-    return {**vars(b), "n_outliers": b.n_outliers, "n_extreme_outliers": b.n_extreme_outliers}
+    # the JSON keys are the field names in field order
+    d = {**vars(b), "n_outliers": b.n_outliers, "n_extreme_outliers": b.n_extreme_outliers}
+    return d | {"outliers": _HOLE, "extreme_outliers": _HOLE}
+
+
+def _json_list(values: tuple) -> str:
+    """``values`` as json.dumps(indent=2, allow_nan=False) writes a list that is a box field."""
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    items = ",\n".join(["          %r"] * len(values)) % values
+    return f"[\n{items}\n        ]" if values else "[]"
 
 
 def _comparison_dict(c: GroupComparison | None):
@@ -243,7 +258,13 @@ def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
             },
             "variables": entries,
         }
-        return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
+        lists = [x for v in report.variables for x in (v.box.outliers, v.box.extreme_outliers)]
+        pieces = json.dumps(doc, indent=2, allow_nan=False).split(_ANCHOR)
+        assert len(pieces) == len(lists) + 1  # two holes per variable
+        out = [pieces[0]]
+        for values, piece in zip(lists, pieces[1:]):
+            out += ('outliers": ', _json_list(values), piece)
+        return ("".join(out) + "\n").encode("utf-8")
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

@@ -206,6 +206,35 @@ def test_analyze_underflowing_variance_exits_1(workdir, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")  # the error line is all that reaches stderr
+def test_analyze_svg_span_too_wide_exits_1_and_writes_nothing(tmp_path, capsys):
+    # with under 4 firms no moment is computed, so only the plot's scale
+    # meets the 1e307: (vmax - v) * 360 overflows for the ratio A / B
+    (tmp_path / "wide.csv").write_text(
+        "firm_id,A,B,C,g\nf1,1,2,3,x\nf2,2,3,4,y\nf3,1e307,0.5,4,y\n", encoding="utf-8"
+    )
+    (tmp_path / "wide.ini").write_text(
+        "[analysis]\nparts = A, B, C\nsbp = (A|(B|C))\ngroup_variable = g\n"
+        "\n[ratios]\nr = A / B\n",
+        encoding="utf-8",
+    )
+    out, svg = tmp_path / "report.json", tmp_path / "boxes.svg"
+    code = main(
+        [
+            "analyze",
+            "--data", str(tmp_path / "wide.csv"),
+            "--config", str(tmp_path / "wide.ini"),
+            "--out", str(out),
+            "--svg", str(svg),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: box plot values from ")
+    assert err.count("\n") == 1
+    assert not out.exists() and not svg.exists()
+
+
 def test_analyze_missing_file_exits_1(workdir, capsys):
     code = main(
         ["analyze", "--data", str(workdir / "nope.csv"), "--config", str(workdir / "analysis.ini")]
@@ -324,7 +353,9 @@ def test_validate_single_group_fails(workdir, capsys):
         ["validate", "--data", str(workdir / "one.csv"), "--config", str(workdir / "analysis.ini")]
     )
     assert code == 1
-    assert "group" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no "OK:" line before the error
+    assert captured.err == "error: need exactly two distinct groups, got 1\n"
 
 
 def test_demo_table1(capsys):

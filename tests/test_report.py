@@ -5,8 +5,11 @@ import pytest
 
 from coda_ratios import (
     AnalysisConfig,
+    AnalysisReport,
     FirmDataset,
     RatioSpec,
+    VariableReport,
+    box_summary,
     emit_report,
     eval_ratio,
     invert_spec,
@@ -308,3 +311,78 @@ def test_reports_compare_equal_across_runs():
     assert [v.name for v in a.variables] == [v.name for v in b.variables]
     for va, vb in zip(a.variables, b.variables):
         assert np.array_equal(va.values, vb.values)
+
+
+def _dumped_whole(report) -> bytes:
+    """The JSON as json.dumps(indent=2) writes it with every outlier tuple in place."""
+    doc = json.loads(emit_report(report, "json"))
+    for entry, v in zip(doc["variables"], report.variables, strict=True):
+        entry["box"]["outliers"] = v.box.outliers
+        entry["box"]["extreme_outliers"] = v.box.extreme_outliers
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
+
+
+# strings that hold a splice point's text, quotes, backslashes and non-ASCII
+_TRICKY = (
+    '"outliers": "<outliers>"',
+    'x\\"extreme_outliers": "<outliers>"\\',
+    "<outliers>",
+    "Bilanz \u00fcber \u20ac \U0001f4c8",
+)
+
+
+def test_spliced_json_equals_json_dumps_of_the_whole_document():
+    samples = [
+        [1.0, 2.0, 3.0, 4.0, 5.0],  # no outliers
+        [1.0, 2.0, 3.0, 4.0, 8.0],  # one mild outlier, no extreme one
+        [1.0, 2.0, 3.0, 4.0, 100.0],  # one outlier, which is extreme
+        [-100.0, 1.0, 2.0, 3.0, 4.0, 100.0],  # every outlier extreme, both sides
+        [-0.0, 10.0, 10.5, 11.0, 11.5, 12.0],  # -0.0 is an extreme outlier
+        [5e-324, 1e-310, 10.0, 10.0, 10.5, 11.0, 11.5, 12.0, 12.0, 12.0],  # subnormals
+        [7.0],  # one value
+    ]
+    variables = tuple(
+        VariableReport(
+            name=_TRICKY[i % 4] + str(i),
+            kind="ratio",
+            values=np.array(xs),
+            stats=None,
+            stats_note=_TRICKY[(i + 1) % 4],
+            box=box_summary(xs),
+            comparison=None,
+            comparison_note=_TRICKY[(i + 2) % 4],
+        )
+        for i, xs in enumerate(samples)
+    )
+    assert [v.box.n_outliers for v in variables] == [0, 1, 1, 2, 1, 2, 0]
+    assert [v.box.n_extreme_outliers for v in variables] == [0, 0, 1, 2, 1, 2, 0]
+    report = AnalysisReport(
+        variables=variables,
+        n=7,
+        config_echo={"parts": list(_TRICKY), "sbp": _TRICKY[0]},
+        timestamp=_TRICKY[1],
+        group_variable=_TRICKY[2],
+        groups=((_TRICKY[0], 3), (_TRICKY[3], 4)),
+    )
+    emitted = emit_report(report, "json")
+    assert emitted == _dumped_whole(report)
+    assert b"-0.0" in emitted and b"5e-324" in emitted and b"1e-310" in emitted
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spliced_json_of_a_random_analysis(seed):
+    ds = random_dataset(seed, n=200)
+    report = run_analysis(ds, make_config(group_variable="brand"))
+    assert sum(v.box.n_outliers for v in report.variables) > 0
+    assert emit_report(report, "json") == _dumped_whole(report)
+
+
+@pytest.mark.parametrize("outlier", [np.inf, -np.inf])
+def test_json_rejects_an_outlier_that_is_not_finite(outlier):
+    # run_analysis refuses such values; a report built by hand still meets allow_nan=False
+    box = box_summary([1.0, 2.0, 2.0, 3.0, 3.0, 4.0, outlier])
+    assert box.outliers == (outlier,)
+    variable = VariableReport("v", "ratio", np.array([]), None, "", box, None, None)
+    report = AnalysisReport((variable,), 7, {}, None, None, None)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_report(report, "json")

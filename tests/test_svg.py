@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coda_ratios import box_summary, emit_boxplot_svg
+from coda_ratios.boxplot_svg import BAND_BOTTOM, BAND_TOP, PANEL_W, _extent, _fmt
 from coda_ratios.errors import CodaError
 
 
@@ -115,3 +116,38 @@ def test_all_values_rendered_within_viewbox():
     for attr in ("y1", "y2", "cy"):
         for raw in re.findall(rf'{attr}="([-\d.]+)"', svg):
             assert 20.0 <= float(raw) <= 380.0
+
+
+def _circles_one_by_one(summaries) -> list[str]:
+    """Each outlier's <circle> line, scaled and formatted one value at a time."""
+    vmin, vmax = _extent(summaries)
+    span = vmax - vmin
+
+    def scale(v: float) -> float:
+        return BAND_TOP + (vmax - v) * (BAND_BOTTOM - BAND_TOP) / span
+
+    lines = []
+    for i, (_, box) in enumerate(summaries):
+        cx = i * PANEL_W + PANEL_W / 2
+        extreme = set(box.extreme_outliers)
+        for v in box.outliers:
+            fill = ' fill="black"' if v in extreme else ""
+            lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(scale(v))}" r="4"{fill}/>')
+    return lines
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_circles_equal_the_per_value_lines(seed):
+    rng = np.random.default_rng(seed)
+    # -2 and 5 lie exactly on the outer fences, so they are mild outliers
+    summaries = [("edge", box_summary([-2, 1, 1, 1, 1, 2, 2, 2, 2, 5]))]
+    for i in range(int(rng.integers(0, 5))):
+        n = int(rng.integers(1, 400))
+        if rng.random() < 0.3:
+            data = rng.lognormal(0.0, 2.0, size=n)
+        else:
+            data = rng.standard_t(df=rng.uniform(0.5, 4), size=n) * 10.0 ** rng.integers(-5, 6)
+        summaries.append((f"v{i}", box_summary(data)))
+    svg = _svg_text(summaries).splitlines()
+    assert [line for line in svg if line.startswith("<circle")] == _circles_one_by_one(summaries)
+
