@@ -27,6 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from ._floattext import repr_rows
 from .boxplot_svg import emit_boxplot_svg
 from .composition import ilr_matrix
 from .dataset import load_config, load_dataset_csv, two_groups
@@ -35,7 +36,7 @@ from .ratios import table1_demo
 from .report import emit_report, run_analysis
 
 # rows per transform write; ids that csv.writer may quote
-_CHUNK_ROWS = 8192
+_CHUNK_ROWS = 512
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
@@ -110,16 +111,10 @@ def _write_table(header, firm_ids, table: np.ndarray) -> None:
     csv.writer(sys.stdout, lineterminator="\n").writerow(header)
     if _NEEDS_QUOTES.search("".join(firm_ids)):
         firm_ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in firm_ids]
-    # %r is float.__repr__, the string csv.writer was given, so the bytes are csv.writer's;
-    # one template per chunk formats every cell in C, and a chunk bounds the text held at once
-    n, width = table.shape
-    template = "%s" + ",%r" * width + "\n"
-    block = np.empty((min(n, _CHUNK_ROWS), 1 + width), dtype=object)
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = block[: min(_CHUNK_ROWS, n - start)]
-        rows[:, 0] = firm_ids[start : start + len(rows)]
-        rows[:, 1:] = table[start : start + len(rows)]  # float64 to Python float
-        sys.stdout.write(template * len(rows) % tuple(rows.ravel().tolist()))
+    # repr_rows writes repr(v), as csv.writer does, for a chunk: it bounds the text held
+    for start in range(0, len(table), _CHUNK_ROWS):
+        rows = repr_rows(table[start : start + _CHUNK_ROWS], b",", b"\n").splitlines(keepends=True)
+        sys.stdout.write("".join(map(str.__add__, firm_ids[start : start + _CHUNK_ROWS], rows)))
 
 
 def _csv_field(text: str) -> str:

@@ -105,6 +105,11 @@ class AnalysisConfig:
         object.__setattr__(self, "parts", parts)
         tree = parse_sbp(self.sbp)
         validate_tree(tree, parts)
+        if self.group_variable in ("firm_id", *parts):
+            raise ConfigError(
+                "the group variable must be a column other than firm_id and the parts, "
+                f"got {self.group_variable!r}"
+            )
         for spec in self.standard_ratios:
             check_known(spec.numerator + spec.denominator, parts)
         object.__setattr__(self, "standard_ratios", tuple(self.standard_ratios))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._floattext import repr_rows
 from .composition import ilr_matrix
 from .dataset import AnalysisConfig, FirmDataset, two_groups
 from .errors import (
@@ -172,7 +173,7 @@ def run_analysis(
 
 
 # json.dumps(indent=2) formats floats one by one in Python before 3.13, so each outlier
-# list is dumped as a hole and spliced in from one %r template (float.__repr__, as json).
+# list is dumped as a hole and spliced in from repr_rows (float.__repr__, as json writes).
 # A string escapes '"', so only a box's key writes the '"' after "outliers" in an anchor
 _HOLE = "<outliers>"
 _ANCHOR = 'outliers": ' + json.dumps(_HOLE)
@@ -188,7 +189,7 @@ def _json_list(values: tuple) -> str:
     """``values`` as json.dumps(indent=2, allow_nan=False) writes a list that is a box field."""
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    items = ",\n".join(["          %r"] * len(values)) % values
+    items = repr_rows(np.array(values, dtype=np.float64)[:, None], b" " * 10, b",\n")[:-2]
     return f"[\n{items}\n        ]" if values else "[]"
 
 

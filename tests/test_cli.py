@@ -286,6 +286,18 @@ def test_csv_syntax_error_exits_1(workdir, capsys, command):
     assert err == "error: malformed CSV at line 4: field larger than field limit (131072)\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("name", ["firm_id", "NCL"])
+def test_group_variable_naming_id_or_part_exits_1(workdir, capsys, command, name):
+    path = workdir / "analysis.ini"
+    path.write_text(CONFIG_TEXT.replace("= brand", f"= {name}"), encoding="utf-8")
+    assert main([command, *_args(workdir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the group variable must be a column other than firm_id and the parts, "
+        f"got {name!r}\n"
+    )
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 def test_non_utf8_pipe_exits_1(workdir):
     # a pipe cannot tell its position, so the offset is unknown

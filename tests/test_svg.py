@@ -46,13 +46,16 @@ def test_panels_lay_out_left_to_right():
 
 
 def test_shared_scale_across_panels():
-    # same value must land at the same y coordinate in different panels
-    data = [1.0, 2.0, 3.0, 4.0, 5.0]
-    svg = _svg_text([("a", box_summary(data)), ("b", box_summary(data))])
-    medians = re.findall(r'<line x1="\d+\.000" y1="([\d.]+)" x2="[\d.]+" y2="\1"/>', svg)
-    # the two median lines share a y value
-    y_values = [m for m in medians]
-    assert len(set(y_values)) < len(y_values) or len(y_values) >= 2
+    # 3.0 is the first panel's median and the second panel's lower whisker: one scale over
+    # both extents puts the two lines at one y, a scale per panel at 200 and at 380
+    boxes = [
+        ("a", box_summary([1.0, 2.0, 3.0, 4.0, 5.0])),
+        ("b", box_summary([3.0, 4.0, 5.0, 6.0, 7.0])),
+    ]
+    panels = re.findall(r'<g data-variable="(\w)">(.*?)</g>', _svg_text(boxes), re.S)
+    # each panel's line y1: upper stem, lower stem, upper cap, lower cap, median
+    y1 = {name: re.findall(r'<line x1="[\d.]+" y1="([\d.]+)"', body) for name, body in panels}
+    assert y1["a"][4] == y1["b"][3] == _fmt(BAND_TOP + (7.0 - 3.0) * (BAND_BOTTOM - BAND_TOP) / 6.0)
 
 
 def test_degenerate_span_centers_glyphs():
