@@ -10,10 +10,11 @@ fuses none of its calls, so the text does not depend on the CPU.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
-_BLOCK = 2048  # values per pass: bounds the working set
+_BLOCK = 8192  # values per pass: bounds the working set and the text of one transform write
 _POW10 = np.array([float(10**i) for i in range(21)])  # k is at most 20 before its correction
 # by binade b, 2**(b - 10) <= |x| < 2**(b - 9): k = 16 - floor(log10 2**(b - 10)) as in
 # Ryu, and by [b, k] half an ulp of |x| times 10**k, exactly
@@ -102,12 +103,12 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     return cells.view(np.uint8)
 
 
-def repr_rows(table: np.ndarray, before: bytes, end: bytes) -> str:
-    """Each row of the 2-D float64 ``table`` as ``before + repr(v)`` per value, then ``end``."""
+def repr_blocks(table: np.ndarray, before: bytes, end: bytes) -> Iterator[str]:
+    """Each row of the 2-D float64 ``table`` as ``before + repr(v)`` per value, then ``end``,
+    as one string per block of whole rows."""
     rows, width = table.shape
     cell = len(before) + _CELL
     step = max(1, _BLOCK // width)
-    pieces = []
     for start in range(0, rows, step):
         block = table[start : start + step]
         grid = np.zeros((len(block), width * cell + len(end)), np.uint8)
@@ -115,5 +116,9 @@ def repr_rows(table: np.ndarray, before: bytes, end: bytes) -> str:
         body[:, :, : len(before)] = np.frombuffer(before, np.uint8)
         body[:, :, len(before) :] = _repr_cells(block.ravel()).reshape(len(block), width, _CELL)
         grid[:, width * cell :] = np.frombuffer(end, np.uint8)
-        pieces.append(grid.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(pieces)
+        yield grid.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def repr_rows(table: np.ndarray, before: bytes, end: bytes) -> str:
+    """All of ``repr_blocks`` as one string."""
+    return "".join(repr_blocks(table, before, end))

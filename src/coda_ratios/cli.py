@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import os
 import re
@@ -27,7 +28,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ._floattext import repr_rows
+from ._floattext import repr_blocks
 from .boxplot_svg import emit_boxplot_svg
 from .composition import ilr_matrix
 from .dataset import load_config, load_dataset_csv, two_groups
@@ -35,8 +36,7 @@ from .errors import CodaError
 from .ratios import table1_demo
 from .report import emit_report, run_analysis
 
-# rows per transform write; ids that csv.writer may quote
-_CHUNK_ROWS = 512
+# ids that csv.writer may quote
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
@@ -111,10 +111,14 @@ def _write_table(header, firm_ids, table: np.ndarray) -> None:
     csv.writer(sys.stdout, lineterminator="\n").writerow(header)
     if _NEEDS_QUOTES.search("".join(firm_ids)):
         firm_ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in firm_ids]
-    # repr_rows writes repr(v), as csv.writer does, for a chunk: it bounds the text held
-    for start in range(0, len(table), _CHUNK_ROWS):
-        rows = repr_rows(table[start : start + _CHUNK_ROWS], b",", b"\n").splitlines(keepends=True)
-        sys.stdout.write("".join(map(str.__add__, firm_ids[start : start + _CHUNK_ROWS], rows)))
+    # one write per formatter block, which bounds the text held; repr(v) as csv.writer writes
+    start = 0
+    for block in repr_blocks(table, b",", b"\n"):
+        rows = block.splitlines(keepends=True)
+        pieces = [""] * (2 * len(rows))  # id, row, id, row, ...
+        pieces[::2], pieces[1::2] = firm_ids[start : start + len(rows)], rows
+        sys.stdout.write("".join(pieces))
+        start += len(rows)
 
 
 def _csv_field(text: str) -> str:
@@ -152,6 +156,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if argv is None:  # run as a program, not called in-process
+        # exit-time collections skip the import heap; stdout is UTF-8 whatever the locale
+        gc.freeze()
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "analyze" and args.out and not args.out.endswith((".json", ".csv")):

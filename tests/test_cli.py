@@ -1,10 +1,13 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from coda_ratios import _floattext
 from coda_ratios.cli import main
 
 CONFIG_TEXT = """\
@@ -384,3 +387,66 @@ def test_demo_table1(capsys):
     mid = lines[5].split(",")
     assert float(mid[3]) == 45.0
     assert float(mid[6]) == 0.0
+
+
+def _program(workdir, *argv, **env):
+    """Run ``python -m coda_ratios.cli`` as a child with its stdout on a pipe."""
+    return subprocess.run(
+        [sys.executable, "-m", "coda_ratios.cli", *argv],
+        capture_output=True,
+        cwd=workdir,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env},
+    )
+
+
+@pytest.mark.parametrize("command", ["transform", "validate", "analyze"])
+def test_stdout_is_utf8_whatever_the_locale(workdir, command):
+    # a firm id and a group value that neither ASCII nor Latin-1 writes as UTF-8 bytes
+    text = CSV_TEXT.replace("f1,", "firmé,").replace("yes", "sí")
+    (workdir / "firms.csv").write_text(text, encoding="utf-8")
+    utf8 = _program(workdir, command, *_args(workdir), PYTHONIOENCODING="utf-8")
+    assert (utf8.returncode, utf8.stderr) == (0, b"")
+    if command != "analyze":  # the JSON report escapes non-ASCII text
+        assert ("firmé" if command == "transform" else "sí").encode("utf-8") in utf8.stdout
+    for encoding in ("ascii", "latin-1"):
+        other = _program(workdir, command, *_args(workdir), PYTHONIOENCODING=encoding)
+        assert (other.returncode, other.stderr, other.stdout) == (0, b"", utf8.stdout), encoding
+
+
+def test_in_process_main_does_not_freeze_the_heap(workdir, capsys):
+    before = gc.get_freeze_count()
+    assert main(["transform", *_args(workdir)]) == 0
+    assert main(["demo", "table1"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_program_entry_freezes_the_heap():
+    # main() with no arguments, as the console script calls it
+    child = (
+        "import gc, sys\n"
+        "from coda_ratios.cli import main\n"
+        "sys.argv = ['coda-ratios', 'demo', 'table1']\n"
+        "main()\n"
+        "sys.stderr.write(str(gc.get_freeze_count() > 0))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (result.returncode, result.stderr) == (0, b"True")
+
+
+def test_program_to_a_pipe_writes_the_in_process_bytes(workdir, capsys):
+    # rows of 2 values fill three formatter blocks, so the child's exit flushes several writes
+    rows = _floattext._BLOCK + 3
+    magnitudes = np.random.default_rng(0).lognormal(3.0, 1.5, size=(rows, 3))
+    lines = [f"f{i},{a!r},{b!r},{c!r},{'yes' if i % 2 else 'no'}" for i, (a, b, c) in
+             enumerate(magnitudes.tolist())]
+    (workdir / "firms.csv").write_text("firm_id,TA,NCL,CL,brand\n" + "\n".join(lines) + "\n",
+                                       encoding="utf-8")
+    assert main(["transform", *_args(workdir)]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    assert expected.count(b"\n") == 1 + rows
+    result = _program(workdir, "transform", *_args(workdir))
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == expected

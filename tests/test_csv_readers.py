@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from coda_ratios import (
     AnalysisConfig,
     ZeroPolicy,
+    _floattext,
     cli,
     dataset,
     load_config,
@@ -159,15 +160,16 @@ magnitudes = st.floats(min_value=1e-3, max_value=1e6)
         max_size=7,
         unique_by=lambda row: row[0].strip(),
     ),
-    chunk_rows=st.integers(1, 4),
+    # values per formatter block, for rows of 2: under one row, odd, or the whole table
+    block=st.integers(1, 16),
 )
-def test_transform_bytes_equal_csv_writer(workdir, rows, chunk_rows):
+def test_transform_bytes_equal_csv_writer(workdir, rows, block):
     data = workdir / "firms.csv"
     with open(data, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([("firm_id", "TA", "NCL", "CL"), *rows])
     argv = ["transform", "--data", str(data), "--config", str(workdir / "analysis.ini")]
     out = io.StringIO()
-    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows), contextlib.redirect_stdout(out):
+    with mock.patch.object(_floattext, "_BLOCK", block), contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
 
     config = load_config(workdir / "analysis.ini")

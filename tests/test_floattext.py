@@ -92,10 +92,9 @@ _FALLBACK_AND_FAST = [
 ]
 
 
-@pytest.mark.parametrize("chunk_rows, block", [(2048, 2048), (3, 4)])
-def test_transform_mixing_fallback_and_fast_values_matches_csv_writer(
-    tmp_path, chunk_rows, block, monkeypatch
-):
+# values per formatter block, for rows of 2: under one row, odd, and the whole table
+@pytest.mark.parametrize("block", [1, 7, 2048])
+def test_transform_mixing_fallback_and_fast_values_matches_csv_writer(tmp_path, block, monkeypatch):
     ids = [f"f{i}" for i in range(len(_FALLBACK_AND_FAST))]
     ids[1], ids[4] = "a,b", 'q"x'  # ids that csv.writer quotes
     with open(tmp_path / "firms.csv", "w", encoding="utf-8", newline="") as fh:
@@ -106,7 +105,6 @@ def test_transform_mixing_fallback_and_fast_values_matches_csv_writer(
     # the table transform writes: every fallback class next to fast values, in both columns
     table = np.column_stack([_FALLBACK_AND_FAST, _FALLBACK_AND_FAST[::-1]])
     monkeypatch.setattr(cli, "ilr_matrix", lambda *args: table)
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(_floattext, "_BLOCK", block)
     out = io.StringIO()
     argv = ["transform", "--data", str(tmp_path / "firms.csv"),
