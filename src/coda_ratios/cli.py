@@ -159,7 +159,8 @@ def main(argv=None) -> int:
     if argv is None:  # run as a program, not called in-process
         # exit-time collections skip the import heap; stdout is UTF-8 whatever the locale
         gc.freeze()
-        sys.stdout.reconfigure(encoding="utf-8")
+        if sys.stdout is not None:  # None when the program starts with stdout closed
+            sys.stdout.reconfigure(encoding="utf-8")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "analyze" and args.out and not args.out.endswith((".json", ".csv")):

@@ -390,12 +390,13 @@ def test_demo_table1(capsys):
 
 
 def _program(workdir, *argv, **env):
-    """Run ``python -m coda_ratios.cli`` as a child with its stdout on a pipe."""
+    """Run ``python -m coda_ratios.cli`` as a child with its stdout on a buffered pipe."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, "-m", "coda_ratios.cli", *argv],
         capture_output=True,
         cwd=workdir,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env},
+        env={**base, "PYTHONPATH": os.pathsep.join(sys.path), **env},
     )
 
 
@@ -411,6 +412,19 @@ def test_stdout_is_utf8_whatever_the_locale(workdir, command):
     for encoding in ("ascii", "latin-1"):
         other = _program(workdir, command, *_args(workdir), PYTHONIOENCODING=encoding)
         assert (other.returncode, other.stderr, other.stdout) == (0, b"", utf8.stdout), encoding
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes the child's stdout before exec")
+def test_program_with_stdout_closed_writes_its_files(workdir):
+    result = subprocess.run(
+        [sys.executable, "-m", "coda_ratios.cli", "analyze", *_args(workdir, "--out", "r.json")],
+        stderr=subprocess.PIPE,
+        cwd=workdir,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert json.loads((workdir / "r.json").read_text(encoding="utf-8"))["variables"]
 
 
 def test_in_process_main_does_not_freeze_the_heap(workdir, capsys):
