@@ -8,17 +8,7 @@ sign instead of distorting every downstream statistic.
 
 from . import errors
 from .boxplot_svg import emit_boxplot_svg
-from .composition import (
-    BalanceVector,
-    Composition,
-    aitchison_distance,
-    balance,
-    clr_transform,
-    contrast_matrix,
-    ilr_inverse,
-    ilr_matrix,
-    ilr_transform,
-)
+from .composition import contrast_matrix, ilr_inverse, ilr_matrix
 from .dataset import (
     AnalysisConfig,
     FirmDataset,
@@ -32,7 +22,7 @@ from .dataset import (
     split_by_group,
 )
 from .errors import CodaError
-from .ratios import RatioSpec, eval_ratio, invert_spec, table1_demo
+from .ratios import RatioSpec, invert_spec, ratio_column, table1_demo
 from .report import AnalysisReport, VariableReport, emit_report, run_analysis
 from .sbp import PartitionTree, format_sbp, parse_sbp, validate_tree
 from .stats import (
@@ -54,10 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisConfig",
     "AnalysisReport",
-    "BalanceVector",
     "BoxSummary",
     "CodaError",
-    "Composition",
     "DescriptiveStats",
     "FirmDataset",
     "GroupComparison",
@@ -65,30 +53,26 @@ __all__ = [
     "RatioSpec",
     "VariableReport",
     "ZeroPolicy",
-    "aitchison_distance",
     "apply_zero_policy",
-    "balance",
     "box_summary",
-    "clr_transform",
     "contrast_matrix",
     "describe",
     "dummy_regression_r2",
     "emit_boxplot_svg",
     "emit_report",
     "errors",
-    "eval_ratio",
     "excess_kurtosis",
     "format_config",
     "format_sbp",
     "ilr_inverse",
     "ilr_matrix",
-    "ilr_transform",
     "invert_spec",
     "load_config",
     "load_dataset_csv",
     "parse_config",
     "parse_sbp",
     "quantile_type7",
+    "ratio_column",
     "read_dataset_csv",
     "regularized_incomplete_beta",
     "run_analysis",

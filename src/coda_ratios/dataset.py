@@ -31,15 +31,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .composition import check_known, check_positive, check_unique_ids
+from .composition import check_known
 from .errors import (
     AllRowsDroppedError,
     CodaError,
     ConfigError,
+    DuplicateFirmIdError,
     EmptyDataError,
     LengthMismatchError,
     MalformedNumberError,
     MissingColumnError,
+    NonPositivePartError,
     SingleGroupError,
     ZeroCellError,
 )
@@ -53,6 +55,32 @@ _ZERO_MODES = ("reject", "drop_row", "replace")
 # A quote needs the csv.reader path.  np.loadtxt strips these ASCII
 # separators from around a number as whitespace, and float() does not.
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+
+
+def check_positive(values, *labels, zero_ok=False) -> None:
+    """Raise NonPositivePartError listing every magnitude that is not finite and positive.
+
+    An entry is named by its labels, one sequence per axis of ``values``, joined
+    with ':'.  With ``zero_ok`` zeros pass, for a zero policy to resolve later.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bad = ~(((values >= 0.0) if zero_ok else (values > 0.0)) & np.isfinite(values))
+    if bad.any():
+        raise NonPositivePartError(
+            (":".join(str(axis[i]) for axis, i in zip(labels, index)), float(values[index]))
+            for index in zip(*np.nonzero(bad))
+        )
+
+
+def check_unique_ids(firm_ids, lines=None) -> None:
+    """Raise DuplicateFirmIdError at the first repeated firm id, citing its line from ``lines``."""
+    if len(set(firm_ids)) == len(firm_ids):
+        return
+    seen = set()
+    for i, firm_id in enumerate(firm_ids):
+        if firm_id in seen:
+            raise DuplicateFirmIdError(None if lines is None else lines[i], firm_id)
+        seen.add(firm_id)
 
 
 @dataclass(frozen=True)

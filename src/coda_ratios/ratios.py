@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import Composition, check_groups, check_known, ilr_matrix
+from .composition import check_groups, check_known, ilr_matrix
 from .sbp import check_part_labels, parse_sbp
 
 
@@ -48,11 +48,6 @@ def ratio_column(values: np.ndarray, labels, spec: RatioSpec) -> np.ndarray:
     num = sum(values[:, index[label]] for label in spec.numerator)
     den = sum(values[:, index[label]] for label in spec.denominator)
     return num / den
-
-
-def eval_ratio(x: Composition, spec: RatioSpec) -> float:
-    """Sum of numerator parts over sum of denominator parts: one row of ratio_column."""
-    return float(ratio_column(x.as_array()[np.newaxis, :], x.labels, spec)[0])
 
 
 def invert_spec(spec: RatioSpec) -> RatioSpec:

@@ -17,7 +17,6 @@ which is what every balance reads.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,7 +46,6 @@ class PartitionTree:
     splits: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     leaf_labels: tuple[str, ...] = field(init=False)
     coordinate_names: tuple[str, ...] = field(init=False)
-    fingerprint: int = field(init=False)
 
     def __post_init__(self):
         splits = tuple((tuple(num), tuple(den)) for num, den in self.splits)
@@ -56,10 +54,7 @@ class PartitionTree:
         object.__setattr__(self, "splits", splits)
         object.__setattr__(self, "leaf_labels", leaves)
         object.__setattr__(self, "coordinate_names", tuple(f"y{i + 1}" for i in range(len(splits))))
-        # a stable 64-bit hash of the canonical text (process-independent, unlike
-        # hash()); only used to detect vector/tree mispairing
-        digest = hashlib.blake2b(format_sbp(self).encode("utf-8"), digest_size=8).digest()
-        object.__setattr__(self, "fingerprint", int.from_bytes(digest, "big"))
+        format_sbp(self)  # the nesting check: raises unless the splits form one partition
 
     @property
     def dimension(self) -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coda_ratios import Composition, parse_sbp
+from coda_ratios import parse_sbp
 
 
 @pytest.fixture
@@ -34,7 +34,6 @@ def random_tree_text(rng: np.random.Generator, labels) -> str:
     return tree_text(random_tree(rng, labels))
 
 
-def random_composition(rng: np.random.Generator, labels) -> Composition:
-    """Strictly positive random composition spanning several magnitudes."""
-    values = np.exp(rng.uniform(-4.0, 8.0, size=len(labels)))
-    return Composition(labels=tuple(labels), values=tuple(float(v) for v in values))
+def random_composition(rng: np.random.Generator, labels, n: int = 1) -> np.ndarray:
+    """(n, D) strictly positive random compositions spanning several magnitudes."""
+    return np.exp(rng.uniform(-4.0, 8.0, size=(n, len(labels))))

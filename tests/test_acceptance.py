@@ -13,17 +13,14 @@ import pytest
 
 from coda_ratios import (
     AnalysisConfig,
-    Composition,
     FirmDataset,
-    aitchison_distance,
-    balance,
     box_summary,
     contrast_matrix,
     emit_boxplot_svg,
     emit_report,
     excess_kurtosis,
     ilr_inverse,
-    ilr_transform,
+    ilr_matrix,
     parse_sbp,
     run_analysis,
     skewness,
@@ -90,14 +87,13 @@ def test_criterion_02_ratio_distance_distortion():
 
 
 def test_criterion_03_linear_combination_identity():
-    tree = parse_sbp("(TA|(NCL|CL))")
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(1000):
-        x = random_composition(rng, ("TA", "NCL", "CL"))
-        y1, y2 = ilr_transform(x, tree).values
-        combined = math.sqrt(0.5) * (math.sqrt(1.5) * y1 - math.sqrt(0.5) * y2)
-        worst = max(worst, abs(combined - balance(x, ("TA",), ("NCL",))))
+    labels = ("TA", "NCL", "CL")
+    X = random_composition(np.random.default_rng(2024), labels, 1000)
+    y1, y2 = ilr_matrix(X, labels, parse_sbp("(TA|(NCL|CL))")).T
+    combined = math.sqrt(0.5) * (math.sqrt(1.5) * y1 - math.sqrt(0.5) * y2)
+    # the pairwise balance of TA against NCL: the one coordinate of (TA|NCL)
+    pairwise = ilr_matrix(X[:, :2], labels[:2], parse_sbp("(TA|NCL)"))[:, 0]
+    worst = float(np.max(np.abs(combined - pairwise)))
     _verdict(3, worst <= 1e-12, f"1000 compositions, worst deviation {worst:.2e}")
 
 
@@ -161,12 +157,12 @@ def test_criterion_07_basis_invariance():
         for _ in range(50):
             tree_a = parse_sbp(random_tree_text(rng, labels))
             tree_b = parse_sbp(random_tree_text(rng, labels))
-            x = random_composition(rng, labels)
-            z = random_composition(rng, labels)
-            worst_dist = max(
-                worst_dist,
-                abs(aitchison_distance(x, z, tree_a) - aitchison_distance(x, z, tree_b)),
+            X = random_composition(rng, labels, 2)
+            # the Aitchison distance of two firms: the norm of their ilr difference
+            dist_a, dist_b = (
+                np.linalg.norm(np.subtract(*ilr_matrix(X, labels, tree))) for tree in (tree_a, tree_b)
             )
+            worst_dist = max(worst_dist, abs(dist_a - dist_b))
             for tree in (tree_a, tree_b):
                 V = contrast_matrix(tree)
                 gram = V @ V.T
@@ -185,11 +181,10 @@ def test_criterion_08_round_trip():
         labels = tuple(f"P{k}" for k in range(d))
         tree = parse_sbp(random_tree_text(rng, labels))
         x = random_composition(rng, labels)
-        back = ilr_inverse(ilr_transform(x, tree).values, tree)
-        total = sum(x.values)
-        closed = {lab: v / total for lab, v in zip(x.labels, x.values)}
-        for lab, v in zip(back.labels, back.values):
-            worst = max(worst, abs(v - closed[lab]))
+        back = ilr_inverse(ilr_matrix(x, labels, tree), tree)
+        # the columns of back follow the tree's leaves, not labels
+        closed = (x / x.sum())[:, [labels.index(lab) for lab in tree.leaf_labels]]
+        worst = max(worst, float(np.max(np.abs(back - closed))))
     _verdict(8, worst <= 1e-12, f"1000 round trips, worst part error {worst:.2e}")
 
 

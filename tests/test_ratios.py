@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from coda_ratios import (
-    Composition,
     RatioSpec,
-    eval_ratio,
-    ilr_transform,
+    ilr_matrix,
     invert_spec,
     parse_sbp,
+    ratio_column,
     table1_demo,
 )
 from coda_ratios.errors import CodaError, DuplicateLabelError, UnknownLabelError
-from coda_ratios.ratios import ratio_column
 
 
 def test_ratio_spec_validation():
@@ -31,17 +29,10 @@ def test_ratio_spec_validation():
     assert err.value.labels == ("A",)
 
 
-def test_eval_ratio_sums_groups():
-    x = Composition(labels=("TA", "NCL", "CL"), values=(100, 20, 30))
+def test_ratio_column_sums_groups():
     spec = RatioSpec(name="r1", numerator=("TA",), denominator=("NCL", "CL"))
-    assert eval_ratio(x, spec) == 2.0
-
-
-def test_eval_ratio_unknown_label():
-    x = Composition(labels=("TA", "NCL"), values=(100, 20))
-    spec = RatioSpec(name="r", numerator=("TA",), denominator=("INV",))
-    with pytest.raises(UnknownLabelError):
-        eval_ratio(x, spec)
+    values = np.array([[100.0, 20.0, 30.0], [90.0, 5.0, 40.0]])
+    assert ratio_column(values, ("TA", "NCL", "CL"), spec).tolist() == [2.0, 2.0]
 
 
 def test_ratio_column_rejects_unknown_label():
@@ -73,11 +64,11 @@ def test_ratio_product_is_one_up_to_rounding():
     # mathematically r * r_inverted = 1; floating division leaves ~1 ulp
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        vals = np.exp(rng.uniform(-4, 8, size=4))
-        x = Composition(labels=tuple("abcd"), values=vals)
+        vals = np.exp(rng.uniform(-4, 8, size=(1, 4)))
         spec = RatioSpec(name="r", numerator=("a", "b"), denominator=("c", "d"))
-        product = eval_ratio(x, spec) * eval_ratio(x, invert_spec(spec))
-        assert product == pytest.approx(1.0, rel=1e-15)
+        labels = tuple("abcd")
+        product = ratio_column(vals, labels, spec) * ratio_column(vals, labels, invert_spec(spec))
+        assert product[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_ray_angles_match_printed_table():
@@ -125,13 +116,14 @@ def test_table1_ilr_column_antisymmetric():
 
 
 def test_table1_ilr_is_the_balance_of_mg2_against_mg1():
-    # one balance formula: the demo column equals ilr_transform bit for bit,
-    # so firms on the same ray (firm03 and firm04) share their ilr exactly
+    # one balance formula: the demo column equals each firm's own ilr_matrix
+    # row bit for bit, so firms on the same ray (firm03 and firm04) share
+    # their ilr exactly
     tree = parse_sbp("(mg2|mg1)")
     firm_ids, table = table1_demo()
     for i, firm_id in enumerate(firm_ids):
-        x = Composition(labels=("mg1", "mg2"), values=(table["mg1"][i], table["mg2"][i]))
-        assert table["ilr"][i] == ilr_transform(x, tree).values[0], firm_id
+        x = [[table["mg1"][i], table["mg2"][i]]]
+        assert table["ilr"][i] == ilr_matrix(x, ("mg1", "mg2"), tree)[0, 0], firm_id
     assert table["ilr"][2] == table["ilr"][3]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,13 +12,10 @@ from coda_ratios import (
     VariableReport,
     box_summary,
     emit_report,
-    eval_ratio,
     invert_spec,
     run_analysis,
 )
-from coda_ratios.composition import Composition, ilr_transform
 from coda_ratios.errors import SingleGroupError
-from coda_ratios.sbp import parse_sbp
 
 PARTS = ("TA", "NCL", "CL")
 SBP = "(TA|(NCL|CL))"
@@ -90,17 +88,13 @@ def test_balance_columns_match_single_firm_transform():
     ds = make_dataset([(30, 100, 20), (25, 80, 35)], parts=parts)
     config = AnalysisConfig(parts=parts, sbp=SBP)
     report = run_analysis(ds, config)
-    tree = parse_sbp(SBP)
-    # matrix route and per-firm route are different formulas, so only
-    # near-equality is promised, not bit equality
-    for i, row in enumerate(ds.values):
-        expected = ilr_transform(Composition(labels=parts, values=row), tree).values
-        assert report.variable("y1").values[i] == pytest.approx(
-            expected[0], rel=1e-12, abs=1e-12
-        )
-        assert report.variable("y2").values[i] == pytest.approx(
-            expected[1], rel=1e-12, abs=1e-12
-        )
+    # an independent per-firm route through math.log, so only near-equality
+    # is promised, not bit equality
+    for i, (cl, ta, ncl) in enumerate(ds.values.tolist()):
+        y1 = math.sqrt(2.0 / 3.0) * (math.log(ta) - (math.log(ncl) + math.log(cl)) / 2.0)
+        y2 = math.sqrt(0.5) * (math.log(ncl) - math.log(cl))
+        assert report.variable("y1").values[i] == pytest.approx(y1, rel=1e-12, abs=1e-12)
+        assert report.variable("y2").values[i] == pytest.approx(y2, rel=1e-12, abs=1e-12)
 
 
 def test_permuted_balance_is_exact_negation():
@@ -110,17 +104,27 @@ def test_permuted_balance_is_exact_negation():
     assert np.array_equal(y1p.values, -y1.values)
 
 
-def test_ratio_columns_equal_per_firm_eval_ratio_exactly():
-    # the column sums add parts in spec order like eval_ratio, so the
-    # vectorized columns and the scalar reference agree bit for bit
+def _left_sum(terms):
+    # plain left-to-right float additions; sum() compensates from Python 3.12 on
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_ratio_columns_equal_per_firm_python_sums_exactly():
+    # the column sums add parts in spec order, starting from 0, so the
+    # vectorized columns and a per-firm Python reference agree bit for bit
     ds = random_dataset(3, n=50)
     config = make_config()
     report = run_analysis(ds, config)
     for spec in config.standard_ratios:
         for s, name in ((spec, spec.name), (invert_spec(spec), spec.name + "p")):
-            expected = [
-                eval_ratio(Composition(labels=PARTS, values=row), s) for row in ds.values
-            ]
+            expected = []
+            for row in ds.values.tolist():
+                part = dict(zip(PARTS, row))
+                num = _left_sum(part[label] for label in s.numerator)
+                expected.append(num / _left_sum(part[label] for label in s.denominator))
             assert report.variable(name).values.tolist() == expected
 
 
