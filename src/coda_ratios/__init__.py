@@ -14,12 +14,11 @@ from .dataset import (
     FirmDataset,
     ZeroPolicy,
     apply_zero_policy,
-    format_config,
     load_config,
     load_dataset_csv,
     parse_config,
     read_dataset_csv,
-    split_by_group,
+    two_groups,
 )
 from .errors import CodaError
 from .ratios import RatioSpec, invert_spec, ratio_column, table1_demo
@@ -31,13 +30,9 @@ from .stats import (
     GroupComparison,
     box_summary,
     describe,
-    dummy_regression_r2,
-    excess_kurtosis,
-    quantile_type7,
-    skewness,
     two_sample_t_equal_var,
 )
-from .tdist import regularized_incomplete_beta, student_t_two_sided_p
+from .tdist import student_t_two_sided_p
 
 __version__ = "0.1.0"
 
@@ -57,12 +52,9 @@ __all__ = [
     "box_summary",
     "contrast_matrix",
     "describe",
-    "dummy_regression_r2",
     "emit_boxplot_svg",
     "emit_report",
     "errors",
-    "excess_kurtosis",
-    "format_config",
     "format_sbp",
     "ilr_inverse",
     "ilr_matrix",
@@ -71,15 +63,12 @@ __all__ = [
     "load_dataset_csv",
     "parse_config",
     "parse_sbp",
-    "quantile_type7",
     "ratio_column",
     "read_dataset_csv",
-    "regularized_incomplete_beta",
     "run_analysis",
-    "skewness",
-    "split_by_group",
     "student_t_two_sided_p",
     "table1_demo",
+    "two_groups",
     "two_sample_t_equal_var",
     "validate_tree",
 ]

@@ -90,7 +90,12 @@ def _cmd_analyze(args) -> int:
     text = emit_report(report, "csv" if args.out and args.out.endswith(".csv") else "json")
     svg = emit_boxplot_svg([(v.name, v.box) for v in report.variables]) if args.svg else None
     if not args.out:
-        sys.stdout.write(text.decode("utf-8"))
+        out = _stdout()
+        out.flush()
+        if hasattr(out, "buffer"):  # the encoded bytes, with no str copy of the report
+            out.buffer.write(text)
+        else:  # a text-only stream, such as io.StringIO
+            out.write(text.decode("utf-8"))
     for path, data in ((args.out, text), (args.svg, svg)):
         if path:
             with open(path, "wb") as fh:
@@ -106,9 +111,16 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+def _stdout():
+    """``sys.stdout``; a CodaError when the program started with stdout closed."""
+    if sys.stdout is None:
+        raise CodaError("stdout is closed")
+    return sys.stdout
+
+
 def _write_table(header, firm_ids, table: np.ndarray) -> None:
     """Write ``header``, then each firm id followed by its row of ``table``, as csv.writer would."""
-    csv.writer(sys.stdout, lineterminator="\n").writerow(header)
+    csv.writer(_stdout(), lineterminator="\n").writerow(header)
     if _NEEDS_QUOTES.search("".join(firm_ids)):
         firm_ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in firm_ids]
     # one write per formatter block, which bounds the text held; repr(v) as csv.writer writes

@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .errors import CodaError, LengthMismatchError, UnknownLabelError
-from .sbp import PartitionTree, check_part_labels, validate_tree
+from .errors import LengthMismatchError, UnknownLabelError
+from .sbp import PartitionTree, validate_tree
 
 
 def check_known(labels, known) -> None:
@@ -33,17 +33,6 @@ def check_known(labels, known) -> None:
     unknown = sorted(set(labels) - set(known))
     if unknown:
         raise UnknownLabelError(unknown)
-
-
-def check_groups(numerator, denominator) -> None:
-    """Raise unless both label groups are non-empty and together pass check_part_labels.
-
-    A label repeated within a side or shared by both is one DuplicateLabelError.
-    """
-    for side, group in (("numerator", numerator), ("denominator", denominator)):
-        if not group:
-            raise CodaError(f"{side} group is empty")
-    check_part_labels(tuple(numerator) + tuple(denominator))
 
 
 def _balance(logs: np.ndarray, index, num, den) -> np.ndarray:

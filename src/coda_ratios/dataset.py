@@ -415,29 +415,18 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
     return firm_ids, values, externals
 
 
-def split_by_group(ds: FirmDataset, variable: str) -> dict[str, np.ndarray]:
-    """Boolean row masks of ``ds``, one per value of a categorical external variable.
+def two_groups(ds: FirmDataset, variable: str) -> tuple[tuple[str, np.ndarray], ...]:
+    """The ``(value, row mask)`` pairs of a two-valued variable, low value first.
 
-    Groups appear in order of first appearance; the masks are disjoint and
-    together cover every firm.
+    Raises SingleGroupError unless a known ``variable`` takes exactly two values.
     """
-    if ds.n == 0:
-        return {}
     if variable not in ds.externals:
         raise CodaError(f"unknown external variable {variable!r}")
+    values = sorted(set(ds.externals[variable]))
+    if len(values) != 2:
+        raise SingleGroupError(len(values))
     labels = np.array(ds.externals[variable], dtype=object)
-    return {value: labels == value for value in dict.fromkeys(ds.externals[variable])}
-
-
-def two_groups(ds: FirmDataset, variable: str) -> tuple[tuple[str, np.ndarray], ...]:
-    """The ``(value, mask)`` pairs of a two-valued variable, low value first.
-
-    Raises SingleGroupError unless ``variable`` takes exactly two values.
-    """
-    split = split_by_group(ds, variable)
-    if len(split) != 2:
-        raise SingleGroupError(len(split))
-    return tuple(sorted(split.items()))
+    return tuple((value, labels == value) for value in values)
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +523,3 @@ def parse_config(text: str) -> AnalysisConfig:
 def load_config(path) -> AnalysisConfig:
     with _open_utf8(path) as fh:
         return parse_config(fh.read())
-
-
-def format_config(config: AnalysisConfig) -> str:
-    """Serialize a configuration back to the INI format parse_config reads."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
-    cp["analysis"] = {"parts": ", ".join(config.parts), "sbp": config.sbp}
-    if config.group_variable is not None:
-        cp["analysis"]["group_variable"] = config.group_variable
-    if config.standard_ratios:
-        cp["ratios"] = {
-            spec.name: f"{' + '.join(spec.numerator)} / {' + '.join(spec.denominator)}"
-            for spec in config.standard_ratios
-        }
-    cp["zeros"] = {
-        "mode": config.zero_policy.mode,
-        "delta_fraction": repr(config.zero_policy.delta_fraction),
-    }
-    out = io.StringIO()
-    cp.write(out)
-    return out.getvalue()

@@ -19,20 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import check_groups, check_known, ilr_matrix
+from .composition import check_known, ilr_matrix
+from .errors import CodaError
 from .sbp import check_part_labels, parse_sbp
 
 
 @dataclass(frozen=True)
 class RatioSpec:
-    """A named quotient of two non-empty groups of parts that pass check_groups."""
+    """A named quotient of two non-empty groups of parts that together pass check_part_labels."""
 
     name: str
     numerator: tuple[str, ...]
     denominator: tuple[str, ...]
 
     def __post_init__(self):
-        check_groups(self.numerator, self.denominator)
+        for side, group in (("numerator", self.numerator), ("denominator", self.denominator)):
+            if not group:
+                raise CodaError(f"{side} group is empty")
+        check_part_labels(tuple(self.numerator) + tuple(self.denominator))
 
 
 def ratio_column(values: np.ndarray, labels, spec: RatioSpec) -> np.ndarray:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     EmptyDataError,
-    SingleGroupError,
     TooFewObservationsError,
     ZeroPooledVarianceError,
     ZeroVarianceError,
@@ -74,30 +73,6 @@ def _as_array(data) -> np.ndarray:
     return a.ravel()
 
 
-def quantile_type7(data, q: float) -> float:
-    """Linear-interpolation (type 7) quantile."""
-    a = _as_array(data)
-    if a.size == 0:
-        raise EmptyDataError()
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    return _sorted_quantile(np.sort(a), q)
-
-
-def _sorted_quantile(xs: np.ndarray, q: float) -> float:
-    # the symmetric two-product form (1-g)*lo + g*hi keeps
-    # quantile(-data, q) == -quantile(data, 1-q) bit-exact for the dyadic q
-    # used by box summaries; that exactness is what keeps outlier counts
-    # identical under sign flips
-    h = (xs.size - 1) * q
-    lo = math.floor(h)
-    hi = math.ceil(h)
-    if lo == hi:
-        return float(xs[lo])
-    g = h - lo
-    return float((1.0 - g) * xs[lo] + g * xs[hi])
-
-
 def _is_constant(a: np.ndarray) -> bool:
     # a constant sample has zero variance by definition; testing the
     # computed m2 instead misses cases like six copies of 0.7, where the
@@ -105,19 +80,14 @@ def _is_constant(a: np.ndarray) -> bool:
     return bool(np.all(a == a[0]))
 
 
-def _moments(data, min_n: int, what: str, zero_what: str):
-    """n, mean, sum of squared deviations and m2, m3, m4 in one pass.
-
-    Raises TooFewObservationsError below ``min_n`` observations and
-    ZeroVarianceError (naming ``zero_what``) for a constant sample, a
-    vanishing m2, or an m2 whose square underflows to 0.
-    """
+def describe(data) -> DescriptiveStats:
+    """n, mean, sample sd, G1 skewness and G2 excess kurtosis of 4 or more varying values."""
     a = _as_array(data)
     n = a.size
-    if n < min_n:
-        raise TooFewObservationsError(min_n, n, what)
+    if n < 4:
+        raise TooFewObservationsError(4, n, "describe")
     if _is_constant(a):
-        raise ZeroVarianceError(f"{zero_what} has zero variance")
+        raise ZeroVarianceError("data has zero variance")
     mean = a.mean()
     # explicit products, not dev**k: numpy's vectorized pow is not
     # sign-symmetric at the last ulp, and skewness must flip its sign
@@ -127,42 +97,20 @@ def _moments(data, min_n: int, what: str, zero_what: str):
     ss = float(dev2.sum())
     m2 = ss / n
     if m2 == 0.0:
-        raise ZeroVarianceError(f"{zero_what} has zero variance")
+        raise ZeroVarianceError("data has zero variance")
     if m2 * m2 == 0.0:  # G1 and G2 would divide by m2**1.5 and m2**2
-        raise ZeroVarianceError(f"{zero_what} has a variance too small to compute higher moments")
-    return n, float(mean), ss, m2, float((dev2 * dev).mean()), float((dev2 * dev2).mean())
-
-
-# numpy powers: past the float range they give inf, where float ** raises OverflowError
-def _g1(n: int, m2: float, m3: float) -> float:
-    return float(math.sqrt(n * (n - 1)) / (n - 2) * m3 / np.float64(m2) ** 1.5)
-
-
-def _g2(n: int, m2: float, m4: float) -> float:
-    return float(((n + 1) * (m4 / np.float64(m2) ** 2 - 3.0) + 6.0) * (n - 1) / ((n - 2) * (n - 3)))
-
-
-def skewness(data) -> float:
-    """Adjusted Fisher-Pearson sample skewness G1."""
-    n, _, _, m2, m3, _ = _moments(data, 3, "skewness", "skewness input")
-    return _g1(n, m2, m3)
-
-
-def excess_kurtosis(data) -> float:
-    """Sample-adjusted excess kurtosis G2 (normal data -> 0)."""
-    n, _, _, m2, _, m4 = _moments(data, 4, "kurtosis", "kurtosis input")
-    return _g2(n, m2, m4)
-
-
-def describe(data) -> DescriptiveStats:
-    """n, mean, sample sd, G1 skewness and G2 excess kurtosis in one shot."""
-    n, mean, ss, m2, m3, m4 = _moments(data, 4, "describe", "data")
+        raise ZeroVarianceError("data has a variance too small to compute higher moments")
+    m3 = float((dev2 * dev).mean())
+    m4 = float((dev2 * dev2).mean())
+    # numpy powers: past the float range they give inf, where float ** raises OverflowError
+    g1 = math.sqrt(n * (n - 1)) / (n - 2) * m3 / np.float64(m2) ** 1.5
+    g2 = ((n + 1) * (m4 / np.float64(m2) ** 2 - 3.0) + 6.0) * (n - 1) / ((n - 2) * (n - 3))
     return DescriptiveStats(
         n=n,
-        mean=mean,
+        mean=float(mean),
         sd=math.sqrt(ss / (n - 1)),
-        skewness=_g1(n, m2, m3),
-        excess_kurtosis=_g2(n, m2, m4),
+        skewness=float(g1),
+        excess_kurtosis=float(g2),
     )
 
 
@@ -176,9 +124,17 @@ def box_summary(data) -> BoxSummary:
     xs = np.sort(_as_array(data))
     if xs.size == 0:
         raise EmptyDataError()
-    q1 = _sorted_quantile(xs, 0.25)
-    median = _sorted_quantile(xs, 0.5)
-    q3 = _sorted_quantile(xs, 0.75)
+    # type-7 quartiles: the symmetric two-product form (1-g)*xs[k] + g*xs[k+1]
+    # keeps quantile(-data, q) == -quantile(data, 1-q) bit-exact for these
+    # dyadic q; that exactness is what keeps outlier counts identical under
+    # sign flips
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        h = (xs.size - 1) * q
+        k = math.floor(h)
+        g = h - k
+        quartiles.append(float(xs[k]) if g == 0.0 else float((1.0 - g) * xs[k] + g * xs[k + 1]))
+    q1, median, q3 = quartiles
     iqr = q3 - q1
     inner = (q1 - 1.5 * iqr, q3 + 1.5 * iqr)
     outer = (q1 - 3.0 * iqr, q3 + 3.0 * iqr)
@@ -225,27 +181,3 @@ def two_sample_t_equal_var(a, b) -> GroupComparison:
     return GroupComparison(
         t_value=t, df=df, p_value=p, r_squared=r2, group_means=(mean_a, mean_b)
     )
-
-
-def dummy_regression_r2(values, group) -> float:
-    """Explained variance of a least-squares fit on one binary dummy.
-
-    Computed from the sum-of-squares decomposition (fitted values are the
-    group means), not from the t statistic; the identity with
-    t^2/(t^2 + df) is a checked property, not the implementation.
-    """
-    v = _as_array(values)
-    labels = list(group)
-    if len(labels) != v.size:
-        raise ValueError(f"got {v.size} values but {len(labels)} group labels")
-    distinct = list(dict.fromkeys(labels))
-    if len(distinct) != 2:
-        raise SingleGroupError(len(distinct))
-    mask = np.asarray([label == distinct[0] for label in labels])
-    ss_total = float(((v - v.mean()) ** 2).sum())
-    if ss_total == 0.0 or _is_constant(v):
-        raise ZeroVarianceError("regression response has zero variance")
-    ss_res = float(((v[mask] - v[mask].mean()) ** 2).sum()) + float(
-        ((v[~mask] - v[~mask].mean()) ** 2).sum()
-    )
-    return 1.0 - ss_res / ss_total

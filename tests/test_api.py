@@ -1,14 +1,24 @@
+from pathlib import Path
+
 import coda_ratios
 
-# the per-composition API, replaced by the (n, D) array functions
+# public names no pipeline stage calls: the per-composition API, replaced by
+# the (n, D) array functions, then the standalone statistics and dataset helpers
 REMOVED = (
     "BalanceVector",
     "Composition",
     "aitchison_distance",
     "balance",
+    "check_groups",
     "clr_transform",
+    "dummy_regression_r2",
     "eval_ratio",
+    "excess_kurtosis",
+    "format_config",
     "ilr_transform",
+    "quantile_type7",
+    "skewness",
+    "split_by_group",
 )
 
 
@@ -20,3 +30,28 @@ def test_removed_names_are_not_exported():
     assert not set(REMOVED) & set(coda_ratios.__all__)
     assert not [name for name in REMOVED if hasattr(coda_ratios, name)]
     assert not hasattr(coda_ratios.PartitionTree, "fingerprint")
+    # kept in coda_ratios.tdist, which the p-value tests import it from
+    assert "regularized_incomplete_beta" not in coda_ratios.__all__
+    assert not hasattr(coda_ratios, "regularized_incomplete_beta")
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    # the "Library use" block of README.md, run as written, so no removed name survives there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "analysis.ini").write_text(
+        "[analysis]\nparts = TA, NCL, CL\nsbp = (TA|(NCL|CL))\ngroup_variable = brand\n\n"
+        "[ratios]\nr1 = TA / NCL + CL\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "firms.csv").write_text(
+        "firm_id,TA,NCL,CL,brand\nf1,100,20,30,yes\nf2,80,35,25,no\nf3,120,50,10,yes\n"
+        "f4,90,15,45,no\nf5,60,22,18,yes\nf6,150,40,35,no\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "('f1', 'f2', 'f3')" in out
+    assert out.index("\nno [") < out.index("\nyes [")  # the low group value first
+    assert "y1p" in out  # the CSV report

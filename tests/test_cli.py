@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -49,10 +51,16 @@ def _args(workdir, *extra):
 
 def test_analyze_to_stdout(workdir, capsys):
     assert main(["analyze", *_args(workdir)]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     assert doc["metadata"]["n"] == 6
     assert doc["metadata"]["timestamp"] == "2023-11-14T22:13:20Z"
     assert [v["name"] for v in doc["variables"]] == ["y1", "y1p", "y2", "y2p", "r1", "r1p"]
+    # a stdout without a binary buffer gets the same report as text
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", *_args(workdir)]) == 0
+    assert out.getvalue() == text
 
 
 def test_analyze_to_json_file(workdir):
@@ -425,6 +433,22 @@ def test_program_with_stdout_closed_writes_its_files(workdir):
     )
     assert (result.returncode, result.stderr) == (0, b"")
     assert json.loads((workdir / "r.json").read_text(encoding="utf-8"))["variables"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes the child's stdout before exec")
+@pytest.mark.parametrize("command", ["demo", "transform", "analyze", "analyze --svg"])
+def test_program_with_stdout_closed_and_nothing_else_to_write_exits_1(workdir, command):
+    name, *extra = command.split()
+    argv = ["table1"] if name == "demo" else _args(workdir, *[arg + "=p.svg" for arg in extra])
+    result = subprocess.run(
+        [sys.executable, "-m", "coda_ratios.cli", name, *argv],
+        stderr=subprocess.PIPE,
+        cwd=workdir,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (result.returncode, result.stderr) == (1, b"error: stdout is closed\n")
+    assert not (workdir / "p.svg").exists()  # an error writes no file
 
 
 def test_in_process_main_does_not_freeze_the_heap(workdir, capsys):

@@ -5,13 +5,14 @@ import pytest
 
 from coda_ratios import (
     FirmDataset,
+    RatioSpec,
     contrast_matrix,
     ilr_inverse,
     ilr_matrix,
     parse_sbp,
     validate_tree,
 )
-from coda_ratios.composition import check_groups, check_known
+from coda_ratios.composition import check_known
 from coda_ratios.errors import (
     CodaError,
     DuplicateLabelError,
@@ -125,14 +126,14 @@ def test_balance_input_validation():
     with pytest.raises(UnknownLabelError):
         check_known(("a", "z"), ("a", "b", "c"))
     with pytest.raises(DuplicateLabelError) as err:
-        check_groups(("a", "b"), ("b", "c"))
+        RatioSpec("r", ("a", "b"), ("b", "c"))
     assert err.value.labels == ("b",)
     # dropping the repeat would silently compute the balance of (a | b)
     with pytest.raises(DuplicateLabelError) as err:
-        check_groups(("a", "a"), ("b",))
+        RatioSpec("r", ("a", "a"), ("b",))
     assert err.value.labels == ("a",)
     with pytest.raises(CodaError, match=r"^numerator group is empty$"):
-        check_groups((), ("a",))
+        RatioSpec("r", (), ("a",))
 
 
 # ---------------------------------------------------------------------------

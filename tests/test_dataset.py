@@ -11,12 +11,11 @@ from coda_ratios import (
     FirmDataset,
     ZeroPolicy,
     apply_zero_policy,
-    format_config,
     load_config,
     load_dataset_csv,
     parse_config,
     read_dataset_csv,
-    split_by_group,
+    two_groups,
 )
 from coda_ratios.errors import (
     AllRowsDroppedError,
@@ -28,6 +27,7 @@ from coda_ratios.errors import (
     MalformedNumberError,
     MissingColumnError,
     NonPositivePartError,
+    SingleGroupError,
     UnknownLabelError,
     ZeroCellError,
 )
@@ -149,12 +149,6 @@ def test_config_validates_against_tree_and_labels():
 def test_config_names_each_variable_then_its_twin():
     names = parse_config(CONFIG_TEXT).variable_names
     assert names == ("y1", "y1p", "y2", "y2p", "r1", "r1p", "r2", "r2p")
-
-
-def test_config_round_trip():
-    config = parse_config(CONFIG_TEXT)
-    again = parse_config(format_config(config))
-    assert again == config
 
 
 def test_load_config_from_file(tmp_path):
@@ -499,22 +493,30 @@ def test_split_by_group():
         [("f1", (1, 2, 3)), ("f2", (4, 5, 6)), ("f3", (7, 8, 9))],
         externals={"brand": ("yes", "no", "yes")},
     )
-    groups = split_by_group(ds, "brand")
-    assert list(groups) == ["yes", "no"]  # first-appearance order
-    assert groups["yes"].tolist() == [True, False, True]
-    assert groups["no"].tolist() == [False, True, False]
-    assert sum(int(mask.sum()) for mask in groups.values()) == ds.n
+    (no, no_mask), (yes, yes_mask) = two_groups(ds, "brand")  # low value first
+    assert (no, yes) == ("no", "yes")
+    assert yes_mask.tolist() == [True, False, True]
+    assert no_mask.tolist() == [False, True, False]
+    assert int(yes_mask.sum()) + int(no_mask.sum()) == ds.n
 
 
 def test_split_by_group_empty_dataset():
-    ds = FirmDataset(firm_ids=(), part_labels=("TA", "NCL", "CL"), values=np.empty((0, 3)))
-    assert split_by_group(ds, "brand") == {}
+    ds = FirmDataset(
+        firm_ids=(), part_labels=("TA", "NCL", "CL"), values=np.empty((0, 3)),
+        externals={"brand": ()},
+    )
+    with pytest.raises(SingleGroupError) as excinfo:
+        two_groups(ds, "brand")
+    assert excinfo.value.n_groups == 0
 
 
 def test_split_by_group_unknown_variable():
     ds = _dataset([("f1", (1, 2, 3))], externals={"brand": ("yes",)})
     with pytest.raises(CodaError, match="^unknown external variable 'country'$"):
-        split_by_group(ds, "country")
+        two_groups(ds, "country")
+    with pytest.raises(SingleGroupError) as excinfo:
+        two_groups(ds, "brand")
+    assert excinfo.value.n_groups == 1
 
 
 def test_dataset_rejects_short_external_column():

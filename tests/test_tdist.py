@@ -60,9 +60,15 @@ def test_p_value_against_live_oracle():
 
 @pytest.mark.parametrize("df", [10**6, 10**7])
 def test_p_value_at_large_df_against_live_oracle(df):
-    # the accuracy bound tdist states; df above 1e7 is not pinned
+    # the accuracy bound tdist states, for |t| >= 0.01; df above 1e7 is not pinned
     for t in (0.01, 0.3, 1.0, 1.96, 3.0, 5.0, 8.0):
         assert student_t_two_sided_p(t, df) == pytest.approx(_oracle(t, df), rel=1e-8)
+
+
+@pytest.mark.xfail(strict=True, reason="1 - x keeps few digits at small t^2/df; ROADMAP item 4")
+def test_p_value_at_small_t_and_large_df_against_live_oracle():
+    t, df = 1e-4, 10**7
+    assert student_t_two_sided_p(t, df) == pytest.approx(_oracle(t, df), rel=1e-8)
 
 
 def test_p_at_zero_is_exactly_one():
