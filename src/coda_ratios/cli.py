@@ -145,11 +145,12 @@ def _cmd_validate(args) -> int:
     ds = load_dataset_csv(args.data, config)
     # the group split is checked before anything is printed
     groups = None if config.group_variable is None else two_groups(ds, config.group_variable)
+    out = _stdout()
     parts = ", ".join(ds.part_labels)
-    print(f"OK: {ds.n} firm(s), {len(ds.part_labels)} part(s) ({parts})")
+    print(f"OK: {ds.n} firm(s), {len(ds.part_labels)} part(s) ({parts})", file=out)
     if groups is not None:
         sizes = ", ".join(f"{value}: {int(mask.sum())}" for value, mask in groups)
-        print(f"OK: group variable {config.group_variable!r} splits as {sizes}")
+        print(f"OK: group variable {config.group_variable!r} splits as {sizes}", file=out)
     return 0
 
 

@@ -57,18 +57,17 @@ _ZERO_MODES = ("reject", "drop_row", "replace")
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 
 
-def check_positive(values, *labels, zero_ok=False) -> None:
+def check_positive(values, firm_ids, part_labels, zero_ok=False) -> None:
     """Raise NonPositivePartError listing every magnitude that is not finite and positive.
 
-    An entry is named by its labels, one sequence per axis of ``values``, joined
-    with ':'.  With ``zero_ok`` zeros pass, for a zero policy to resolve later.
+    A cell of the (n, D) array ``values`` is named ``firm:part`` from ``firm_ids``
+    and ``part_labels``.  With ``zero_ok`` zeros pass, for a zero policy to resolve later.
     """
-    values = np.asarray(values, dtype=np.float64)
     bad = ~(((values >= 0.0) if zero_ok else (values > 0.0)) & np.isfinite(values))
     if bad.any():
         raise NonPositivePartError(
-            (":".join(str(axis[i]) for axis, i in zip(labels, index)), float(values[index]))
-            for index in zip(*np.nonzero(bad))
+            (f"{firm_ids[i]}:{part_labels[j]}", float(values[i, j]))
+            for i, j in zip(*np.nonzero(bad))
         )
 
 
@@ -192,13 +191,14 @@ class FirmDataset:
 def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
     """Resolve zero cells per the policy.
 
-    ``values`` is a non-negative (n, D) array with one row per firm id and
-    one column per part label.  Returns ``(keep, values)``: a boolean mask
-    of the input rows that are kept, and those rows with zeros resolved.
-    drop_row logs how many firms were removed.
+    ``values`` is an (n, D) array, a row per firm id and a column per part
+    label; under every mode a negative or non-finite cell is a NonPositivePartError.
+    Returns ``(keep, values)``: a boolean mask of the input rows that are kept,
+    and those rows with zeros resolved.  drop_row logs how many firms were removed.
     """
     part_labels = tuple(part_labels)
     values = np.asarray(values, dtype=np.float64)
+    check_positive(values, firm_ids, part_labels, zero_ok=True)
     zero = values == 0.0
     keep = np.ones(len(firm_ids), dtype=bool)
     if not zero.any():
@@ -267,11 +267,11 @@ def _records(reader):
 def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     """Like load_dataset_csv but from an open text stream.
 
-    One ``np.loadtxt`` pass reads a plain file, one without quotes; a file
-    it cannot read, or whose columns fail a check, is read again from the
-    start by the ``csv.reader`` path, which words every error with its
-    line.  A stream that cannot seek (a pipe) is read into memory first.
-    A file with no firm rows is an :class:`EmptyDataError`.
+    One ``np.loadtxt`` pass reads a plain file, one without quotes; a file it
+    cannot read, or with an empty or repeated id or a number that is not finite, is
+    read again by the ``csv.reader`` path, which words every error with its line.
+    A stream that cannot seek (a pipe) is read into memory first.  A file with no
+    firm rows is an :class:`EmptyDataError`; apply_zero_policy checks the signs.
     """
     if not fh.seekable():
         fh = io.StringIO(fh.read(), newline="")
@@ -292,8 +292,8 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     )
 
 
-def _header_columns(header, config: AnalysisConfig) -> list[str]:
-    """The stripped column names of a header record, checked against ``config``."""
+def _header_columns(header, config: AnalysisConfig) -> tuple[list[str], list[str]]:
+    """A header record's stripped column names, checked against ``config``, and its externals."""
     if header is None:
         raise MissingColumnError("firm_id")
     header = [name.strip() for name in header]
@@ -306,7 +306,7 @@ def _header_columns(header, config: AnalysisConfig) -> list[str]:
     for name in required:
         if name not in header:
             raise MissingColumnError(name)
-    return header
+    return header, [name for name in header if name != "firm_id" and name not in config.parts]
 
 
 def _loadtxt_columns(fh, config: AnalysisConfig):
@@ -315,8 +315,9 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
     None means the csv.reader path must read the file: a line holds a
     character of ``_NOT_PLAIN`` or is longer than the csv field limit; the
     header or a row is one that path rejects or reads differently (a short
-    row, say); an id or a part fails its check; or a part is named
-    firm_id.  A failed read may have consumed any part of ``fh``.
+    row, say); an id is empty or repeated or a part not finite (a negative
+    part is apply_zero_policy's to find); or a part is named firm_id.  A
+    failed read may have consumed any part of ``fh``.
     """
     if "firm_id" in config.parts:  # one column, read as both text and number
         return None
@@ -332,7 +333,7 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
 
     rows = lines()
     try:
-        header = _header_columns(next(csv.reader(rows, strict=True), None), config)
+        header, external = _header_columns(next(csv.reader(rows, strict=True), None), config)
         dtype = [
             (f"c{j}", np.float64 if name in config.parts else object)
             for j, name in enumerate(header)
@@ -352,13 +353,9 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
     values = np.empty((len(firm_ids), len(config.parts)))
     for j, part in enumerate(config.parts):
         values[:, j] = table[field[part]]
-    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+    if not np.isfinite(values).all():
         return None
-    externals = {
-        name: [cell.strip() for cell in table[field[name]]]
-        for name in header
-        if name != "firm_id" and name not in config.parts
-    }
+    externals = {name: [cell.strip() for cell in table[field[name]]] for name in external}
     return firm_ids, values, externals
 
 
@@ -367,15 +364,13 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
 
     Raises a CodaError for the first problem found, citing its line: a
     malformed record, a bad header, a row longer than the header, an empty
-    or repeated firm_id, every malformed number, and every negative part.
+    or repeated firm_id, and every malformed number.
     """
     reader = csv.reader(fh, strict=True)
     records = _records(reader)
-    header = _header_columns(next(records, None), config)
+    header, external = _header_columns(next(records, None), config)
     col = {name: j for j, name in enumerate(header)}
-    externals = {
-        name: [] for name in header if name != "firm_id" and name not in config.parts
-    }
+    externals = {name: [] for name in external}
 
     width = len(header)
     firm_ids, lines, flat = [], array("q"), array("d")
@@ -411,7 +406,6 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
 
     check_unique_ids(firm_ids, lines)
     values = np.array(flat, dtype=np.float64).reshape(len(firm_ids), len(config.parts))
-    check_positive(values, firm_ids, config.parts, zero_ok=True)
     return firm_ids, values, externals
 
 
@@ -461,18 +455,12 @@ def parse_config(text: str) -> AnalysisConfig:
     except configparser.Error as exc:
         raise ConfigError(f"bad configuration syntax: {exc}") from exc
 
-    unknown_sections = set(cp.sections()) - {"analysis", "ratios", "zeros"}
-    if unknown_sections:
-        raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown_sections))}")
+    _check_names(cp.sections(), {"analysis", "ratios", "zeros"}, "section(s)")
     if not cp.has_section("analysis"):
         raise ConfigError("missing [analysis] section")
 
     analysis = dict(cp.items("analysis"))
-    unknown_keys = set(analysis) - {"parts", "sbp", "group_variable"}
-    if unknown_keys:
-        raise ConfigError(
-            f"unknown key(s) in [analysis]: {', '.join(sorted(unknown_keys))}"
-        )
+    _check_names(analysis, {"parts", "sbp", "group_variable"}, "key(s) in [analysis]")
     for key in ("parts", "sbp"):
         if key not in analysis:
             raise ConfigError(f"[analysis] is missing required key {key!r}")
@@ -494,11 +482,7 @@ def parse_config(text: str) -> AnalysisConfig:
     zero_policy = ZeroPolicy()
     if cp.has_section("zeros"):
         zeros = dict(cp.items("zeros"))
-        unknown_keys = set(zeros) - {"mode", "delta_fraction"}
-        if unknown_keys:
-            raise ConfigError(
-                f"unknown key(s) in [zeros]: {', '.join(sorted(unknown_keys))}"
-            )
+        _check_names(zeros, {"mode", "delta_fraction"}, "key(s) in [zeros]")
         kwargs = {}
         if "mode" in zeros:
             kwargs["mode"] = zeros["mode"].strip()
@@ -518,6 +502,13 @@ def parse_config(text: str) -> AnalysisConfig:
         group_variable=group_variable,
         zero_policy=zero_policy,
     )
+
+
+def _check_names(names, allowed: set[str], what: str) -> None:
+    """Raise ConfigError listing each of ``names`` not in ``allowed`` as an unknown ``what``."""
+    unknown = set(names) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {what}: {', '.join(sorted(unknown))}")
 
 
 def load_config(path) -> AnalysisConfig:

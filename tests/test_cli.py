@@ -436,7 +436,7 @@ def test_program_with_stdout_closed_writes_its_files(workdir):
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes the child's stdout before exec")
-@pytest.mark.parametrize("command", ["demo", "transform", "analyze", "analyze --svg"])
+@pytest.mark.parametrize("command", ["demo", "transform", "validate", "analyze", "analyze --svg"])
 def test_program_with_stdout_closed_and_nothing_else_to_write_exits_1(workdir, command):
     name, *extra = command.split()
     argv = ["table1"] if name == "demo" else _args(workdir, *[arg + "=p.svg" for arg in extra])

@@ -28,7 +28,12 @@ from coda_ratios import (
     read_dataset_csv,
 )
 from coda_ratios.composition import ilr_matrix
-from coda_ratios.errors import CodaError
+from coda_ratios.errors import (
+    CodaError,
+    DuplicateFirmIdError,
+    MalformedNumberError,
+    NonPositivePartError,
+)
 
 HEADER = ("firm_id", "TA", "NCL", "CL", "brand")
 LONG = 131_073  # one past the csv module's default field limit
@@ -124,6 +129,38 @@ def test_loadtxt_path_agrees_with_csv_reader_path(text, newline, mode, group):
     with mock.patch.object(dataset, "_loadtxt_columns", return_value=None):
         csv_reader_only = _outcome(text, newline, config)
     assert both == csv_reader_only
+
+
+NEGATIVE_ONLY = "firm_id,TA,NCL,CL\nf1,1,2,3\nf2,4,-5,6\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "mode", "error"),
+    [
+        (NEGATIVE_ONLY, "reject", NonPositivePartError),
+        ("firm_id,TA,NCL,CL\nf1,1,x,3\nf2,4,-5,6\n", "reject", MalformedNumberError),
+        ("firm_id,TA,NCL,CL\n,1,2,3\nf2,4,-5,6\n", "reject", CodaError),
+        ("firm_id,TA,NCL,CL\nf1,1,2,3\nf1,4,-5,6\n", "reject", DuplicateFirmIdError),
+        ("firm_id,TA,NCL,CL\nf1,1,2,3\nf2,0,-5,6\n", "drop_row", NonPositivePartError),
+    ],
+    ids=["negative", "malformed", "empty_id", "duplicate_id", "negative_and_zero"],
+)
+def test_a_negative_part_gives_the_csv_reader_paths_first_error(text, mode, error):
+    config = AnalysisConfig(
+        parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))", zero_policy=ZeroPolicy(mode=mode)
+    )
+    both = _outcome(text, "", config)
+    with mock.patch.object(dataset, "_loadtxt_columns", return_value=None):
+        csv_reader_only = _outcome(text, "", config)
+    assert both == csv_reader_only
+    assert both[0] is error
+
+
+def test_a_plain_file_whose_only_fault_is_a_negative_part_is_read_once():
+    config = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))")
+    with mock.patch.object(dataset, "_csv_reader_columns", side_effect=AssertionError):
+        with pytest.raises(NonPositivePartError, match=r"f2:NCL=-5\.0"):
+            read_dataset_csv(io.StringIO(NEGATIVE_ONLY, newline=""), config)
 
 
 def test_loadtxt_path_reads_only_files_without_quotes():

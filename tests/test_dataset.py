@@ -373,6 +373,18 @@ def test_zero_policy_no_zeros_is_identity():
         assert np.array_equal(out, values)
 
 
+@pytest.mark.parametrize("mode", ["reject", "drop_row", "replace"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_zero_policy_rejects_a_negative_or_non_finite_cell_under_every_mode(mode, bad):
+    # the zero beside the bad cell would be rejected, dropped or replaced; the bad cell comes first
+    ids, values = ("a", "b"), np.array([[bad, 0.0], [2.0, 3.0]])
+    with pytest.raises(NonPositivePartError) as excinfo:
+        apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy(mode=mode))
+    ((label, value),) = excinfo.value.parts
+    assert label == "a:A"
+    assert value == bad or (math.isnan(value) and math.isnan(bad))
+
+
 def test_zero_policy_drop_row(caplog):
     ids, values = ("f1", "f2", "f3"), np.array([[1.0, 0.0], [3.0, 4.0], [0.0, 5.0]])
     with caplog.at_level(logging.INFO, logger="coda_ratios.dataset"):
