@@ -73,7 +73,8 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     cand = np.where(frac > 0.5, whole + 1, whole)
     slow = ~fast | (frac == 0.5)
     level = np.zeros(len(x), np.int64)  # cand is a multiple of 10**level
-    idx, w, f, hw = np.arange(len(x)), whole, frac, h  # still inside: which, and their Y, h
+    idx = np.flatnonzero(~slow)  # repr writes the slow ones
+    w, f, hw = whole[idx], frac[idx], h[idx]  # still inside: which, and their Y, h
     for j in range(1, 17):
         step = 10**j
         r = w % step

@@ -8,6 +8,10 @@ kept verbatim as a categorical external variable (e.g. a yes/no brand
 flag).  A row may be shorter than the header (missing cells are empty) but
 not longer, and every firm_id must be non-empty.
 
+A loaded dataset holds each column once: the firm ids and each external
+column as a read-only 1-D object array of ``str``, built from the reader's
+cells, and the parts as one read-only (n, D) float64 array.
+
 Zeros are a policy decision, negatives are not: a negative magnitude is a
 hard error under every policy, because repairing it means restructuring
 the accounts upstream (splitting profit into income and expenses, say),
@@ -25,7 +29,6 @@ import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress
 from types import MappingProxyType
 from typing import Mapping
 
@@ -55,6 +58,8 @@ _ZERO_MODES = ("reject", "drop_row", "replace")
 # A quote needs the csv.reader path.  np.loadtxt strips these ASCII
 # separators from around a number as whitespace, and float() does not.
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+# The rest of what str.strip() removes from ASCII text, bar the '\n' that ends a line
+_ASCII_SPACE = " \t\r\x0b\x0c"
 
 
 def check_positive(values, firm_ids, part_labels, zero_ok=False) -> None:
@@ -153,31 +158,33 @@ class AnalysisConfig:
 class FirmDataset:
     """An immutable sector sample in columns: row i of every field is firm i.
 
+    ``firm_ids`` is a read-only 1-D object array of one ``str`` per firm;
     ``values`` is a read-only (n, D) float64 array whose columns follow
-    ``part_labels``; ``externals`` maps each categorical column name to one
-    string per firm.
+    ``part_labels``; ``externals`` maps each categorical column name to a
+    read-only 1-D object array of one ``str`` per firm.  A given array that
+    owns its data, is read-only and has the field's dtype is held as it is;
+    anything else is copied, so a caller's array is never changed.
     """
 
-    firm_ids: tuple[str, ...]
+    firm_ids: np.ndarray
     part_labels: tuple[str, ...]
     values: np.ndarray
-    externals: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    externals: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        firm_ids = tuple(self.firm_ids)
+        firm_ids = _read_only(self.firm_ids, object)
         part_labels = tuple(self.part_labels)
         n = len(firm_ids)
-        values = np.array(self.values, dtype=np.float64)
+        values = _read_only(self.values, np.float64)
         if values.shape != (n, len(part_labels)):
             raise LengthMismatchError((n, len(part_labels)), values.shape)
         check_part_labels(part_labels)
-        externals = {name: tuple(column) for name, column in self.externals.items()}
+        externals = {name: _read_only(column, object) for name, column in self.externals.items()}
         for column in externals.values():
             if len(column) != n:
                 raise LengthMismatchError(n, len(column))
         check_unique_ids(firm_ids)
         check_positive(values, firm_ids, part_labels)
-        values.setflags(write=False)
         object.__setattr__(self, "firm_ids", firm_ids)
         object.__setattr__(self, "part_labels", part_labels)
         object.__setattr__(self, "values", values)
@@ -188,16 +195,33 @@ class FirmDataset:
         return len(self.firm_ids)
 
 
+def _read_only(data, dtype) -> np.ndarray:
+    """``data`` as a read-only ``dtype`` array: itself if it is one that owns its data, else a copy."""
+    if (
+        isinstance(data, np.ndarray)
+        and data.dtype == dtype
+        and data.flags.owndata
+        and not data.flags.writeable
+    ):
+        return data
+    data = np.array(data, dtype=dtype)
+    data.setflags(write=False)
+    return data
+
+
 def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
     """Resolve zero cells per the policy.
 
     ``values`` is an (n, D) array, a row per firm id and a column per part
-    label; under every mode a negative or non-finite cell is a NonPositivePartError.
-    Returns ``(keep, values)``: a boolean mask of the input rows that are kept,
-    and those rows with zeros resolved.  drop_row logs how many firms were removed.
+    label, or a LengthMismatchError; under every mode a negative or non-finite
+    cell is a NonPositivePartError.  Returns ``(keep, values)``: a boolean mask
+    of the input rows that are kept, and those rows with zeros resolved.
+    drop_row logs how many firms were removed.
     """
     part_labels = tuple(part_labels)
     values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(firm_ids), len(part_labels)):
+        raise LengthMismatchError((len(firm_ids), len(part_labels)), values.shape)
     check_positive(values, firm_ids, part_labels, zero_ok=True)
     zero = values == 0.0
     keep = np.ones(len(firm_ids), dtype=bool)
@@ -281,14 +305,17 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
         fh.seek(start)
         columns = _csv_reader_columns(fh, config)
     firm_ids, values, externals = columns
-    if not firm_ids:
+    if not len(firm_ids):
         raise EmptyDataError()
     keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
+    if not keep.all():
+        firm_ids = firm_ids[keep]
+        externals = {name: column[keep] for name, column in externals.items()}
+    # read-only arrays that own their data: the dataset holds them without a copy
+    for column in (firm_ids, values, *externals.values()):
+        column.setflags(write=False)
     return FirmDataset(
-        firm_ids=tuple(compress(firm_ids, keep)),
-        part_labels=config.parts,
-        values=values,
-        externals={name: tuple(compress(column, keep)) for name, column in externals.items()},
+        firm_ids=firm_ids, part_labels=config.parts, values=values, externals=externals
     )
 
 
@@ -312,6 +339,10 @@ def _header_columns(header, config: AnalysisConfig) -> tuple[list[str], list[str
 def _loadtxt_columns(fh, config: AnalysisConfig):
     """``(firm_ids, values, externals)`` of ``fh`` from one ``np.loadtxt`` pass, or None.
 
+    Ids and external columns are 1-D object arrays of stripped cells.  A file
+    that is ASCII with none of ``_ASCII_SPACE`` has nothing to strip, and its
+    cells are kept as np.loadtxt read them.
+
     None means the csv.reader path must read the file: a line holds a
     character of ``_NOT_PLAIN`` or is longer than the csv field limit; the
     header or a row is one that path rejects or reads differently (a short
@@ -322,13 +353,17 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
     if "firm_id" in config.parts:  # one column, read as both text and number
         return None
     limit = csv.field_size_limit()
+    stripped = True  # so far every cell equals its str.strip()
 
     def lines():
+        nonlocal stripped
         # a batch of lines at a time keeps the checks in C
         while batch := fh.readlines(1 << 16):
             text = "".join(batch)
             if any(c in text for c in _NOT_PLAIN) or max(map(len, batch)) > limit:
                 raise ValueError("not a plain file")  # np.loadtxt passes it on
+            if stripped:
+                stripped = text.isascii() and not any(c in text for c in _ASCII_SPACE)
             yield from batch
 
     rows = lines()
@@ -347,7 +382,12 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
     except (CodaError, csv.Error, ValueError):  # a UnicodeDecodeError too: the csv.reader path words it
         return None
     field = {name: f"c{j}" for j, name in enumerate(header)}
-    firm_ids = [firm_id.strip() for firm_id in table[field["firm_id"]]]
+
+    def column(name):
+        cells = table[field[name]]
+        return np.array(cells if stripped else [cell.strip() for cell in cells], dtype=object)
+
+    firm_ids = column("firm_id")
     if not all(firm_ids) or len(set(firm_ids)) != len(firm_ids):
         return None
     values = np.empty((len(firm_ids), len(config.parts)))
@@ -355,12 +395,13 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
         values[:, j] = table[field[part]]
     if not np.isfinite(values).all():
         return None
-    externals = {name: [cell.strip() for cell in table[field[name]]] for name in external}
-    return firm_ids, values, externals
+    return firm_ids, values, {name: column(name) for name in external}
 
 
 def _csv_reader_columns(fh, config: AnalysisConfig):
     """``(firm_ids, values, externals)`` of ``fh`` read by ``csv.reader``, cell by cell.
+
+    Ids and external columns are returned as 1-D object arrays of stripped cells.
 
     Raises a CodaError for the first problem found, citing its line: a
     malformed record, a bad header, a row longer than the header, an empty
@@ -405,8 +446,10 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
         raise MalformedNumberError(malformed)
 
     check_unique_ids(firm_ids, lines)
-    values = np.array(flat, dtype=np.float64).reshape(len(firm_ids), len(config.parts))
-    return firm_ids, values, externals
+    values = np.empty((len(firm_ids), len(config.parts)))
+    values.reshape(-1)[:] = flat  # an array that owns its data, which the dataset keeps
+    externals = {name: np.array(column, dtype=object) for name, column in externals.items()}
+    return np.array(firm_ids, dtype=object), values, externals
 
 
 def two_groups(ds: FirmDataset, variable: str) -> tuple[tuple[str, np.ndarray], ...]:
@@ -416,11 +459,11 @@ def two_groups(ds: FirmDataset, variable: str) -> tuple[tuple[str, np.ndarray], 
     """
     if variable not in ds.externals:
         raise CodaError(f"unknown external variable {variable!r}")
-    values = sorted(set(ds.externals[variable]))
+    column = ds.externals[variable]
+    values = sorted(set(column))
     if len(values) != 2:
         raise SingleGroupError(len(values))
-    labels = np.array(ds.externals[variable], dtype=object)
-    return tuple((value, labels == value) for value in values)
+    return tuple((value, column == value) for value in values)
 
 
 # ---------------------------------------------------------------------------

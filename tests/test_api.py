@@ -52,6 +52,6 @@ def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out
-    assert "('f1', 'f2', 'f3')" in out
+    assert "['f1' 'f2' 'f3']" in out
     assert out.index("\nno [") < out.index("\nyes [")  # the low group value first
     assert "y1p" in out  # the CSV report

@@ -52,7 +52,9 @@ odd_cells = st.sampled_from(
         "0" * LONG + "1", "f" * LONG,
     ]
 )
-brands = st.sampled_from(["yes", "no", " yes ", ""])
+# str.strip() removes the non-ASCII and the '\x0b' and '\x0c' paddings too
+PADS = ["", " ", "\t", "\xa0", "\u3000", "\x0b", "\x0c"]
+brands = st.sampled_from(["yes", "no", " yes ", "", "\xa0no\xa0", "\u3000yes", "no\x0b", "\x0cyes"])
 line_ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 EXTRA_LINES = ["", " ", "\t", ",,,,", "\ufeff"]  # blank lines are skipped, the others are rows
 
@@ -75,7 +77,7 @@ def csv_texts(draw):
         cells = []
         for name in header:
             if name == "firm_id":
-                pad = draw(st.sampled_from(["", " ", "\t"]))
+                pad = draw(st.sampled_from(PADS))
                 cells.append(cell(st.sampled_from([f"{pad}f{i}{pad}"] * 4 + ["f0"])))
             elif name.strip() in ("TA", "NCL", "CL"):
                 cells.append(cell(numbers))
@@ -106,7 +108,8 @@ def _outcome(text, newline, config):
         ds = read_dataset_csv(io.StringIO(text, newline=newline), config)
     except CodaError as exc:
         return type(exc), str(exc)
-    return ds.firm_ids, ds.values.shape, ds.values.tobytes(), dict(ds.externals)
+    externals = {name: column.tolist() for name, column in ds.externals.items()}
+    return ds.firm_ids.tolist(), ds.values.shape, ds.values.tobytes(), externals
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -118,6 +121,20 @@ def _outcome(text, newline, config):
 )
 # a negative part is reported before the zero policy sees the zero
 @example(text="firm_id,TA,NCL,CL\nf1,-1,0,3\n", newline="", mode="reject", group=False)
+# an id padded with a non-ASCII space, in a file with "\r\n" line ends
+@example(
+    text="firm_id,TA,NCL,CL,brand\r\n\xa0f1\xa0,1,2,3,yes\r\nf2,4,5,6,no\r\n",
+    newline="",
+    mode="reject",
+    group=True,
+)
+# ASCII cells whose only padding is '\x0b' or '\x0c', which str.strip() removes
+@example(
+    text="firm_id,TA,NCL,CL,brand\n\x0bf1\x0b,1,2,3,no\x0c\nf2,4,5,6,\x0cyes\n",
+    newline="",
+    mode="reject",
+    group=True,
+)
 def test_loadtxt_path_agrees_with_csv_reader_path(text, newline, mode, group):
     config = AnalysisConfig(
         parts=("TA", "NCL", "CL"),

@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from coda_ratios import (
     FirmDataset,
     ZeroPolicy,
     apply_zero_policy,
+    dataset,
     load_config,
     load_dataset_csv,
     parse_config,
@@ -171,8 +173,10 @@ def test_read_csv_happy_path():
     ds = read_dataset_csv(io.StringIO(CSV_TEXT), make_config(group_variable="brand"))
     assert ds.n == 3
     assert ds.part_labels == ("TA", "NCL", "CL")
-    assert ds.firm_ids == ("f1", "f2", "f3")
-    assert dict(ds.externals) == {"brand": ("yes", "no", "yes")}
+    assert tuple(ds.firm_ids) == ("f1", "f2", "f3")
+    assert {name: tuple(column) for name, column in ds.externals.items()} == {
+        "brand": ("yes", "no", "yes")
+    }
     np.testing.assert_array_equal(
         ds.values, [[100, 20, 30], [80, 35, 25], [120, 50, 10]]
     )
@@ -189,20 +193,22 @@ def test_load_csv_accepts_byte_order_mark(tmp_path):
     path = tmp_path / "firms.csv"
     path.write_text(CSV_TEXT, encoding="utf-8-sig")
     ds = load_dataset_csv(path, make_config(group_variable="brand"))
-    assert ds.firm_ids == ("f1", "f2", "f3")
+    assert tuple(ds.firm_ids) == ("f1", "f2", "f3")
 
 
 def test_read_csv_column_order_and_quoting():
     text = 'brand,CL,firm_id,NCL,TA\nyes,30,"acme, inc",20,100\n'
     ds = read_dataset_csv(io.StringIO(text), make_config(group_variable="brand"))
-    assert ds.firm_ids == ("acme, inc",)
+    assert tuple(ds.firm_ids) == ("acme, inc",)
     np.testing.assert_array_equal(ds.values, [[100, 20, 30]])
 
 
 def test_read_csv_extra_columns_become_externals():
     text = "firm_id,TA,NCL,CL,brand,country\nf1,1,2,3, yes ,NL\n"
     ds = read_dataset_csv(io.StringIO(text), make_config())
-    assert dict(ds.externals) == {"brand": ("yes",), "country": ("NL",)}
+    assert {name: tuple(column) for name, column in ds.externals.items()} == {
+        "brand": ("yes",), "country": ("NL",)
+    }
 
 
 def test_read_csv_skips_blank_lines():
@@ -303,7 +309,7 @@ def test_read_csv_accepts_whitespace_around_numbers(quote):
     # a quote anywhere in the file sends it to the csv.reader path
     text = f"firm_id,TA,NCL,CL\n{quote}f1{quote}, 1\t,\xa02\xa0,\u30003\u3000\n"
     ds = read_dataset_csv(io.StringIO(text), make_config())
-    assert ds.firm_ids == ("f1",)
+    assert tuple(ds.firm_ids) == ("f1",)
     assert ds.values.tolist() == [[1.0, 2.0, 3.0]]
 
 
@@ -317,14 +323,14 @@ def test_read_csv_with_50000_external_columns_takes_linear_time(quote):
     ds = read_dataset_csv(io.StringIO(text), make_config())
     elapsed = time.perf_counter() - start
     assert len(ds.externals) == 50_000
-    assert ds.externals["x49999"] == ("y",)
+    assert tuple(ds.externals["x49999"]) == ("y",)
     assert elapsed < 5.0
 
 
 def test_read_csv_part_may_be_named_firm_id():
     config = AnalysisConfig(parts=("firm_id", "TA"), sbp="(firm_id|TA)")
     ds = read_dataset_csv(io.StringIO("firm_id,TA\n1,2\n3,4\n"), config)
-    assert ds.firm_ids == ("1", "3")
+    assert tuple(ds.firm_ids) == ("1", "3")
     assert ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
@@ -383,6 +389,19 @@ def test_zero_policy_rejects_a_negative_or_non_finite_cell_under_every_mode(mode
     ((label, value),) = excinfo.value.parts
     assert label == "a:A"
     assert value == bad or (math.isnan(value) and math.isnan(bad))
+
+
+@pytest.mark.parametrize("mode", ["reject", "drop_row", "replace"])
+@pytest.mark.parametrize(
+    ("ids", "shape"), [(("f1", "f2"), (2, 3)), (("f1",), (2, 2))], ids=["columns", "rows"]
+)
+def test_zero_policy_rejects_values_of_the_wrong_shape_under_every_mode(mode, ids, shape):
+    # the zero would be rejected, dropped or replaced; the shape is checked first
+    values = np.ones(shape)
+    values[0, 0] = 0.0
+    with pytest.raises(LengthMismatchError) as excinfo:
+        apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy(mode=mode))
+    assert (excinfo.value.expected, excinfo.value.got) == ((len(ids), 2), shape)
 
 
 def test_zero_policy_drop_row(caplog):
@@ -546,3 +565,61 @@ def test_values_are_float_read_only_and_ordered():
     np.testing.assert_array_equal(m[1], [4.0, 5.0, 6.0])
     with pytest.raises(ValueError):
         m[0, 0] = 9.0
+
+
+def test_dataset_copies_callers_arrays_and_holds_read_only_columns():
+    values = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    id_list = ["f1", "f2"]
+    id_arrays = [np.array(id_list, dtype=object), np.array(id_list)]  # object and "<U2"
+    brand = np.array(["yes", "no"], dtype=object)
+    for firm_ids in (id_list, *id_arrays):
+        ds = FirmDataset(
+            firm_ids=firm_ids, part_labels=("TA", "NCL", "CL"), values=values,
+            externals={"brand": brand},
+        )
+        columns = (ds.firm_ids, ds.values, *ds.externals.values())
+        assert not any(column.flags.writeable for column in columns)
+        assert not any(np.shares_memory(column, given) for column in columns
+                       for given in (values, brand, *id_arrays))
+        assert ds.firm_ids.dtype == object
+        assert [type(firm_id) for firm_id in ds.firm_ids] == [str, str]
+    assert id_list == ["f1", "f2"]
+    assert all(array.flags.writeable for array in (values, brand, *id_arrays))
+    assert values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert brand.tolist() == ["yes", "no"]
+    assert [array.tolist() for array in id_arrays] == [id_list, id_list]
+
+
+def test_dataset_holds_read_only_arrays_that_own_their_data_as_given():
+    firm_ids = np.array(["f1", "f2"], dtype=object)
+    values = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    brand = np.array(["yes", "no"], dtype=object)
+    for array in (firm_ids, values, brand):
+        array.setflags(write=False)
+    ds = FirmDataset(
+        firm_ids=firm_ids, part_labels=("TA", "NCL", "CL"), values=values,
+        externals={"brand": brand},
+    )
+    assert ds.firm_ids is firm_ids and ds.values is values and ds.externals["brand"] is brand
+    # a read-only view does not own its data: it is copied
+    ds = FirmDataset(firm_ids=firm_ids, part_labels=("A", "B"), values=values[:, :2])
+    assert ds.values.flags.owndata and not np.shares_memory(ds.values, values)
+
+
+@pytest.mark.parametrize("mode", ["reject", "drop_row", "replace"])
+@pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "csv_reader"])
+def test_both_readers_hand_their_columns_to_the_dataset_without_a_copy(quote, mode):
+    zero = "0" if mode != "reject" else "7"
+    text = f"firm_id,TA,NCL,CL,brand\n{quote}f1{quote},1,2,3,yes\nf2,4,5,6,no\nf3,{zero},8,9,no\n"
+    held = []
+
+    def read_only(data, dtype):
+        column = real(data, dtype)
+        held.append(column is data)
+        return column
+
+    real = dataset._read_only
+    with mock.patch.object(dataset, "_read_only", read_only):
+        ds = read_dataset_csv(io.StringIO(text), make_config(zero_policy=ZeroPolicy(mode=mode)))
+    assert held == [True, True, True]  # firm_ids, values, brand
+    assert ds.n == (2 if mode == "drop_row" else 3)
