@@ -119,20 +119,16 @@ def _stdout():
 
 
 def _write_table(header, firm_ids, table: np.ndarray) -> None:
-    """Write ``header``, then each firm id followed by its row of ``table``, as csv.writer would.
-
-    ``firm_ids`` is a sequence of strings: a tuple, a list or a 1-D object array.
-    """
+    """Write ``header``, then each firm id followed by its row of ``table``, as csv.writer would."""
     csv.writer(_stdout(), lineterminator="\n").writerow(header)
+    if _NEEDS_QUOTES.search("".join(firm_ids)):
+        firm_ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in firm_ids]
     # one write per formatter block, which bounds the text held; repr(v) as csv.writer writes
     start = 0
     for block in repr_blocks(table, b",", b"\n"):
         rows = block.splitlines(keepends=True)
-        ids = list(firm_ids[start : start + len(rows)])
-        if _NEEDS_QUOTES.search("".join(ids)):
-            ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in ids]
         pieces = [""] * (2 * len(rows))  # id, row, id, row, ...
-        pieces[::2], pieces[1::2] = ids, rows
+        pieces[::2], pieces[1::2] = firm_ids[start : start + len(rows)], rows
         sys.stdout.write("".join(pieces))
         start += len(rows)
 

@@ -58,8 +58,6 @@ _ZERO_MODES = ("reject", "drop_row", "replace")
 # A quote needs the csv.reader path.  np.loadtxt strips these ASCII
 # separators from around a number as whitespace, and float() does not.
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
-# The rest of what str.strip() removes from ASCII text, bar the '\n' that ends a line
-_ASCII_SPACE = " \t\r\x0b\x0c"
 
 
 def check_positive(values, firm_ids, part_labels, zero_ok=False) -> None:
@@ -162,8 +160,10 @@ class FirmDataset:
     ``values`` is a read-only (n, D) float64 array whose columns follow
     ``part_labels``; ``externals`` maps each categorical column name to a
     read-only 1-D object array of one ``str`` per firm.  A given array that
-    owns its data, is read-only and has the field's dtype is held as it is;
-    anything else is copied, so a caller's array is never changed.
+    owns its data, is read-only and has the field's dtype is not copied: the
+    dataset shares it with the caller, who must not make it writeable again.
+    Anything else is copied, so a caller's list or writeable array is never
+    changed or made read-only.
     """
 
     firm_ids: np.ndarray
@@ -339,9 +339,7 @@ def _header_columns(header, config: AnalysisConfig) -> tuple[list[str], list[str
 def _loadtxt_columns(fh, config: AnalysisConfig):
     """``(firm_ids, values, externals)`` of ``fh`` from one ``np.loadtxt`` pass, or None.
 
-    Ids and external columns are 1-D object arrays of stripped cells.  A file
-    that is ASCII with none of ``_ASCII_SPACE`` has nothing to strip, and its
-    cells are kept as np.loadtxt read them.
+    Ids and external columns are 1-D object arrays of stripped cells.
 
     None means the csv.reader path must read the file: a line holds a
     character of ``_NOT_PLAIN`` or is longer than the csv field limit; the
@@ -353,17 +351,13 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
     if "firm_id" in config.parts:  # one column, read as both text and number
         return None
     limit = csv.field_size_limit()
-    stripped = True  # so far every cell equals its str.strip()
 
     def lines():
-        nonlocal stripped
         # a batch of lines at a time keeps the checks in C
         while batch := fh.readlines(1 << 16):
             text = "".join(batch)
             if any(c in text for c in _NOT_PLAIN) or max(map(len, batch)) > limit:
                 raise ValueError("not a plain file")  # np.loadtxt passes it on
-            if stripped:
-                stripped = text.isascii() and not any(c in text for c in _ASCII_SPACE)
             yield from batch
 
     rows = lines()
@@ -384,8 +378,7 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
     field = {name: f"c{j}" for j, name in enumerate(header)}
 
     def column(name):
-        cells = table[field[name]]
-        return np.array(cells if stripped else [cell.strip() for cell in cells], dtype=object)
+        return np.array([cell.strip() for cell in table[field[name]]], dtype=object)
 
     firm_ids = column("firm_id")
     if not all(firm_ids) or len(set(firm_ids)) != len(firm_ids):
