@@ -31,15 +31,9 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def _extent(summaries) -> tuple[float, float]:
-    lo = min(
-        min(b.q1, b.whiskers[0], *b.outliers) if b.outliers else min(b.q1, b.whiskers[0])
-        for _, b in summaries
-    )
-    hi = max(
-        max(b.q3, b.whiskers[1], *b.outliers) if b.outliers else max(b.q3, b.whiskers[1])
-        for _, b in summaries
-    )
+def _extent(summaries) -> tuple[float, float]:  # outliers ascend: the first and last suffice
+    lo = min(min(b.q1, b.whiskers[0], *b.outliers[:1].tolist()) for _, b in summaries)
+    hi = max(max(b.q3, b.whiskers[1], *b.outliers[-1:].tolist()) for _, b in summaries)
     return lo, hi
 
 
@@ -99,8 +93,8 @@ def emit_boxplot_svg(summaries) -> bytes:
         )
         # open circles mild, filled extreme: each glyph is a reference, not a copy of its text.
         # An outlier is not at q1 or q3, so span > 0, 20 <= y <= 380 and %.3f writes as _fmt
-        if box.outliers:
-            v = np.array(box.outliers)
+        if box.outliers.size:
+            v = box.outliers
             extreme = (v < box.outer_fences[0]) | (v > box.outer_fences[1])
             circle = f'<circle cx="{_fmt(cx)}" cy="%.3f" r="{_GLYPH_R}"'
             glyph = np.array([circle + "/>", circle + ' fill="black"/>'], dtype=object)

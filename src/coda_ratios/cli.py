@@ -178,6 +178,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "analyze" and args.out and not args.out.endswith((".json", ".csv")):
         parser.error("--out must end in .json or .csv")
+    if args.command == "analyze" and args.out and args.svg:
+        if os.path.realpath(args.out) == os.path.realpath(args.svg):
+            parser.error("--out and --svg must name different files")
     try:
         return _COMMANDS[args.command](args)
     except (CodaError, OSError) as exc:

@@ -242,12 +242,11 @@ def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
     for j in np.nonzero(zero.any(axis=0))[0]:
         column = values[:, j]
         positives = column[column > 0.0]
-        if not positives.size:
-            raise ZeroCellError(
-                [(firm_ids[i], part_labels[j]) for i in np.nonzero(zero[:, j])[0]],
-                detail="cannot replace zeros: column has no positive values",
-            )
-        fill[j] = policy.delta_fraction * positives.min()
+        fill[j] = policy.delta_fraction * positives.min() if positives.size else 0.0
+        if fill[j] == 0.0:  # a 0 would stay 0: no positive value, or the product underflows
+            why = "the replacement underflows to 0" if positives.size else "column has no positive values"
+            cells = [(firm_ids[i], part_labels[j]) for i in np.nonzero(zero[:, j])[0]]
+            raise ZeroCellError(cells, detail=f"cannot replace zeros: {why}")
     return keep, np.where(zero, fill, values)
 
 

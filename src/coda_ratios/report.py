@@ -185,12 +185,12 @@ def _box_dict(b: BoxSummary):
     return d | {"outliers": _HOLE, "extreme_outliers": _HOLE}
 
 
-def _json_list(values: tuple) -> str:
+def _json_list(values: np.ndarray) -> str:
     """``values`` as json.dumps(indent=2, allow_nan=False) writes a list that is a box field."""
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    items = repr_rows(np.array(values, dtype=np.float64)[:, None], b" " * 10, b",\n")[:-2]
-    return f"[\n{items}\n        ]" if values else "[]"
+    items = repr_rows(values[:, None], b" " * 10, b",\n")[:-2]
+    return f"[\n{items}\n        ]" if values.size else "[]"
 
 
 def _comparison_dict(c: GroupComparison | None):

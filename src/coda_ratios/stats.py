@@ -38,7 +38,7 @@ class DescriptiveStats:
     excess_kurtosis: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxSummary:
     q1: float
     median: float
@@ -47,8 +47,8 @@ class BoxSummary:
     inner_fences: tuple[float, float]
     outer_fences: tuple[float, float]
     whiskers: tuple[float, float]
-    outliers: tuple[float, ...]
-    extreme_outliers: tuple[float, ...]
+    outliers: np.ndarray  # read-only, ascending float64, as are the extreme outliers
+    extreme_outliers: np.ndarray
 
     @property
     def n_outliers(self) -> int:
@@ -144,6 +144,9 @@ def box_summary(data) -> BoxSummary:
     # has no outliers
     lo, hi = np.searchsorted(xs, inner[0], "left"), np.searchsorted(xs, inner[1], "right")
     lo_x, hi_x = np.searchsorted(xs, outer[0], "left"), np.searchsorted(xs, outer[1], "right")
+    outliers, extreme = np.concatenate((xs[:lo], xs[hi:])), np.concatenate((xs[:lo_x], xs[hi_x:]))
+    for a in (outliers, extreme):
+        a.setflags(write=False)
     return BoxSummary(
         q1=q1,
         median=median,
@@ -152,8 +155,8 @@ def box_summary(data) -> BoxSummary:
         inner_fences=inner,
         outer_fences=outer,
         whiskers=(float(xs[lo]), float(xs[hi - 1])),
-        outliers=tuple(np.concatenate((xs[:lo], xs[hi:])).tolist()),
-        extreme_outliers=tuple(np.concatenate((xs[:lo_x], xs[hi_x:])).tolist()),
+        outliers=outliers,
+        extreme_outliers=extreme,
     )
 
 

@@ -194,8 +194,8 @@ def test_criterion_09_statistics_oracles():
     ok = (
         abs(s - 1.6971) <= 1e-4
         and abs(k - (-1.2)) <= 1e-12
-        and box.extreme_outliers == (100.0,)
-        and box.outliers == (100.0,)
+        and box.extreme_outliers.tolist() == [100.0]
+        and box.outliers.tolist() == [100.0]
     )
     _verdict(9, ok, f"skew={s:.6f}, kurt={k:.6f}, 100 flagged extreme")
 

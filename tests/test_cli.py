@@ -345,6 +345,19 @@ def test_analyze_bad_out_extension_exits_2(workdir):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("svg", ["r.json", "./sub/../r.json"])
+def test_analyze_out_and_svg_naming_one_file_exits_2(workdir, monkeypatch, capsys, svg):
+    monkeypatch.chdir(workdir)
+    (workdir / "sub").mkdir()
+    (workdir / "r.json").write_bytes(b"kept")
+    (workdir / "firms.csv").unlink()  # exits before reading anything
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", *_args(workdir, "--out", "r.json", "--svg", svg)])
+    assert excinfo.value.code == 2
+    assert "--out and --svg must name different files" in capsys.readouterr().err
+    assert (workdir / "r.json").read_bytes() == b"kept"
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["bogus"])

@@ -446,6 +446,16 @@ def test_zero_policy_replace_without_positives():
         apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy(mode="replace"))
 
 
+def test_zero_policy_replace_whose_fill_underflows():
+    # 0.3 * 5e-324 rounds to 0.0, which would leave the zero in place; 0.65 * 5e-324 does not
+    ids, values = ("f1", "f2", "f3"), np.array([[0.0, 1.0], [5e-324, 0.0], [1.0, 2.0]])
+    with pytest.raises(ZeroCellError, match="replacement underflows to 0") as excinfo:
+        apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy("replace", delta_fraction=0.3))
+    assert excinfo.value.cells == (("f1", "A"),)
+    _, out = apply_zero_policy(ids, values, ("A", "B"), ZeroPolicy("replace", delta_fraction=0.65))
+    assert out[0, 0] == 5e-324 and (out > 0.0).all()
+
+
 def test_zero_policy_replace_idempotent():
     ids, values = ("f1", "f2"), np.array([[1.0, 0.0], [3.0, 4.0]])
     policy = ZeroPolicy(mode="replace")
@@ -511,12 +521,12 @@ def test_dataset_rejects_non_positive_values(bad):
 
 
 def test_replace_underflowing_to_zero_is_rejected():
-    # 0.1 * 5e-324 rounds to 0.0, which no composition may hold
+    # 0.1 * 5e-324 rounds to 0.0, which no composition may hold: the zero policy says so
     text = "firm_id,TA,NCL,CL\nf1,5e-324,2,3\nf2,0,5,6\n"
     config = make_config(zero_policy=ZeroPolicy(mode="replace", delta_fraction=0.1))
-    with pytest.raises(NonPositivePartError) as excinfo:
+    with pytest.raises(ZeroCellError, match="replacement underflows to 0: f2:TA$") as excinfo:
         read_dataset_csv(io.StringIO(text), config)
-    assert excinfo.value.parts == (("f2:TA", 0.0),)
+    assert excinfo.value.cells == (("f2", "TA"),)
 
 
 def test_split_by_group():

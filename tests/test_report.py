@@ -194,7 +194,7 @@ def test_degenerate_data_yields_notes_not_crashes():
         assert v.comparison is None
         assert v.comparison_note is not None
         assert v.box.iqr == 0.0
-        assert v.box.outliers == ()
+        assert v.box.outliers.tolist() == []
 
 
 def test_too_few_firms_yields_notes():
@@ -318,11 +318,11 @@ def test_reports_compare_equal_across_runs():
 
 
 def _dumped_whole(report) -> bytes:
-    """The JSON as json.dumps(indent=2) writes it with every outlier tuple in place."""
+    """The JSON as json.dumps(indent=2) writes it with every outlier list in place."""
     doc = json.loads(emit_report(report, "json"))
     for entry, v in zip(doc["variables"], report.variables, strict=True):
-        entry["box"]["outliers"] = v.box.outliers
-        entry["box"]["extreme_outliers"] = v.box.extreme_outliers
+        entry["box"]["outliers"] = v.box.outliers.tolist()
+        entry["box"]["extreme_outliers"] = v.box.extreme_outliers.tolist()
     return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
@@ -385,7 +385,7 @@ def test_spliced_json_of_a_random_analysis(seed):
 def test_json_rejects_an_outlier_that_is_not_finite(outlier):
     # run_analysis refuses such values; a report built by hand still meets allow_nan=False
     box = box_summary([1.0, 2.0, 2.0, 3.0, 3.0, 4.0, outlier])
-    assert box.outliers == (outlier,)
+    assert box.outliers.tolist() == [outlier]
     variable = VariableReport("v", "ratio", np.array([]), None, "", box, None, None)
     report = AnalysisReport((variable,), 7, {}, None, None, None)
     with pytest.raises(ValueError, match="not JSON compliant"):

@@ -167,8 +167,8 @@ def test_box_summary_no_outliers():
     assert box.q3 == 4.0
     assert box.iqr == 2.0
     assert box.whiskers == (1.0, 5.0)
-    assert box.outliers == ()
-    assert box.extreme_outliers == ()
+    assert box.outliers.tolist() == []
+    assert box.extreme_outliers.tolist() == []
 
 
 def test_box_summary_extreme_outlier():
@@ -178,23 +178,23 @@ def test_box_summary_extreme_outlier():
     assert box.inner_fences == (-1.0, 7.0)
     assert box.outer_fences == (-4.0, 10.0)
     assert box.whiskers == (1.0, 4.0)
-    assert box.outliers == (100.0,)
-    assert box.extreme_outliers == (100.0,)
+    assert box.outliers.tolist() == [100.0]
+    assert box.extreme_outliers.tolist() == [100.0]
     assert box.n_outliers == 1
     assert box.n_extreme_outliers == 1
 
 
 def test_box_summary_mild_outlier_is_not_extreme():
     box = box_summary([1, 2, 3, 4, 8])
-    assert box.outliers == (8.0,)
-    assert box.extreme_outliers == ()
+    assert box.outliers.tolist() == [8.0]
+    assert box.extreme_outliers.tolist() == []
 
 
 def test_box_summary_single_point():
     box = box_summary([3.5])
     assert box.q1 == box.median == box.q3 == 3.5
     assert box.whiskers == (3.5, 3.5)
-    assert box.outliers == ()
+    assert box.outliers.tolist() == []
 
 
 def test_box_summary_invariants_random():
@@ -214,6 +214,25 @@ def test_box_summary_invariants_random():
         ) == len(data)
 
 
+def test_box_summary_outliers_are_read_only_ascending_float64_arrays():
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_t(df=2, size=int(rng.integers(1, 60))).tolist()
+        box = box_summary(data)
+        (lo, hi), (lo_x, hi_x) = box.inner_fences, box.outer_fences
+        expected = (
+            (box.outliers, sorted(v for v in data if v < lo or v > hi)),
+            (box.extreme_outliers, sorted(v for v in data if v < lo_x or v > hi_x)),
+        )
+        for got, values in expected:
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.ndim == 1
+            assert got.tolist() == values  # the values, in ascending order
+            assert not got.flags.writeable
+            if got.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = 0.0
+
+
 def test_box_summary_negation_mirrors_exactly():
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -226,7 +245,9 @@ def test_box_summary_negation_mirrors_exactly():
         assert neg.q3 == -box.q1
         assert neg.median == -box.median
         assert neg.whiskers == (-box.whiskers[1], -box.whiskers[0])
-        assert neg.outliers == tuple(-v for v in reversed(box.outliers))
+        # bit for bit, as arrays
+        assert neg.outliers.tobytes() == (-box.outliers[::-1]).tobytes()
+        assert neg.extreme_outliers.tobytes() == (-box.extreme_outliers[::-1]).tobytes()
 
 
 def test_box_summary_empty():

@@ -60,8 +60,10 @@ def test_p_value_against_live_oracle():
 
 @pytest.mark.parametrize("df", [10**6, 10**7])
 def test_p_value_at_large_df_against_live_oracle(df):
-    # the accuracy bound tdist states, for |t| >= 0.01; df above 1e7 is not pinned
-    for t in (0.01, 0.3, 1.0, 1.96, 3.0, 5.0, 8.0):
+    # within 1e-8 for |t| in [0.01, 8] up to df = 1e6, where a fine scan of t peaks at
+    # 6.1e-9 near t = 1.73; at df = 1e7 only these points hold, see the xfails below
+    ts = (0.01, 0.3, 1.0, 1.96, 3.0, 5.0, 8.0) + ((0.014, 0.02, 1.725) if df == 10**6 else ())
+    for t in ts:
         assert student_t_two_sided_p(t, df) == pytest.approx(_oracle(t, df), rel=1e-8)
 
 
@@ -69,6 +71,13 @@ def test_p_value_at_large_df_against_live_oracle(df):
 def test_p_value_at_small_t_and_large_df_against_live_oracle():
     t, df = 1e-4, 10**7
     assert student_t_two_sided_p(t, df) == pytest.approx(_oracle(t, df), rel=1e-8)
+
+
+# relative errors 2.86e-8, 2.18e-8 and 2.09e-8: the bound tdist states is 5.3e-8 at df = 1e7
+@pytest.mark.xfail(strict=True, reason="1e-8 holds only up to df = 1e6; ROADMAP item 4")
+@pytest.mark.parametrize("t", [0.014, 0.02, 1.725])
+def test_p_value_at_df_1e7_within_1e8_against_live_oracle(t):
+    assert student_t_two_sided_p(t, 10**7) == pytest.approx(_oracle(t, 10**7), rel=1e-8)
 
 
 def test_p_at_zero_is_exactly_one():
