@@ -84,8 +84,8 @@ def _timestamp_for(data_path: str) -> str:
 
 def _cmd_analyze(args) -> int:
     config = load_config(args.config)
-    ds = load_dataset_csv(args.data, config)
-    report = run_analysis(ds, config, timestamp=_timestamp_for(args.data))
+    # the dataset goes straight in, so no per-firm data outlives the statistics
+    report = run_analysis(load_dataset_csv(args.data, config), config, _timestamp_for(args.data))
     # both outputs are built before either file is opened, so an error writes neither
     text = emit_report(report, "csv" if args.out and args.out.endswith(".csv") else "json")
     svg = emit_boxplot_svg([(v.name, v.box) for v in report.variables]) if args.svg else None
@@ -176,11 +176,15 @@ def main(argv=None) -> int:
             sys.stdout.reconfigure(encoding="utf-8")
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "analyze" and args.out and not args.out.endswith((".json", ".csv")):
-        parser.error("--out must end in .json or .csv")
-    if args.command == "analyze" and args.out and args.svg:
-        if os.path.realpath(args.out) == os.path.realpath(args.svg):
-            parser.error("--out and --svg must name different files")
+    if args.command == "analyze":
+        if args.out and not args.out.endswith((".json", ".csv")):
+            parser.error("--out must end in .json or .csv")
+        first = {}  # real path -> the first flag naming it; an output may name no earlier file
+        for flag in ("--data", "--config", "--out", "--svg"):
+            path = getattr(args, flag[2:])
+            earlier = path and first.setdefault(os.path.realpath(path), flag)
+            if earlier and earlier != flag and flag in ("--out", "--svg"):
+                parser.error(f"{earlier} and {flag} must name different files")
     try:
         return _COMMANDS[args.command](args)
     except (CodaError, OSError) as exc:

@@ -45,11 +45,10 @@ from .stats import (
 
 @dataclass(frozen=True, eq=False)
 class VariableReport:
-    """One analyzed variable: its per-firm values (read-only) and statistics."""
+    """One analyzed variable: its statistics, not its per-firm values."""
 
     name: str
     kind: str  # balance | balance_permuted | ratio | ratio_permuted
-    values: np.ndarray
     stats: DescriptiveStats | None
     stats_note: str | None
     box: BoxSummary
@@ -82,13 +81,6 @@ def _config_echo(config: AnalysisConfig) -> dict:
         "group_variable": config.group_variable,
         "zero_policy": dict(vars(config.zero_policy)),
     }
-
-
-def _describe_or_note(values):
-    try:
-        return describe(values), None
-    except (TooFewObservationsError, ZeroVarianceError) as exc:
-        return None, str(exc)
 
 
 def _numbers(result) -> list:
@@ -124,21 +116,25 @@ def run_analysis(
     if config.group_variable is not None:
         groups = [(g, np.flatnonzero(mask)) for g, mask in two_groups(ds, config.group_variable)]
 
-    # one (kind, values) per name of config.variable_names, in the same order
-    columns: list[tuple[str, np.ndarray]] = []
-    for y in Y.T:
-        # the permuted balance is the exact negation: swapping the node's
-        # numerator and denominator groups flips only the sign
-        columns += [("balance", y), ("balance_permuted", -y)]
-    for spec in config.standard_ratios:
-        for s, kind in ((spec, "ratio"), (invert_spec(spec), "ratio_permuted")):
-            columns.append((kind, ratio_column(ds.values, ds.part_labels, s)))
+    # one (kind, values) per name of config.variable_names, in the same order, each
+    # made when its turn comes; the report keeps its statistics, not the column
+    def columns():
+        for y in Y.T:
+            # the permuted balance is the exact negation: swapping the node's
+            # numerator and denominator groups flips only the sign
+            yield "balance", y
+            yield "balance_permuted", -y
+        for spec in config.standard_ratios:
+            for s, kind in ((spec, "ratio"), (invert_spec(spec), "ratio_permuted")):
+                yield kind, ratio_column(ds.values, ds.part_labels, s)
 
     variables = []
-    for name, (kind, values) in zip(config.variable_names, columns, strict=True):
-        values.setflags(write=False)
+    for name, (kind, values) in zip(config.variable_names, columns(), strict=True):
         _require_finite(name, values)  # and so every outlier, an element of values
-        stats, stats_note = _describe_or_note(values)
+        try:
+            stats, stats_note = describe(values), None
+        except (TooFewObservationsError, ZeroVarianceError) as exc:
+            stats, stats_note = None, str(exc)
         box = box_summary(values)
         _require_finite(name, _numbers(stats) + _numbers(box))
         comparison = comparison_note = None
@@ -153,7 +149,6 @@ def run_analysis(
             VariableReport(
                 name=name,
                 kind=kind,
-                values=values,
                 stats=stats,
                 stats_note=stats_note,
                 box=box,

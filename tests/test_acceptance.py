@@ -117,7 +117,9 @@ def test_criterion_04_sign_flip_property_suite():
         for base in ("y1", "y2"):
             v = report.variable(base)
             vp = report.variable(base + "p")
-            ok = ok and np.array_equal(vp.values, -v.values)
+            ok = ok and vp.stats.mean == -v.stats.mean
+            ok = ok and vp.box.q1 == -v.box.q3
+            ok = ok and vp.box.outliers.tobytes() == (-v.box.outliers[::-1]).tobytes()
             ok = ok and vp.stats.skewness == -v.stats.skewness
             ok = ok and vp.stats.excess_kurtosis == v.stats.excess_kurtosis
             ok = ok and vp.box.n_outliers == v.box.n_outliers

@@ -358,6 +358,28 @@ def test_analyze_out_and_svg_naming_one_file_exits_2(workdir, monkeypatch, capsy
     assert (workdir / "r.json").read_bytes() == b"kept"
 
 
+@pytest.mark.parametrize(
+    "flag, target, clash",
+    [
+        ("--svg", "firms.csv", "--data"),
+        ("--out", "firms.csv", "--data"),
+        ("--svg", "analysis.ini", "--config"),
+        ("--svg", "./sub/../firms.csv", "--data"),
+        ("--svg", "link.csv", "--data"),  # a symlink to the data file
+    ],
+)
+def test_analyze_output_naming_an_input_exits_2(workdir, monkeypatch, capsys, flag, target, clash):
+    monkeypatch.chdir(workdir)
+    (workdir / "sub").mkdir()
+    (workdir / "link.csv").symlink_to(workdir / "firms.csv")
+    inputs = {name: (workdir / name).read_bytes() for name in ("firms.csv", "analysis.ini")}
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--data", "firms.csv", "--config", "analysis.ini", flag, target])
+    assert excinfo.value.code == 2
+    assert f"{clash} and {flag} must name different files" in capsys.readouterr().err
+    assert {name: (workdir / name).read_bytes() for name in inputs} == inputs
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["bogus"])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from coda_ratios import (
     RatioSpec,
     VariableReport,
     box_summary,
+    describe,
     emit_report,
+    ilr_matrix,
     invert_spec,
+    ratio_column,
     run_analysis,
 )
 from coda_ratios.errors import SingleGroupError
@@ -82,26 +86,50 @@ def test_variable_structure_and_order():
     ]
 
 
+def _bits(record):
+    """Every field of a stats, box or comparison record, each number as its float64 bytes."""
+    return {k: np.asarray(v, dtype=float).tobytes() for k, v in vars(record).items()}
+
+
+def _assert_statistics_of(variable, column):
+    # the report's statistics are describe and box_summary of the column, bit for bit
+    assert _bits(variable.stats) == _bits(describe(column))
+    assert _bits(variable.box) == _bits(box_summary(column))
+
+
 def test_balance_columns_match_single_firm_transform():
     # column order in the dataset differs from the partition's leaf order
     parts = ("CL", "TA", "NCL")
-    ds = make_dataset([(30, 100, 20), (25, 80, 35)], parts=parts)
+    rows = [(30, 100, 20), (25, 80, 35), (10, 120, 50), (45, 90, 15), (18, 60, 22)]
+    ds = make_dataset(rows, parts=parts)
     config = AnalysisConfig(parts=parts, sbp=SBP)
     report = run_analysis(ds, config)
+    Y = ilr_matrix(ds.values, ds.part_labels, config.tree)
     # an independent per-firm route through math.log, so only near-equality
     # is promised, not bit equality
     for i, (cl, ta, ncl) in enumerate(ds.values.tolist()):
         y1 = math.sqrt(2.0 / 3.0) * (math.log(ta) - (math.log(ncl) + math.log(cl)) / 2.0)
         y2 = math.sqrt(0.5) * (math.log(ncl) - math.log(cl))
-        assert report.variable("y1").values[i] == pytest.approx(y1, rel=1e-12, abs=1e-12)
-        assert report.variable("y2").values[i] == pytest.approx(y2, rel=1e-12, abs=1e-12)
+        assert Y[i, 0] == pytest.approx(y1, rel=1e-12, abs=1e-12)
+        assert Y[i, 1] == pytest.approx(y2, rel=1e-12, abs=1e-12)
+    for j, name in enumerate(config.tree.coordinate_names):
+        _assert_statistics_of(report.variable(name), Y[:, j])
+        _assert_statistics_of(report.variable(name + "p"), -Y[:, j])
+
+
+# heavy-tailed log parts, so the balances have outliers on both sides
+HEAVY_TAILED = make_dataset(np.exp(np.random.default_rng(0).standard_t(2, size=(200, 3))))
 
 
 def test_permuted_balance_is_exact_negation():
-    report = run_analysis(DATASET, make_config())
-    y1 = report.variable("y1")
-    y1p = report.variable("y1p")
-    assert np.array_equal(y1p.values, -y1.values)
+    for ds in (DATASET, HEAVY_TAILED):
+        report = run_analysis(ds, make_config())
+        for name in ("y1", "y2"):
+            v, vp = report.variable(name), report.variable(name + "p")
+            assert v.box.n_outliers > 0 or ds is DATASET
+            assert vp.stats.mean == -v.stats.mean
+            assert vp.box.q1 == -v.box.q3
+            assert vp.box.outliers.tobytes() == (-v.box.outliers[::-1]).tobytes()
 
 
 def _left_sum(terms):
@@ -125,22 +153,9 @@ def test_ratio_columns_equal_per_firm_python_sums_exactly():
                 part = dict(zip(PARTS, row))
                 num = _left_sum(part[label] for label in s.numerator)
                 expected.append(num / _left_sum(part[label] for label in s.denominator))
-            assert report.variable(name).values.tolist() == expected
-
-
-def test_variable_values_are_read_only():
-    report = run_analysis(DATASET, make_config())
-    for v in report.variables:
-        with pytest.raises(ValueError):
-            v.values[0] = 0.0
-
-
-def test_permuted_ratio_is_reciprocal():
-    report = run_analysis(DATASET, make_config())
-    r2 = report.variable("r2").values
-    r2p = report.variable("r2p").values
-    for a, b in zip(r2, r2p):
-        assert a * b == pytest.approx(1.0, rel=1e-15)
+            column = ratio_column(ds.values, ds.part_labels, s)
+            assert column.tolist() == expected
+            _assert_statistics_of(report.variable(name), column)
 
 
 def test_group_metadata_and_t_orientation():
@@ -150,7 +165,7 @@ def test_group_metadata_and_t_orientation():
     assert report.groups == (("no", 3), ("yes", 3))
     assert report.timestamp == "2026-01-02T03:04:05Z"
     v = report.variable("y1")
-    values = np.array(v.values)
+    values = ilr_matrix(DATASET.values, DATASET.part_labels, config.tree)[:, 0]
     yes = values[[0, 2, 4]]
     no = values[[1, 3, 5]]
     # t > 0 iff the alphabetically higher group has the larger mean
@@ -203,7 +218,7 @@ def test_too_few_firms_yields_notes():
     v = report.variable("y1")
     assert v.stats is None
     assert "4" in v.stats_note
-    assert len(v.values) == 2
+    assert report.n == 2
 
 
 def test_permutation_invariants_end_to_end():
@@ -314,7 +329,8 @@ def test_reports_compare_equal_across_runs():
         assert emit_report(a, fmt) == emit_report(b, fmt)
     assert [v.name for v in a.variables] == [v.name for v in b.variables]
     for va, vb in zip(a.variables, b.variables):
-        assert np.array_equal(va.values, vb.values)
+        for record in ("stats", "box", "comparison"):
+            assert _bits(getattr(va, record)) == _bits(getattr(vb, record))
 
 
 def _dumped_whole(report) -> bytes:
@@ -349,7 +365,6 @@ def test_spliced_json_equals_json_dumps_of_the_whole_document():
         VariableReport(
             name=_TRICKY[i % 4] + str(i),
             kind="ratio",
-            values=np.array(xs),
             stats=None,
             stats_note=_TRICKY[(i + 1) % 4],
             box=box_summary(xs),
@@ -386,7 +401,25 @@ def test_json_rejects_an_outlier_that_is_not_finite(outlier):
     # run_analysis refuses such values; a report built by hand still meets allow_nan=False
     box = box_summary([1.0, 2.0, 2.0, 3.0, 3.0, 4.0, outlier])
     assert box.outliers.tolist() == [outlier]
-    variable = VariableReport("v", "ratio", np.array([]), None, "", box, None, None)
+    variable = VariableReport("v", "ratio", None, "", box, None, None)
     report = AnalysisReport((variable,), 7, {}, None, None, None)
     with pytest.raises(ValueError, match="not JSON compliant"):
         emit_report(report, "json")
+
+
+def test_report_keeps_no_per_firm_column():
+    # 20 000 firms; uniform parts give few outliers, so the statistics are small
+    rng = np.random.default_rng(11)
+    brands = rng.choice(["no", "yes"], 20_000).tolist()
+    ds = make_dataset(rng.uniform(1.0, 2.0, size=(20_000, 3)), brands)
+    config = make_config(group_variable="brand")
+    run_analysis(ds, config)  # first-call caches are not the report's
+    tracemalloc.start()
+    try:
+        report = run_analysis(ds, config)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.variables) == 8
+    # one column alone is 20 000 * 8 bytes = 156 KiB
+    assert retained < 256 * 1024

@@ -147,6 +147,10 @@ def test_describe_errors():
         describe([1, 2, 3])
     with pytest.raises(ZeroVarianceError):
         describe([2, 2, 2, 2])
+    # the values differ, so the sample is not constant, but each squared
+    # deviation (about 1e-400) underflows to 0, and so does their sum
+    with pytest.raises(ZeroVarianceError, match="^data has zero variance$"):
+        describe([1e-200, 2e-200, 3e-200, 4e-200])
 
 
 @pytest.mark.parametrize("moment", [describe])
