@@ -160,6 +160,15 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+def _file_key(path: str):
+    """The file ``path`` names: its (device, inode) if it exists, so hard links match, else its real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "transform": _cmd_transform,
@@ -179,10 +188,10 @@ def main(argv=None) -> int:
     if args.command == "analyze":
         if args.out and not args.out.endswith((".json", ".csv")):
             parser.error("--out must end in .json or .csv")
-        first = {}  # real path -> the first flag naming it; an output may name no earlier file
+        first = {}  # file -> the first flag naming it; an output may name no earlier file
         for flag in ("--data", "--config", "--out", "--svg"):
             path = getattr(args, flag[2:])
-            earlier = path and first.setdefault(os.path.realpath(path), flag)
+            earlier = path and first.setdefault(_file_key(path), flag)
             if earlier and earlier != flag and flag in ("--out", "--svg"):
                 parser.error(f"{earlier} and {flag} must name different files")
     try:

@@ -3,13 +3,14 @@
 The CSV dialect is deliberately plain: comma-separated, UTF-8 (a leading
 byte-order mark is dropped), first row is the header, '.' as decimal
 separator, optional quoted fields.  The header must contain ``firm_id``
-plus every configured part and may not repeat a name; any other column is
-kept verbatim as a categorical external variable (e.g. a yes/no brand
-flag).  A row may be shorter than the header (missing cells are empty) but
-not longer, and every firm_id must be non-empty.
+plus every configured part and may not repeat a name.  Any other column
+counts only towards a row's fields: of those, just the configured group
+variable (e.g. a yes/no brand flag) is kept, as a categorical external
+variable.  A row may be shorter than the header (missing cells are empty)
+but not longer, and every firm_id must be non-empty.
 
-A loaded dataset holds each column once: the firm ids and each external
-column as a read-only 1-D object array of ``str``, built from the reader's
+A loaded dataset holds each column once: the firm ids and the group
+column as read-only 1-D object arrays of ``str``, built from the reader's
 cells, and the parts as one read-only (n, D) float64 array.
 
 Zeros are a policy decision, negatives are not: a negative magnitude is a
@@ -29,6 +30,8 @@ import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
@@ -159,9 +162,11 @@ class FirmDataset:
     ``firm_ids`` is a read-only 1-D object array of one ``str`` per firm;
     ``values`` is a read-only (n, D) float64 array whose columns follow
     ``part_labels``; ``externals`` maps each categorical column name to a
-    read-only 1-D object array of one ``str`` per firm.  A given array that
-    owns its data, is read-only and has the field's dtype is not copied: the
-    dataset shares it with the caller, who must not make it writeable again.
+    read-only 1-D object array of one ``str`` per firm; the loader keeps only
+    the configured group variable there, and nothing when none is configured.
+    A given array that owns its data, is read-only and has the field's dtype
+    is not copied: the dataset shares it with the caller, who must not make
+    it writeable again.
     Anything else is copied, so a caller's list or writeable array is never
     changed or made read-only.
     """
@@ -319,26 +324,26 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
 
 
 def _header_columns(header, config: AnalysisConfig) -> tuple[list[str], list[str]]:
-    """A header record's stripped column names, checked against ``config``, and its externals."""
+    """A header record's stripped column names, checked against ``config``, and the externals kept."""
     if header is None:
         raise MissingColumnError("firm_id")
     header = [name.strip() for name in header]
     dupes = repeats(header)
     if dupes:
         raise CodaError(f"CSV header repeats column name(s): {', '.join(map(repr, dupes))}")
-    required = ["firm_id", *config.parts]
-    if config.group_variable is not None:
-        required.append(config.group_variable)
-    for name in required:
+    external = [] if config.group_variable is None else [config.group_variable]
+    for name in ("firm_id", *config.parts, *external):
         if name not in header:
             raise MissingColumnError(name)
-    return header, [name for name in header if name != "firm_id" and name not in config.parts]
+    return header, external
 
 
 def _loadtxt_columns(fh, config: AnalysisConfig):
     """``(firm_ids, values, externals)`` of ``fh`` from one ``np.loadtxt`` pass, or None.
 
-    Ids and external columns are 1-D object arrays of stripped cells.
+    Ids and the group column are 1-D object arrays of stripped cells.  Every
+    other column is read as ``"U1"``, so it is counted as a field but makes
+    no ``str``; ``usecols`` would let a row of the wrong length through.
 
     None means the csv.reader path must read the file: a line holds a
     character of ``_NOT_PLAIN`` or is longer than the csv field limit; the
@@ -351,19 +356,19 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
         return None
     limit = csv.field_size_limit()
 
-    def lines():
-        # a batch of lines at a time keeps the checks in C
-        while batch := fh.readlines(1 << 16):
-            text = "".join(batch)
-            if any(c in text for c in _NOT_PLAIN) or max(map(len, batch)) > limit:
-                raise ValueError("not a plain file")  # np.loadtxt passes it on
-            yield from batch
+    def checked(batch):
+        text = "".join(batch)
+        if any(c in text for c in _NOT_PLAIN) or max(map(len, batch)) > limit:
+            raise ValueError("not a plain file")  # np.loadtxt passes it on
+        return batch
 
-    rows = lines()
+    # a batch of lines at a time keeps the checks in C, and no Python frame runs per line
+    rows = chain.from_iterable(map(checked, iter(partial(fh.readlines, 1 << 16), [])))
     try:
         header, external = _header_columns(next(csv.reader(rows, strict=True), None), config)
+        kept = {"firm_id", *external}
         dtype = [
-            (f"c{j}", np.float64 if name in config.parts else object)
+            (f"c{j}", np.float64 if name in config.parts else object if name in kept else "U1")
             for j, name in enumerate(header)
         ]
         with warnings.catch_warnings():
@@ -393,7 +398,7 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
 def _csv_reader_columns(fh, config: AnalysisConfig):
     """``(firm_ids, values, externals)`` of ``fh`` read by ``csv.reader``, cell by cell.
 
-    Ids and external columns are returned as 1-D object arrays of stripped cells.
+    Ids and the group column are returned as 1-D object arrays of stripped cells.
 
     Raises a CodaError for the first problem found, citing its line: a
     malformed record, a bad header, a row longer than the header, an empty

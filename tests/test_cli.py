@@ -366,12 +366,16 @@ def test_analyze_out_and_svg_naming_one_file_exits_2(workdir, monkeypatch, capsy
         ("--svg", "analysis.ini", "--config"),
         ("--svg", "./sub/../firms.csv", "--data"),
         ("--svg", "link.csv", "--data"),  # a symlink to the data file
+        ("--svg", "hard.csv", "--data"),  # a hard link to the data file
+        ("--out", "hard.ini.json", "--config"),  # a hard link to the config file
     ],
 )
 def test_analyze_output_naming_an_input_exits_2(workdir, monkeypatch, capsys, flag, target, clash):
     monkeypatch.chdir(workdir)
     (workdir / "sub").mkdir()
     (workdir / "link.csv").symlink_to(workdir / "firms.csv")
+    os.link(workdir / "firms.csv", workdir / "hard.csv")
+    os.link(workdir / "analysis.ini", workdir / "hard.ini.json")
     inputs = {name: (workdir / name).read_bytes() for name in ("firms.csv", "analysis.ini")}
     with pytest.raises(SystemExit) as excinfo:
         main(["analyze", "--data", "firms.csv", "--config", "analysis.ini", flag, target])

@@ -36,6 +36,7 @@ from coda_ratios.errors import (
 )
 
 HEADER = ("firm_id", "TA", "NCL", "CL", "brand")
+UNUSED = ("town", "nace")  # columns no config names: counted as fields, never kept
 LONG = 131_073  # one past the csv module's default field limit
 
 numbers = st.one_of(
@@ -55,16 +56,22 @@ odd_cells = st.sampled_from(
 # str.strip() removes the non-ASCII and the '\x0b' and '\x0c' paddings too
 PADS = ["", " ", "\t", "\xa0", "\u3000", "\x0b", "\x0c"]
 brands = st.sampled_from(["yes", "no", " yes ", "", "\xa0no\xa0", "\u3000yes", "no\x0b", "\x0cyes"])
+unused_cells = st.sampled_from(["", "Gent", " Sint-Niklaas ", "\xa0Liège", "64.19", "x" * 300])
 line_ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 EXTRA_LINES = ["", " ", "\t", ",,,,", "\ufeff"]  # blank lines are skipped, the others are rows
 
 
 @st.composite
 def csv_texts(draw):
-    """CSV text: a plain file the np.loadtxt pass reads, one odd cell in a plain file, or odd throughout."""
+    """CSV text: a plain file, one odd cell in a plain file, or odd throughout.
+
+    Any of them may have columns the config does not name and rows of the
+    wrong length, which the np.loadtxt pass leaves to the csv.reader path.
+    """
     kind = draw(st.sampled_from(["plain", "one_odd_cell", "odd"]))
     odd = kind == "odd"
-    header = list(draw(st.permutations(HEADER)))
+    unused = draw(st.lists(st.sampled_from(UNUSED), unique=True, max_size=2))
+    header = list(draw(st.permutations(HEADER + tuple(unused))))
     if odd and draw(st.integers(0, 3)) == 3:
         header = draw(st.lists(st.sampled_from([*HEADER, " TA ", "x", ""]), max_size=6))
     ends = line_ends if odd else st.just("\n")
@@ -81,10 +88,15 @@ def csv_texts(draw):
                 cells.append(cell(st.sampled_from([f"{pad}f{i}{pad}"] * 4 + ["f0"])))
             elif name.strip() in ("TA", "NCL", "CL"):
                 cells.append(cell(numbers))
+            elif name in UNUSED:
+                cells.append(cell(unused_cells))
             else:
                 cells.append(cell(brands))
-        if odd and draw(st.integers(0, 3)) == 3:  # a short or long row
-            cells = cells[: draw(st.integers(0, len(cells)))] + draw(st.lists(brands, max_size=2))
+        if draw(st.integers(0, 3 if odd else 9)) == 0:  # a short or long row
+            if draw(st.booleans()):  # one_odd_cell needs a cell to replace
+                cells = cells[: draw(st.integers(0 if odd else 1, len(cells)))]
+            else:
+                cells += draw(st.lists(st.one_of(brands, unused_cells), min_size=1, max_size=2))
         rows.append(cells)
     if kind == "one_odd_cell":
         row = draw(st.sampled_from(rows))
@@ -134,6 +146,20 @@ def _outcome(text, newline, config):
     newline="",
     mode="reject",
     group=True,
+)
+# a short row that lacks only unused columns is read with empty cells
+@example(
+    text="firm_id,TA,NCL,CL,brand,town,nace\nf1,1,2,3,yes\nf2,4,5,6,no,Gent,64.19\n",
+    newline="",
+    mode="reject",
+    group=True,
+)
+# a row one field too long, past an unused last column, is an error citing its line
+@example(
+    text="firm_id,TA,NCL,CL,brand,town\nf1,1,2,3,yes,Gent\nf2,4,5,6,no,Gent,x\n",
+    newline="",
+    mode="reject",
+    group=False,
 )
 def test_loadtxt_path_agrees_with_csv_reader_path(text, newline, mode, group):
     config = AnalysisConfig(

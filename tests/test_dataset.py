@@ -203,12 +203,13 @@ def test_read_csv_column_order_and_quoting():
     np.testing.assert_array_equal(ds.values, [[100, 20, 30]])
 
 
-def test_read_csv_extra_columns_become_externals():
-    text = "firm_id,TA,NCL,CL,brand,country\nf1,1,2,3, yes ,NL\n"
-    ds = read_dataset_csv(io.StringIO(text), make_config())
-    assert {name: tuple(column) for name, column in ds.externals.items()} == {
-        "brand": ("yes",), "country": ("NL",)
-    }
+def test_read_csv_keeps_only_the_group_column_of_the_extra_columns():
+    for quote in ("", '"'):  # a quote sends the file to the csv.reader path
+        text = f"firm_id,TA,NCL,CL,brand,country\n{quote}f1{quote},1,2,3, yes ,NL\n"
+        ds = read_dataset_csv(io.StringIO(text), make_config(group_variable="brand"))
+        assert {name: tuple(column) for name, column in ds.externals.items()} == {"brand": ("yes",)}
+        ds = read_dataset_csv(io.StringIO(text), make_config())
+        assert dict(ds.externals) == {}
 
 
 def test_read_csv_skips_blank_lines():
@@ -320,9 +321,9 @@ def test_read_csv_with_50000_external_columns_takes_linear_time(quote):
     text = ",".join(["firm_id", "TA", "NCL", "CL", *extra]) + "\n"
     text += f"{quote}f1{quote},1,2,3," + ",".join(["y"] * len(extra)) + "\n"
     start = time.perf_counter()
-    ds = read_dataset_csv(io.StringIO(text), make_config())
+    ds = read_dataset_csv(io.StringIO(text), make_config(group_variable="x49999"))
     elapsed = time.perf_counter() - start
-    assert len(ds.externals) == 50_000
+    assert list(ds.externals) == ["x49999"]
     assert tuple(ds.externals["x49999"]) == ("y",)
     assert elapsed < 5.0
 
@@ -630,6 +631,8 @@ def test_both_readers_hand_their_columns_to_the_dataset_without_a_copy(quote, mo
 
     real = dataset._read_only
     with mock.patch.object(dataset, "_read_only", read_only):
-        ds = read_dataset_csv(io.StringIO(text), make_config(zero_policy=ZeroPolicy(mode=mode)))
+        ds = read_dataset_csv(
+            io.StringIO(text), make_config(group_variable="brand", zero_policy=ZeroPolicy(mode=mode))
+        )
     assert held == [True, True, True]  # firm_ids, values, brand
     assert ds.n == (2 if mode == "drop_row" else 3)
