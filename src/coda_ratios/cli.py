@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import io
 import os
@@ -74,11 +75,12 @@ def _timestamp_for(data_path: str) -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
         ts = int(epoch) if epoch else int(os.stat(data_path).st_mtime)
+    except ValueError:
+        raise CodaError(f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}") from None
+    try:
         when = datetime.fromtimestamp(ts, tz=timezone.utc)
-    except (ValueError, OverflowError):
-        raise CodaError(
-            f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}"
-        ) from None
+    except (ValueError, OverflowError, OSError):  # past the years datetime or time_t can hold
+        raise CodaError(f"SOURCE_DATE_EPOCH is out of range, got {epoch!r}") from None
     return when.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -89,18 +91,38 @@ def _cmd_analyze(args) -> int:
     # both outputs are built before either file is opened, so an error writes neither
     text = emit_report(report, "csv" if args.out and args.out.endswith(".csv") else "json")
     svg = emit_boxplot_svg([(v.name, v.box) for v in report.variables]) if args.svg else None
-    if not args.out:
-        out = _stdout()
-        out.flush()
-        if hasattr(out, "buffer"):  # the encoded bytes, with no str copy of the report
-            out.buffer.write(text)
-        else:  # a text-only stream, such as io.StringIO
-            out.write(text.decode("utf-8"))
-    for path, data in ((args.out, text), (args.svg, svg)):
-        if path:
-            with open(path, "wb") as fh:
-                fh.write(data)
+    staged = []  # (temporary file, output): no output is replaced until every one is written
+    try:
+        for path, data in ((args.out, text), (args.svg, svg)):
+            if path:
+                with _open_beside(path) as fh:
+                    staged.append((fh.name, path))
+                    fh.write(data)
+        if not args.out:
+            out = _stdout()
+            out.flush()
+            if hasattr(out, "buffer"):  # the encoded bytes, with no str copy of the report
+                out.buffer.write(text)
+            else:  # a text-only stream, such as io.StringIO
+                out.write(text.decode("utf-8"))
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)
     return 0
+
+
+def _open_beside(path: str):
+    """A new file beside ``path``, open for writing, to replace it; an OSError names ``path``."""
+    if os.path.isdir(path):  # os.replace would fail only after another output had moved
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        return open(f"{path}.{os.getpid()}.tmp", "xb")  # "x": no file but its own; the umask applies
+    except OSError as exc:
+        exc.filename = path
+        raise
 
 
 def _cmd_transform(args) -> int:
@@ -144,7 +166,7 @@ def _cmd_validate(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
     # the group split is checked before anything is printed
-    groups = None if config.group_variable is None else two_groups(ds, config.group_variable)
+    groups = None if config.group_variable is None else two_groups(ds)
     out = _stdout()
     parts = ", ".join(ds.part_labels)
     print(f"OK: {ds.n} firm(s), {len(ds.part_labels)} part(s) ({parts})", file=out)

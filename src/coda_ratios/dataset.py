@@ -5,8 +5,8 @@ byte-order mark is dropped), first row is the header, '.' as decimal
 separator, optional quoted fields.  The header must contain ``firm_id``
 plus every configured part and may not repeat a name.  Any other column
 counts only towards a row's fields: of those, just the configured group
-variable (e.g. a yes/no brand flag) is kept, as a categorical external
-variable.  A row may be shorter than the header (missing cells are empty)
+variable (e.g. a yes/no brand flag) is kept, as the dataset's group
+column.  A row may be shorter than the header (missing cells are empty)
 but not longer, and every firm_id must be non-empty.
 
 A loaded dataset holds each column once: the firm ids and the group
@@ -32,8 +32,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -161,9 +159,9 @@ class FirmDataset:
 
     ``firm_ids`` is a read-only 1-D object array of one ``str`` per firm;
     ``values`` is a read-only (n, D) float64 array whose columns follow
-    ``part_labels``; ``externals`` maps each categorical column name to a
-    read-only 1-D object array of one ``str`` per firm; the loader keeps only
-    the configured group variable there, and nothing when none is configured.
+    ``part_labels``; ``group`` is None or a read-only 1-D object array of one
+    ``str`` per firm, which :func:`two_groups` splits; the loader fills it
+    with the configured group variable, and leaves it None when none is.
     A given array that owns its data, is read-only and has the field's dtype
     is not copied: the dataset shares it with the caller, who must not make
     it writeable again.
@@ -174,7 +172,7 @@ class FirmDataset:
     firm_ids: np.ndarray
     part_labels: tuple[str, ...]
     values: np.ndarray
-    externals: Mapping[str, np.ndarray] = field(default_factory=dict)
+    group: np.ndarray | None = None
 
     def __post_init__(self):
         firm_ids = _read_only(self.firm_ids, object)
@@ -184,16 +182,15 @@ class FirmDataset:
         if values.shape != (n, len(part_labels)):
             raise LengthMismatchError((n, len(part_labels)), values.shape)
         check_part_labels(part_labels)
-        externals = {name: _read_only(column, object) for name, column in self.externals.items()}
-        for column in externals.values():
-            if len(column) != n:
-                raise LengthMismatchError(n, len(column))
+        group = None if self.group is None else _read_only(self.group, object)
+        if group is not None and len(group) != n:
+            raise LengthMismatchError(n, len(group))
         check_unique_ids(firm_ids)
         check_positive(values, firm_ids, part_labels)
         object.__setattr__(self, "firm_ids", firm_ids)
         object.__setattr__(self, "part_labels", part_labels)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "externals", MappingProxyType(externals))
+        object.__setattr__(self, "group", group)
 
     @property
     def n(self) -> int:
@@ -308,38 +305,37 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     if columns is None:
         fh.seek(start)
         columns = _csv_reader_columns(fh, config)
-    firm_ids, values, externals = columns
+    firm_ids, values, group = columns
     if not len(firm_ids):
         raise EmptyDataError()
     keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
     if not keep.all():
         firm_ids = firm_ids[keep]
-        externals = {name: column[keep] for name, column in externals.items()}
+        group = None if group is None else group[keep]
     # read-only arrays that own their data: the dataset holds them without a copy
-    for column in (firm_ids, values, *externals.values()):
-        column.setflags(write=False)
-    return FirmDataset(
-        firm_ids=firm_ids, part_labels=config.parts, values=values, externals=externals
-    )
+    for column in (firm_ids, values, group):
+        if column is not None:
+            column.setflags(write=False)
+    return FirmDataset(firm_ids=firm_ids, part_labels=config.parts, values=values, group=group)
 
 
-def _header_columns(header, config: AnalysisConfig) -> tuple[list[str], list[str]]:
-    """A header record's stripped column names, checked against ``config``, and the externals kept."""
+def _header_columns(header, config: AnalysisConfig) -> list[str]:
+    """A header record's stripped column names, checked against ``config``."""
     if header is None:
         raise MissingColumnError("firm_id")
     header = [name.strip() for name in header]
     dupes = repeats(header)
     if dupes:
         raise CodaError(f"CSV header repeats column name(s): {', '.join(map(repr, dupes))}")
-    external = [] if config.group_variable is None else [config.group_variable]
-    for name in ("firm_id", *config.parts, *external):
+    group = () if config.group_variable is None else (config.group_variable,)
+    for name in ("firm_id", *config.parts, *group):
         if name not in header:
             raise MissingColumnError(name)
-    return header, external
+    return header
 
 
 def _loadtxt_columns(fh, config: AnalysisConfig):
-    """``(firm_ids, values, externals)`` of ``fh`` from one ``np.loadtxt`` pass, or None.
+    """``(firm_ids, values, group)`` of ``fh`` from one ``np.loadtxt`` pass, or None.
 
     Ids and the group column are 1-D object arrays of stripped cells.  Every
     other column is read as ``"U1"``, so it is counted as a field but makes
@@ -365,10 +361,10 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
     # a batch of lines at a time keeps the checks in C, and no Python frame runs per line
     rows = chain.from_iterable(map(checked, iter(partial(fh.readlines, 1 << 16), [])))
     try:
-        header, external = _header_columns(next(csv.reader(rows, strict=True), None), config)
-        kept = {"firm_id", *external}
+        header = _header_columns(next(csv.reader(rows, strict=True), None), config)
+        texts = ("firm_id", config.group_variable)
         dtype = [
-            (f"c{j}", np.float64 if name in config.parts else object if name in kept else "U1")
+            (f"c{j}", np.float64 if name in config.parts else object if name in texts else "U1")
             for j, name in enumerate(header)
         ]
         with warnings.catch_warnings():
@@ -392,11 +388,12 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
         values[:, j] = table[field[part]]
     if not np.isfinite(values).all():
         return None
-    return firm_ids, values, {name: column(name) for name in external}
+    group = config.group_variable
+    return firm_ids, values, None if group is None else column(group)
 
 
 def _csv_reader_columns(fh, config: AnalysisConfig):
-    """``(firm_ids, values, externals)`` of ``fh`` read by ``csv.reader``, cell by cell.
+    """``(firm_ids, values, group)`` of ``fh`` read by ``csv.reader``, cell by cell.
 
     Ids and the group column are returned as 1-D object arrays of stripped cells.
 
@@ -406,12 +403,12 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
     """
     reader = csv.reader(fh, strict=True)
     records = _records(reader)
-    header, external = _header_columns(next(records, None), config)
+    header = _header_columns(next(records, None), config)
     col = {name: j for j, name in enumerate(header)}
-    externals = {name: [] for name in external}
+    g = col.get(config.group_variable)
 
     width = len(header)
-    firm_ids, lines, flat = [], array("q"), array("d")
+    firm_ids, group, lines, flat = [], [], array("q"), array("d")
     malformed = []  # (line, column_name, raw)
     for row in records:
         if not row:
@@ -436,8 +433,8 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
                 malformed.append((line, part, raw))
                 v = math.nan
             flat.append(v)
-        for name, column in externals.items():
-            column.append(cells[col[name]].strip())
+        if g is not None:
+            group.append(cells[g].strip())
 
     if malformed:
         raise MalformedNumberError(malformed)
@@ -445,22 +442,22 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
     check_unique_ids(firm_ids, lines)
     values = np.empty((len(firm_ids), len(config.parts)))
     values.reshape(-1)[:] = flat  # an array that owns its data, which the dataset keeps
-    externals = {name: np.array(column, dtype=object) for name, column in externals.items()}
-    return np.array(firm_ids, dtype=object), values, externals
+    group = None if g is None else np.array(group, dtype=object)
+    return np.array(firm_ids, dtype=object), values, group
 
 
-def two_groups(ds: FirmDataset, variable: str) -> tuple[tuple[str, np.ndarray], ...]:
-    """The ``(value, row mask)`` pairs of a two-valued variable, low value first.
+def two_groups(ds: FirmDataset) -> tuple[tuple[str, np.ndarray], ...]:
+    """The ``(value, row mask)`` pairs of the dataset's group column, low value first.
 
-    Raises SingleGroupError unless a known ``variable`` takes exactly two values.
+    Raises a CodaError when the dataset has no group column, and a
+    SingleGroupError unless the column takes exactly two values.
     """
-    if variable not in ds.externals:
-        raise CodaError(f"unknown external variable {variable!r}")
-    column = ds.externals[variable]
-    values = sorted(set(column))
+    if ds.group is None:
+        raise CodaError("the dataset has no group column")
+    values = sorted(set(ds.group))
     if len(values) != 2:
-        raise SingleGroupError(len(values))
-    return tuple((value, column == value) for value in values)
+        raise SingleGroupError(values)
+    return tuple((value, ds.group == value) for value in values)
 
 
 # ---------------------------------------------------------------------------

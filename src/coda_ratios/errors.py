@@ -100,9 +100,13 @@ class ZeroPooledVarianceError(CodaError):
 
 
 class SingleGroupError(CodaError):
-    def __init__(self, n_groups):
-        self.n_groups = n_groups
-        super().__init__(f"need exactly two distinct groups, got {n_groups}")
+    def __init__(self, values):
+        self.values = tuple(values)  # the distinct values found, sorted
+        self.n_groups = len(self.values)
+        listing = ", ".join(map(repr, self.values[:5])) + (", ..." if self.n_groups > 5 else "")
+        super().__init__(
+            f"need exactly two distinct groups, got {self.n_groups}" + (listing and f": {listing}")
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def run_analysis(
     # groups fixed once, low value first, as row indices: same order as the mask, but faster
     groups = None
     if config.group_variable is not None:
-        groups = [(g, np.flatnonzero(mask)) for g, mask in two_groups(ds, config.group_variable)]
+        groups = [(g, np.flatnonzero(mask)) for g, mask in two_groups(ds)]
 
     # one (kind, values) per name of config.variable_names, in the same order, each
     # made when its turn comes; the report keeps its statistics, not the column

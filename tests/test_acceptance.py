@@ -111,7 +111,7 @@ def test_criterion_04_sign_flip_property_suite():
             firm_ids=tuple(f"f{i}" for i in range(n)),
             part_labels=("TA", "NCL", "CL"),
             values=values,
-            externals={"brand": tuple(brands)},
+            group=tuple(brands),
         )
         report = run_analysis(ds, config)
         for base in ("y1", "y2"):

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import coda_ratios
@@ -30,6 +31,8 @@ def test_removed_names_are_not_exported():
     assert not set(REMOVED) & set(coda_ratios.__all__)
     assert not [name for name in REMOVED if hasattr(coda_ratios, name)]
     assert not hasattr(coda_ratios.PartitionTree, "fingerprint")
+    # one group column in place of the name -> column mapping
+    assert "externals" not in {f.name for f in dataclasses.fields(coda_ratios.FirmDataset)}
     # kept in coda_ratios.tdist, which the p-value tests import it from
     assert "regularized_incomplete_beta" not in coda_ratios.__all__
     assert not hasattr(coda_ratios, "regularized_incomplete_beta")

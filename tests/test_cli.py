@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from coda_ratios import _floattext
+from coda_ratios import _floattext, cli
 from coda_ratios.cli import main
 
 CONFIG_TEXT = """\
@@ -104,11 +105,17 @@ def test_analyze_timestamp_from_mtime(workdir, monkeypatch):
 
 
 def test_analyze_bad_source_date_epoch_exits_1(workdir, monkeypatch, capsys):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
-    assert main(["analyze", *_args(workdir)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: SOURCE_DATE_EPOCH")
-    assert "'abc'" in err
+    for epoch, what in [
+        ("abc", "must be a whole number of seconds"),
+        ("99999999999999999", "is out of range"),  # past the platform's time_t
+        ("-99999999999", "is out of range"),  # before year 1
+        ("253402300800", "is out of range"),  # year 10000
+    ]:
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert main(["analyze", *_args(workdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: SOURCE_DATE_EPOCH {what}, got {epoch!r}\n"
+        assert captured.out == ""
 
 
 def test_analyze_header_only_csv_exits_1(workdir):
@@ -384,6 +391,67 @@ def test_analyze_output_naming_an_input_exits_2(workdir, monkeypatch, capsys, fl
     assert {name: (workdir / name).read_bytes() for name in inputs} == inputs
 
 
+@pytest.mark.parametrize(
+    "svg, reason",
+    [("missing/b.svg", "[Errno 2] No such file or directory"), ("sub", "[Errno 21] Is a directory")],
+)
+def test_analyze_failing_output_leaves_the_other_unchanged(workdir, monkeypatch, capsys, svg, reason):
+    monkeypatch.chdir(workdir)
+    (workdir / "sub").mkdir()
+    (workdir / "r.json").write_bytes(b"kept")
+    before = sorted(os.listdir(workdir))
+    assert main(["analyze", *_args(workdir, "--out", "r.json", "--svg", svg)]) == 1
+    assert capsys.readouterr().err == f"error: {reason}: {svg!r}\n"  # the output's name, as before
+    assert (workdir / "r.json").read_bytes() == b"kept"
+    assert sorted(os.listdir(workdir)) == before and os.listdir(workdir / "sub") == []
+
+
+@pytest.mark.parametrize("out", [None, "r.json"], ids=["stdout", "file"])
+def test_analyze_write_error_leaves_no_temporary_file(workdir, monkeypatch, capsys, out):
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fake_open(path, mode):  # the SVG's write fails, after the report's succeeded
+        return (FullDisk if ".svg." in path else io.FileIO)(path, mode.replace("b", ""))
+
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    (workdir / "r.json").write_bytes(b"kept")
+    (workdir / "b.svg").write_bytes(b"kept")
+    before = sorted(os.listdir(workdir))
+    extra = ("--svg", "b.svg") if out is None else ("--out", out, "--svg", "b.svg")
+    assert main(["analyze", *_args(workdir, *extra)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(workdir)) == before
+    assert (workdir / "r.json").read_bytes() == (workdir / "b.svg").read_bytes() == b"kept"
+
+
+def test_analyze_replaces_each_output_with_a_new_file(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    (workdir / "r.json").write_bytes(b"kept")
+    os.chmod(workdir / "r.json", 0o600)
+    os.link(workdir / "r.json", workdir / "hard.json")
+    (workdir / "target.svg").write_bytes(b"kept")
+    (workdir / "b.svg").symlink_to(workdir / "target.svg")
+    old_umask = os.umask(0o022)
+    try:
+        assert main(["analyze", *_args(workdir, "--out", "r.json", "--svg", "b.svg")]) == 0
+    finally:
+        os.umask(old_umask)
+    assert json.loads((workdir / "r.json").read_bytes())["metadata"]["n"] == 6
+    assert (workdir / "r.json").stat().st_mode & 0o777 == 0o644  # the umask's, not the old mode
+    assert (workdir / "hard.json").read_bytes() == b"kept"  # a new inode: the link keeps the old bytes
+    assert not (workdir / "b.svg").is_symlink()  # the link is replaced, not written through
+    assert (workdir / "b.svg").read_bytes().startswith(b"<svg ")
+    assert (workdir / "target.svg").read_bytes() == b"kept"
+    assert sorted(os.listdir(workdir)) == [
+        "analysis.ini", "b.svg", "firms.csv", "hard.json", "r.json", "target.svg"
+    ]
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["bogus"])
@@ -417,7 +485,7 @@ def test_validate_single_group_fails(workdir, capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""  # no "OK:" line before the error
-    assert captured.err == "error: need exactly two distinct groups, got 1\n"
+    assert captured.err == "error: need exactly two distinct groups, got 1: 'yes'\n"
 
 
 def test_demo_table1(capsys):

@@ -120,8 +120,8 @@ def _outcome(text, newline, config):
         ds = read_dataset_csv(io.StringIO(text, newline=newline), config)
     except CodaError as exc:
         return type(exc), str(exc)
-    externals = {name: column.tolist() for name, column in ds.externals.items()}
-    return ds.firm_ids.tolist(), ds.values.shape, ds.values.tobytes(), externals
+    group = None if ds.group is None else ds.group.tolist()
+    return ds.firm_ids.tolist(), ds.values.shape, ds.values.tobytes(), group
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

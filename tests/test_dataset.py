@@ -174,9 +174,7 @@ def test_read_csv_happy_path():
     assert ds.n == 3
     assert ds.part_labels == ("TA", "NCL", "CL")
     assert tuple(ds.firm_ids) == ("f1", "f2", "f3")
-    assert {name: tuple(column) for name, column in ds.externals.items()} == {
-        "brand": ("yes", "no", "yes")
-    }
+    assert tuple(ds.group) == ("yes", "no", "yes")
     np.testing.assert_array_equal(
         ds.values, [[100, 20, 30], [80, 35, 25], [120, 50, 10]]
     )
@@ -207,9 +205,9 @@ def test_read_csv_keeps_only_the_group_column_of_the_extra_columns():
     for quote in ("", '"'):  # a quote sends the file to the csv.reader path
         text = f"firm_id,TA,NCL,CL,brand,country\n{quote}f1{quote},1,2,3, yes ,NL\n"
         ds = read_dataset_csv(io.StringIO(text), make_config(group_variable="brand"))
-        assert {name: tuple(column) for name, column in ds.externals.items()} == {"brand": ("yes",)}
+        assert tuple(ds.group) == ("yes",)
         ds = read_dataset_csv(io.StringIO(text), make_config())
-        assert dict(ds.externals) == {}
+        assert ds.group is None
 
 
 def test_read_csv_skips_blank_lines():
@@ -323,8 +321,7 @@ def test_read_csv_with_50000_external_columns_takes_linear_time(quote):
     start = time.perf_counter()
     ds = read_dataset_csv(io.StringIO(text), make_config(group_variable="x49999"))
     elapsed = time.perf_counter() - start
-    assert list(ds.externals) == ["x49999"]
-    assert tuple(ds.externals["x49999"]) == ("y",)
+    assert tuple(ds.group) == ("y",)
     assert elapsed < 5.0
 
 
@@ -476,12 +473,12 @@ def test_read_csv_with_replace_policy_end_to_end():
 # datasets and group splits
 
 
-def _dataset(rows, parts=("TA", "NCL", "CL"), externals=None):
+def _dataset(rows, parts=("TA", "NCL", "CL"), group=None):
     return FirmDataset(
         firm_ids=tuple(firm_id for firm_id, _ in rows),
         part_labels=tuple(parts),
         values=np.array([values for _, values in rows], dtype=float).reshape(-1, len(parts)),
-        externals=externals or {},
+        group=group,
     )
 
 
@@ -533,9 +530,9 @@ def test_replace_underflowing_to_zero_is_rejected():
 def test_split_by_group():
     ds = _dataset(
         [("f1", (1, 2, 3)), ("f2", (4, 5, 6)), ("f3", (7, 8, 9))],
-        externals={"brand": ("yes", "no", "yes")},
+        group=("yes", "no", "yes"),
     )
-    (no, no_mask), (yes, yes_mask) = two_groups(ds, "brand")  # low value first
+    (no, no_mask), (yes, yes_mask) = two_groups(ds)  # low value first
     assert (no, yes) == ("no", "yes")
     assert yes_mask.tolist() == [True, False, True]
     assert no_mask.tolist() == [False, True, False]
@@ -545,26 +542,43 @@ def test_split_by_group():
 def test_split_by_group_empty_dataset():
     ds = FirmDataset(
         firm_ids=(), part_labels=("TA", "NCL", "CL"), values=np.empty((0, 3)),
-        externals={"brand": ()},
+        group=(),
     )
     with pytest.raises(SingleGroupError) as excinfo:
-        two_groups(ds, "brand")
+        two_groups(ds)
     assert excinfo.value.n_groups == 0
+    assert excinfo.value.values == ()
+    assert str(excinfo.value) == "need exactly two distinct groups, got 0"
 
 
-def test_split_by_group_unknown_variable():
-    ds = _dataset([("f1", (1, 2, 3))], externals={"brand": ("yes",)})
-    with pytest.raises(CodaError, match="^unknown external variable 'country'$"):
-        two_groups(ds, "country")
+def test_split_by_group_without_a_group_column():
+    with pytest.raises(CodaError, match="^the dataset has no group column$"):
+        two_groups(_dataset([("f1", (1, 2, 3))]))
     with pytest.raises(SingleGroupError) as excinfo:
-        two_groups(ds, "brand")
+        two_groups(_dataset([("f1", (1, 2, 3))], group=("yes",)))
     assert excinfo.value.n_groups == 1
+    assert excinfo.value.values == ("yes",)
 
 
-def test_dataset_rejects_short_external_column():
-    # every firm carries a value for every external variable
+def test_split_by_group_names_at_most_five_of_the_values_it_found():
+    # f4's short row leaves its group cell blank
+    text = "firm_id,TA,NCL,CL,brand\nf1,1,2,3,yes\nf2,4,5,6,Yes\nf3,7,8,9,no\nf4,1,2,3\n"
+    ds = read_dataset_csv(io.StringIO(text), make_config(group_variable="brand"))
+    with pytest.raises(SingleGroupError) as excinfo:
+        two_groups(ds)
+    assert str(excinfo.value) == "need exactly two distinct groups, got 4: '', 'Yes', 'no', 'yes'"
+    assert excinfo.value.values == ("", "Yes", "no", "yes")
+    ds = _dataset([(f"f{i}", (1, 2, 3)) for i in range(7)], group=tuple("gfedcba"))
+    with pytest.raises(SingleGroupError) as excinfo:
+        two_groups(ds)
+    assert str(excinfo.value) == "need exactly two distinct groups, got 7: 'a', 'b', 'c', 'd', 'e', ..."
+    assert excinfo.value.n_groups == 7
+
+
+def test_dataset_rejects_short_group_column():
+    # every firm carries a group value
     with pytest.raises(LengthMismatchError) as excinfo:
-        _dataset([("f1", (1, 2, 3)), ("f2", (4, 5, 6))], externals={"brand": ("yes",)})
+        _dataset([("f1", (1, 2, 3)), ("f2", (4, 5, 6))], group=("yes",))
     assert (excinfo.value.expected, excinfo.value.got) == (2, 1)
 
 
@@ -586,9 +600,9 @@ def test_dataset_copies_callers_arrays_and_holds_read_only_columns():
     for firm_ids in (id_list, *id_arrays):
         ds = FirmDataset(
             firm_ids=firm_ids, part_labels=("TA", "NCL", "CL"), values=values,
-            externals={"brand": brand},
+            group=brand,
         )
-        columns = (ds.firm_ids, ds.values, *ds.externals.values())
+        columns = (ds.firm_ids, ds.values, ds.group)
         assert not any(column.flags.writeable for column in columns)
         assert not any(np.shares_memory(column, given) for column in columns
                        for given in (values, brand, *id_arrays))
@@ -609,9 +623,9 @@ def test_dataset_holds_read_only_arrays_that_own_their_data_as_given():
         array.setflags(write=False)
     ds = FirmDataset(
         firm_ids=firm_ids, part_labels=("TA", "NCL", "CL"), values=values,
-        externals={"brand": brand},
+        group=brand,
     )
-    assert ds.firm_ids is firm_ids and ds.values is values and ds.externals["brand"] is brand
+    assert ds.firm_ids is firm_ids and ds.values is values and ds.group is brand
     # a read-only view does not own its data: it is copied
     ds = FirmDataset(firm_ids=firm_ids, part_labels=("A", "B"), values=values[:, :2])
     assert ds.values.flags.owndata and not np.shares_memory(ds.values, values)

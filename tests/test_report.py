@@ -30,7 +30,7 @@ def make_dataset(rows, brands=None, parts=PARTS):
         firm_ids=tuple(f"f{i + 1}" for i in range(len(rows))),
         part_labels=parts,
         values=np.array(rows, dtype=float),
-        externals={} if brands is None else {"brand": tuple(brands)},
+        group=None if brands is None else tuple(brands),
     )
 
 
