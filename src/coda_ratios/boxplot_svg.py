@@ -31,6 +31,10 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _line(x1, y1, x2, y2) -> str:
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
+
+
 def _extent(summaries) -> tuple[float, float]:  # outliers ascend: the first and last suffice
     lo = min(min(b.q1, b.whiskers[0], *b.outliers[:1].tolist()) for _, b in summaries)
     hi = max(max(b.q3, b.whiskers[1], *b.outliers[-1:].tolist()) for _, b in summaries)
@@ -69,28 +73,18 @@ def emit_boxplot_svg(summaries) -> bytes:
         x_cap_l, x_cap_r = cx - _CAP_HALF, cx + _CAP_HALF
         y_q1, y_med, y_q3 = scale(box.q1), scale(box.median), scale(box.q3)
         y_wlo, y_whi = scale(box.whiskers[0]), scale(box.whiskers[1])
-        lines.append(f'<g data-variable="{_escape(name)}">')
-        # whisker stems (vertical) and caps (horizontal)
-        lines.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(y_q3)}" x2="{_fmt(cx)}" y2="{_fmt(y_whi)}"/>'
-        )
-        lines.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(y_q1)}" x2="{_fmt(cx)}" y2="{_fmt(y_wlo)}"/>'
-        )
-        lines.append(
-            f'<line x1="{_fmt(x_cap_l)}" y1="{_fmt(y_whi)}" x2="{_fmt(x_cap_r)}" y2="{_fmt(y_whi)}"/>'
-        )
-        lines.append(
-            f'<line x1="{_fmt(x_cap_l)}" y1="{_fmt(y_wlo)}" x2="{_fmt(x_cap_r)}" y2="{_fmt(y_wlo)}"/>'
-        )
-        # box and median
-        lines.append(
+        lines += [
+            f'<g data-variable="{_escape(name)}">',
+            # whisker stems (vertical) and caps (horizontal)
+            _line(cx, y_q3, cx, y_whi),
+            _line(cx, y_q1, cx, y_wlo),
+            _line(x_cap_l, y_whi, x_cap_r, y_whi),
+            _line(x_cap_l, y_wlo, x_cap_r, y_wlo),
+            # box and median
             f'<rect x="{_fmt(x_box_l)}" y="{_fmt(y_q3)}" width="{_fmt(2 * _BOX_HALF)}" '
-            f'height="{_fmt(y_q1 - y_q3)}"/>'
-        )
-        lines.append(
-            f'<line x1="{_fmt(x_box_l)}" y1="{_fmt(y_med)}" x2="{_fmt(x_box_r)}" y2="{_fmt(y_med)}"/>'
-        )
+            f'height="{_fmt(y_q1 - y_q3)}"/>',
+            _line(x_box_l, y_med, x_box_r, y_med),
+        ]
         # open circles mild, filled extreme: each glyph is a reference, not a copy of its text.
         # An outlier is not at q1 or q3, so span > 0, 20 <= y <= 380 and %.3f writes as _fmt
         if box.outliers.size:
@@ -101,12 +95,11 @@ def emit_boxplot_svg(summaries) -> bytes:
             lines.append("\n".join(glyph[extreme.astype(int)].tolist()) % tuple(scale(v).tolist()))
         lines.append("</g>")
     lines.append("</g>")
-    for i, (name, _) in enumerate(summaries):
-        cx = i * PANEL_W + PANEL_W / 2
-        lines.append(
-            f'<text x="{_fmt(cx)}" y="394" font-size="12" font-family="sans-serif" '
-            f'fill="black" text-anchor="middle">{_escape(name)}</text>'
-        )
+    lines += [
+        f'<text x="{_fmt(i * PANEL_W + PANEL_W / 2)}" y="394" font-size="12" font-family="sans-serif" '
+        f'fill="black" text-anchor="middle">{_escape(name)}</text>'
+        for i, (name, _) in enumerate(summaries)
+    ]
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

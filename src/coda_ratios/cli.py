@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import gc
 import io
 import os
 import re
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -80,7 +80,8 @@ def _timestamp_for(data_path: str) -> str:
     try:
         when = datetime.fromtimestamp(ts, tz=timezone.utc)
     except (ValueError, OverflowError, OSError):  # past the years datetime or time_t can hold
-        raise CodaError(f"SOURCE_DATE_EPOCH is out of range, got {epoch!r}") from None
+        source = f"SOURCE_DATE_EPOCH is out of range, got {epoch!r}"
+        raise CodaError(source if epoch else f"the modification time of {data_path} is out of range") from None
     return when.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -92,12 +93,18 @@ def _cmd_analyze(args) -> int:
     text = emit_report(report, "csv" if args.out and args.out.endswith(".csv") else "json")
     svg = emit_boxplot_svg([(v.name, v.box) for v in report.variables]) if args.svg else None
     staged = []  # (temporary file, output): no output is replaced until every one is written
+    in_place = []  # outputs that are not regular files, such as /dev/null or a pipe
     try:
         for path, data in ((args.out, text), (args.svg, svg)):
-            if path:
+            if path and not _regular_or_missing(path):
+                in_place.append((path, data))
+            elif path:
                 with _open_beside(path) as fh:
                     staged.append((fh.name, path))
                     fh.write(data)
+        for path, data in in_place:
+            with open(path, "wb") as fh:
+                fh.write(data)
         if not args.out:
             out = _stdout()
             out.flush()
@@ -114,10 +121,16 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _regular_or_missing(path: str) -> bool:
+    """Whether ``path`` names a regular file or nothing, which an output may replace."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True
+
+
 def _open_beside(path: str):
     """A new file beside ``path``, open for writing, to replace it; an OSError names ``path``."""
-    if os.path.isdir(path):  # os.replace would fail only after another output had moved
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         return open(f"{path}.{os.getpid()}.tmp", "xb")  # "x": no file but its own; the umask applies
     except OSError as exc:

@@ -182,7 +182,7 @@ class FirmDataset:
         if values.shape != (n, len(part_labels)):
             raise LengthMismatchError((n, len(part_labels)), values.shape)
         check_part_labels(part_labels)
-        group = None if self.group is None else _read_only(self.group, object)
+        group = _read_only(self.group, object)
         if group is not None and len(group) != n:
             raise LengthMismatchError(n, len(group))
         check_unique_ids(firm_ids)
@@ -197,9 +197,9 @@ class FirmDataset:
         return len(self.firm_ids)
 
 
-def _read_only(data, dtype) -> np.ndarray:
-    """``data`` as a read-only ``dtype`` array: itself if it is one that owns its data, else a copy."""
-    if (
+def _read_only(data, dtype) -> np.ndarray | None:
+    """``data`` as a read-only ``dtype`` array: itself if None or one that owns its data, else a copy."""
+    if data is None or (
         isinstance(data, np.ndarray)
         and data.dtype == dtype
         and data.flags.owndata
@@ -304,8 +304,7 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     columns = _loadtxt_columns(fh, config)
     if columns is None:
         fh.seek(start)
-        columns = _csv_reader_columns(fh, config)
-    firm_ids, values, group = columns
+    firm_ids, values, group = columns or _csv_reader_columns(fh, config)
     if not len(firm_ids):
         raise EmptyDataError()
     keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
@@ -327,9 +326,8 @@ def _header_columns(header, config: AnalysisConfig) -> list[str]:
     dupes = repeats(header)
     if dupes:
         raise CodaError(f"CSV header repeats column name(s): {', '.join(map(repr, dupes))}")
-    group = () if config.group_variable is None else (config.group_variable,)
-    for name in ("firm_id", *config.parts, *group):
-        if name not in header:
+    for name in ("firm_id", *config.parts, config.group_variable):
+        if name is not None and name not in header:
             raise MissingColumnError(name)
     return header
 
@@ -388,8 +386,7 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
         values[:, j] = table[field[part]]
     if not np.isfinite(values).all():
         return None
-    group = config.group_variable
-    return firm_ids, values, None if group is None else column(group)
+    return firm_ids, values, None if config.group_variable is None else column(config.group_variable)
 
 
 def _csv_reader_columns(fh, config: AnalysisConfig):
@@ -442,8 +439,7 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
     check_unique_ids(firm_ids, lines)
     values = np.empty((len(firm_ids), len(config.parts)))
     values.reshape(-1)[:] = flat  # an array that owns its data, which the dataset keeps
-    group = None if g is None else np.array(group, dtype=object)
-    return np.array(firm_ids, dtype=object), values, group
+    return np.array(firm_ids, dtype=object), values, None if g is None else np.array(group, dtype=object)
 
 
 def two_groups(ds: FirmDataset) -> tuple[tuple[str, np.ndarray], ...]:
@@ -512,25 +508,17 @@ def parse_config(text: str) -> AnalysisConfig:
                 raise ConfigError(
                     f"ratio {name!r} must be '<num> / <den>' with exactly one '/', got {expr!r}"
                 )
-            num = tuple(p.strip() for p in sides[0].split("+") if p.strip())
-            den = tuple(p.strip() for p in sides[1].split("+") if p.strip())
+            num, den = (tuple(p.strip() for p in side.split("+") if p.strip()) for side in sides)
             ratios.append(RatioSpec(name=name, numerator=num, denominator=den))
 
-    zero_policy = ZeroPolicy()
-    if cp.has_section("zeros"):
-        zeros = dict(cp.items("zeros"))
-        _check_names(zeros, {"mode", "delta_fraction"}, "key(s) in [zeros]")
-        kwargs = {}
-        if "mode" in zeros:
-            kwargs["mode"] = zeros["mode"].strip()
-        if "delta_fraction" in zeros:
-            try:
-                kwargs["delta_fraction"] = float(zeros["delta_fraction"])
-            except ValueError:
-                raise ConfigError(
-                    f"delta_fraction must be a number, got {zeros['delta_fraction']!r}"
-                ) from None
-        zero_policy = ZeroPolicy(**kwargs)
+    zeros = dict(cp.items("zeros")) if cp.has_section("zeros") else {}
+    _check_names(zeros, {"mode", "delta_fraction"}, "key(s) in [zeros]")
+    delta_fraction = zeros.get("delta_fraction", ZeroPolicy.delta_fraction)
+    try:
+        delta_fraction = float(delta_fraction)
+    except ValueError:
+        raise ConfigError(f"delta_fraction must be a number, got {delta_fraction!r}") from None
+    zero_policy = ZeroPolicy(zeros.get("mode", ZeroPolicy.mode).strip(), delta_fraction)
 
     return AnalysisConfig(
         parts=parts,

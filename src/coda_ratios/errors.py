@@ -48,12 +48,9 @@ class LabelMismatchError(CodaError):
     def __init__(self, missing, extra):
         self.missing = frozenset(missing)
         self.extra = frozenset(extra)
-        parts = []
-        if self.missing:
-            parts.append(f"missing: {sorted(self.missing)}")
-        if self.extra:
-            parts.append(f"extra: {sorted(self.extra)}")
-        super().__init__("label mismatch (" + "; ".join(parts) + ")")
+        sides = (("missing", self.missing), ("extra", self.extra))
+        listing = "; ".join(f"{side}: {sorted(labels)}" for side, labels in sides if labels)
+        super().__init__(f"label mismatch ({listing})")
 
 
 class LengthMismatchError(CodaError):

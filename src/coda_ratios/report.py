@@ -145,17 +145,7 @@ def run_analysis(
             except (TooFewObservationsError, ZeroPooledVarianceError) as exc:
                 comparison_note = str(exc)
             _require_finite(name, _numbers(comparison))
-        variables.append(
-            VariableReport(
-                name=name,
-                kind=kind,
-                stats=stats,
-                stats_note=stats_note,
-                box=box,
-                comparison=comparison,
-                comparison_note=comparison_note,
-            )
-        )
+        variables.append(VariableReport(name, kind, stats, stats_note, box, comparison, comparison_note))
 
     return AnalysisReport(
         variables=tuple(variables),

@@ -69,8 +69,7 @@ class GroupComparison:
 
 
 def _as_array(data) -> np.ndarray:
-    a = np.asarray(list(data) if not isinstance(data, np.ndarray) else data, dtype=float)
-    return a.ravel()
+    return np.asarray(data if isinstance(data, np.ndarray) else list(data), dtype=float).ravel()
 
 
 def _is_constant(a: np.ndarray) -> bool:

@@ -24,6 +24,10 @@ _MAX_ITER = 300
 _TINY = 1e-300
 
 
+def _off_zero(v: float) -> float:  # Lentz's guard: a divisor too near zero becomes _TINY
+    return _TINY if abs(v) < _TINY else v
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     # modified Lentz evaluation of the continued fraction for I_x(a, b);
     # only called with x < (a+1)/(a+b+2), where it converges fastest
@@ -31,23 +35,15 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         even = m * (b - m) * x / ((qam + m2) * (a + m2))
         odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         for aa in (even, odd):
-            d = 1.0 + aa * d
-            if abs(d) < _TINY:
-                d = _TINY
-            c = 1.0 + aa / c
-            if abs(c) < _TINY:
-                c = _TINY
-            d = 1.0 / d
+            d = 1.0 / _off_zero(1.0 + aa * d)
+            c = _off_zero(1.0 + aa / c)
             delta = d * c
             h *= delta
         if abs(delta - 1.0) < _EPS:

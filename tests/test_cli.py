@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -116,6 +117,17 @@ def test_analyze_bad_source_date_epoch_exits_1(workdir, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: SOURCE_DATE_EPOCH {what}, got {epoch!r}\n"
         assert captured.out == ""
+
+
+def test_analyze_out_of_range_mtime_names_the_data_file(monkeypatch):
+    # no file system at hand stores a modification time past year 9999, so os.stat is faked
+    fake_os = type(os)("os")
+    fake_os.environ = {}
+    fake_os.stat = lambda path: os.stat_result((0,) * 8 + (1e17, 0))
+    monkeypatch.setattr(cli, "os", fake_os)
+    with pytest.raises(cli.CodaError) as excinfo:
+        cli._timestamp_for("firms.csv")
+    assert str(excinfo.value) == "the modification time of firms.csv is out of range"
 
 
 def test_analyze_header_only_csv_exits_1(workdir):
@@ -450,6 +462,52 @@ def test_analyze_replaces_each_output_with_a_new_file(workdir, monkeypatch):
     assert sorted(os.listdir(workdir)) == [
         "analysis.ini", "b.svg", "firms.csv", "hard.json", "r.json", "target.svg"
     ]
+
+
+@pytest.mark.parametrize(
+    "device, code, err",
+    [("/dev/null", 0, ""), ("/dev/full", 1, "error: [Errno 28] No space left on device\n")],
+)
+def test_analyze_writes_an_output_that_is_a_device_in_place(workdir, monkeypatch, capsys, device, code, err):
+    if not os.path.exists(device):
+        pytest.skip(f"{device} is not available")
+    real_replace = os.replace
+
+    def replace(src, dst):  # a device node is never swapped for a file, even if the check regresses
+        assert os.path.dirname(os.path.abspath(dst)) == str(workdir), dst
+        real_replace(src, dst)
+
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(os, "replace", replace)
+    (workdir / "r.json").write_bytes(b"kept")
+    before = sorted(os.listdir(workdir))
+    assert main(["analyze", *_args(workdir, "--out", "r.json", "--svg", device)]) == code
+    assert capsys.readouterr().err == err
+    assert stat.S_ISCHR(os.stat(device).st_mode)
+    assert sorted(os.listdir(workdir)) == before
+    # the report is replaced only once the device is written
+    assert ((workdir / "r.json").read_bytes() == b"kept") == bool(code)
+
+
+def test_analyze_writes_an_output_that_is_a_pipe_in_place(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    assert main(["analyze", *_args(workdir)]) == 0
+    report = capsys.readouterr().out.encode("utf-8")
+    assert len(report) < 16384  # fits in the pipe's buffer: no reader thread is needed
+    os.mkfifo(workdir / "r.json")
+    # open for reading and writing, so the writer's open does not wait for a reader
+    fd = os.open(workdir / "r.json", os.O_RDWR | os.O_NONBLOCK)
+    try:
+        assert main(["analyze", *_args(workdir, "--out", "r.json")]) == 0
+        chunks = []
+        with contextlib.suppress(BlockingIOError):
+            while True:
+                chunks.append(os.read(fd, 65536))
+    finally:
+        os.close(fd)
+    assert b"".join(chunks) == report
+    assert stat.S_ISFIFO(os.stat(workdir / "r.json").st_mode)
+    assert sorted(os.listdir(workdir)) == ["analysis.ini", "firms.csv", "r.json"]
 
 
 def test_unknown_subcommand_exits_2():
