@@ -40,8 +40,9 @@ def _rows(marks) -> np.ndarray:
 
 _MINUS = _rows([[(0, ord("-"))]])[0, 0]
 _FIRST = np.array([4] + [3] * 9)  # [cand // 10**16]: the frame digit of cand's first digit
+# [first * 20 + last]: a "0" at each frame digit before first and after last
 _DROP = (_rows([(at, ord("0")) for at in _DIGIT[:first]] for first in range(20))[:, None]
-         + _rows([(at, ord("0")) for at in _DIGIT[last + 1 :]] for last in range(20)))
+         + _rows([(at, ord("0")) for at in _DIGIT[last + 1 :]] for last in range(20))).reshape(400, -1)
 _POINT = _rows([[(_DIGIT[19 - k] + 1, ord("."))] if k else [] for k in range(20)])
 _GROUPS = np.zeros(10000, np.int64)  # "0000".."9999", a digit in every other byte
 for _i in range(4):
@@ -56,8 +57,9 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     ax = np.where(fast, ax, 1.5)
     # Y = |x| * 10**k in [1e16, 1e17); b from the exponent bits.  A power of two, with its
     # narrower interval below, is here an exact decimal of at most 16 digits: distance 0
-    b = ax.view(np.int64) // 2**52 - (1023 - 10)
-    k = np.where(ax * _POW10[_K[b]] >= 1e17, _K[b] - 1, _K[b])
+    b = (ax.view(np.int64) >> 52) - (1023 - 10)
+    k = _K[b]
+    k -= ax * _POW10[k] >= 1e17
     p = _POW10[k]
     hi = ax * p
     ah, ph = ax * 134217729.0, p * 134217729.0  # Veltkamp's split by 2**27 + 1
@@ -69,19 +71,20 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     frac = lo - floor_lo  # exact: Y is a multiple of 2**-47
     # h > 0.55: the nearest integer is inside.  Being within h of Y is monotone in the digit
     # count of a candidate (Y rounded to a multiple of 10**j): the last one inside is repr's
-    h = _H[b, k]
-    cand = np.where(frac > 0.5, whole + 1, whole)
+    h = np.take(_H, b * 20 + k)
+    cand = whole + (frac > 0.5)
     slow = ~fast | (frac == 0.5)
     level = np.zeros(len(x), np.int64)  # cand is a multiple of 10**level
     idx = np.flatnonzero(~slow)  # repr writes the slow ones
     w, f, hw = whole[idx], frac[idx], h[idx]  # still inside: which, and their Y, h
     for j in range(1, 17):
         step = 10**j
-        r = w % step
-        r = np.where(r.astype(np.float64) >= step / 2, r - step, r)  # w - r: the nearest multiple
+        r = w - (w // step) * step  # w >= 0: w % step
+        r -= step * (r >= step // 2)  # w - r: the nearest multiple
         d = r.astype(np.float64) + f  # Y minus that multiple: exact, as |r| <= step / 2
-        inside = np.abs(d) < hw
-        slow[idx[(np.abs(d) == hw) | (inside & (d == -step / 2))]] = True
+        ad = np.abs(d)
+        inside = ad < hw
+        slow[idx[(ad == hw) | (inside & (d == -step / 2))]] = True
         idx, w, f, hw, r = idx[inside], w[inside], f[inside], hw[inside], r[inside]
         if not idx.size:
             break
@@ -89,15 +92,18 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
         level[idx] = j
 
     cells = np.empty((len(x), _CELL // 8), np.int64)
-    cells[:, 0] = np.where(x < 0, _MINUS, 0)
+    cells[:, 0] = (x < 0) * _MINUS
     c = cand
-    for g in range(5, 0, -1):
-        cells[:, g] = np.take(_GROUPS, c % 10000)
-        c = c // 10000
+    for g in range(5, 1, -1):
+        q = c // 10000
+        cells[:, g] = np.take(_GROUPS, c - q * 10000)  # c >= 0: c % 10000
+        c = q
+    cells[:, 1] = np.take(_GROUPS, c)  # c is cand // 10**16
     # cand < 1e17 ends at frame digit 19 - level.  Bytewise, with no borrow or carry: each
     # dropped digit is a "0", each point slot a NUL
-    first = np.minimum(_FIRST[cand // 10**16], 19 - k)
-    cells -= _DROP[first, np.maximum(19 - level, 20 - k)]  # "0"s outside first..last
+    first = np.minimum(_FIRST[c], 19 - k)
+    last = np.maximum(19 - level, 20 - k)
+    cells -= np.take(_DROP, first * 20 + last, axis=0, mode="clip")  # "0"s outside first..last
     cells += np.take(_POINT, k, axis=0)
     text = [repr(v) for v in x[slow].tolist()]
     cells[slow] = np.array(text, dtype=f"S{_CELL}").view(np.int64).reshape(-1, _CELL // 8)

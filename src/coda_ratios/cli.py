@@ -30,12 +30,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._floattext import repr_blocks
-from .boxplot_svg import emit_boxplot_svg
 from .composition import ilr_matrix
 from .dataset import load_config, load_dataset_csv, two_groups
 from .errors import CodaError
-from .ratios import table1_demo
-from .report import emit_report, run_analysis
 
 # ids that csv.writer may quote
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
@@ -82,10 +79,14 @@ def _timestamp_for(data_path: str) -> str:
     except (ValueError, OverflowError, OSError):  # past the years datetime or time_t can hold
         source = f"SOURCE_DATE_EPOCH is out of range, got {epoch!r}"
         raise CodaError(source if epoch else f"the modification time of {data_path} is out of range") from None
-    return when.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return f"{when.year:04}-{when:%m-%dT%H:%M:%SZ}"  # %Y does not pad years before 1000
 
 
 def _cmd_analyze(args) -> int:
+    # the analysis modules load here, so the other commands never import them
+    from .boxplot_svg import emit_boxplot_svg
+    from .report import emit_report, run_analysis
+
     config = load_config(args.config)
     # the dataset goes straight in, so no per-firm data outlives the statistics
     report = run_analysis(load_dataset_csv(args.data, config), config, _timestamp_for(args.data))
@@ -190,6 +191,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .ratios import table1_demo
+
     firm_ids, columns = table1_demo()
     _write_table(["firm", *columns], firm_ids, np.column_stack(list(columns.values())))
     return 0

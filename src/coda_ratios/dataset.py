@@ -24,7 +24,6 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-import logging
 import math
 import warnings
 from array import array
@@ -51,8 +50,6 @@ from .errors import (
 )
 from .ratios import RatioSpec
 from .sbp import PartitionTree, check_part_labels, parse_sbp, repeats, validate_tree
-
-logger = logging.getLogger(__name__)
 
 _ZERO_MODES = ("reject", "drop_row", "replace")
 
@@ -218,7 +215,6 @@ def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
     label, or a LengthMismatchError; under every mode a negative or non-finite
     cell is a NonPositivePartError.  Returns ``(keep, values)``: a boolean mask
     of the input rows that are kept, and those rows with zeros resolved.
-    drop_row logs how many firms were removed.
     """
     part_labels = tuple(part_labels)
     values = np.asarray(values, dtype=np.float64)
@@ -237,7 +233,6 @@ def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
         keep = ~zero.any(axis=1)
         if not keep.any():
             raise AllRowsDroppedError(len(firm_ids))
-        logger.info("zero policy drop_row removed %d firm(s)", int((~keep).sum()))
         return keep, values[keep]
     # replace: 0 -> delta_fraction * (column's smallest positive value)
     fill = np.zeros(len(part_labels))

@@ -1,5 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import coda_ratios
 
@@ -25,6 +30,56 @@ REMOVED = (
 
 def test_every_public_name_resolves():
     assert [name for name in coda_ratios.__all__ if not hasattr(coda_ratios, name)] == []
+
+
+def test_public_names_load_on_first_use():
+    assert set(coda_ratios.__all__) <= set(dir(coda_ratios))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        coda_ratios.no_such_name
+    with pytest.raises(ImportError):
+        from coda_ratios import no_such_name
+
+
+# what only analyze runs, and what no command needs
+ANALYSIS_MODULES = {f"coda_ratios.{name}" for name in ("report", "stats", "tdist", "boxplot_svg")}
+UNUSED_STDLIB = ("json", "logging")
+
+
+def _imports(*argv, cwd=None) -> tuple[int, set[str]]:
+    """Exit code and the modules imported by a fresh ``python -X importtime *argv``."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return result.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_commands_but_analyze_load_only_their_own_code(tmp_path):
+    (tmp_path / "analysis.ini").write_text(
+        "[analysis]\nparts = A, B\nsbp = (A|B)\ngroup_variable = g\n", encoding="utf-8"
+    )
+    (tmp_path / "firms.csv").write_text("firm_id,A,B,g\nf1,1,2,x\nf2,3,4,y\n", encoding="utf-8")
+    files = ("--data", "firms.csv", "--config", "analysis.ini")
+    _, numpy_alone = _imports("-c", "import numpy")
+    runs = {
+        "import": ("-c", "import coda_ratios.cli"),
+        "transform": ("-m", "coda_ratios.cli", "transform", *files),
+        "validate": ("-m", "coda_ratios.cli", "validate", *files),
+        "demo": ("-m", "coda_ratios.cli", "demo", "table1"),
+    }
+    for name, argv in runs.items():
+        code, modules = _imports(*argv, cwd=tmp_path)
+        assert code == 0, name
+        assert "coda_ratios.dataset" in modules, name  # the run loaded the package
+        assert not modules & ANALYSIS_MODULES, name
+        extra = {m for m in modules - numpy_alone if m.split(".")[0] in UNUSED_STDLIB}
+        assert not extra, name
+    # analyze loads the analysis modules on its own
+    code, modules = _imports("-m", "coda_ratios.cli", "analyze", *files, cwd=tmp_path)
+    assert code == 0
+    assert ANALYSIS_MODULES <= modules
 
 
 def test_removed_names_are_not_exported():

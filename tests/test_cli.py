@@ -119,6 +119,16 @@ def test_analyze_bad_source_date_epoch_exits_1(workdir, monkeypatch, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "epoch, timestamp",
+    [("-60000000000", "0068-09-03T13:20:00Z"), ("-62135596800", "0001-01-01T00:00:00Z")],
+)
+def test_analyze_timestamp_pads_the_year(workdir, monkeypatch, capsys, epoch, timestamp):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert main(["analyze", *_args(workdir)]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["timestamp"] == timestamp
+
+
 def test_analyze_out_of_range_mtime_names_the_data_file(monkeypatch):
     # no file system at hand stores a modification time past year 9999, so os.stat is faked
     fake_os = type(os)("os")

@@ -51,6 +51,8 @@ def _edges() -> list[float]:
         0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 2.0**52, 2.0**52 - 0.5,
         0.1, 0.2, 0.3, 1 / 3, 2 / 3, 99999.99999999999, 1e16, 1e15, 9007199254740993.0,
         1e17, 1.7976931348623157e308, 0.5, 1.5, 3.0, 12.5, 0.00123,
+        # a candidate exactly half a step away: the r >= step // 2 fold and the d == -step / 2 tie
+        0.125, 1.25, 6.25, 0.0625, 2.5e-3,
     ]
     near += [2.0**e for e in range(-20, 60)] + [10.0**e for e in range(-6, 23)]
     values = []
