@@ -26,10 +26,11 @@ import re
 import stat
 import sys
 from datetime import datetime, timezone
+from itertools import chain, count
 
 import numpy as np
 
-from ._floattext import repr_blocks
+from . import _floattext
 from .composition import ilr_matrix
 from .dataset import load_config, load_dataset_csv, two_groups
 from .errors import CodaError
@@ -71,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _timestamp_for(data_path: str) -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
-        ts = int(epoch) if epoch else int(os.stat(data_path).st_mtime)
+        ts = int(epoch) if epoch else os.stat(data_path).st_mtime_ns // 10**9  # floor, also before 1970
     except ValueError:
         raise CodaError(f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}") from None
     try:
@@ -131,19 +132,30 @@ def _regular_or_missing(path: str) -> bool:
 
 
 def _open_beside(path: str):
-    """A new file beside ``path``, open for writing, to replace it; an OSError names ``path``."""
-    try:
-        return open(f"{path}.{os.getpid()}.tmp", "xb")  # "x": no file but its own; the umask applies
-    except OSError as exc:
-        exc.filename = path
-        raise
+    """A new file beside ``path``, open for writing, to replace it; an OSError names ``path``.
+
+    The name is ``<path>.<pid>.tmp``, or, when a file of that name is left from an earlier
+    run whose pid came back, ``<path>.<pid>.<k>.tmp`` for the first k that is free.
+    """
+    for k in count():
+        name = f"{path}.{os.getpid()}{f'.{k}' if k else ''}.tmp"
+        try:
+            return open(name, "xb")  # "x": no file but its own; the umask applies
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            exc.filename = path
+            raise
 
 
 def _cmd_transform(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
-    coords = ilr_matrix(ds.values, ds.part_labels, config.tree)
-    _write_table(["firm_id", *config.tree.coordinate_names], ds.firm_ids, coords)
+    names = config.tree.coordinate_names
+    # the rows of one formatter pass at a time, so no whole-table log or coordinate matrix exists
+    step = max(1, _floattext._BLOCK // len(names))
+    blocks = (ilr_matrix(ds.values[i : i + step], ds.part_labels, config.tree) for i in range(0, ds.n, step))
+    _write_table(["firm_id", *names], ds.firm_ids, blocks)
     return 0
 
 
@@ -154,17 +166,21 @@ def _stdout():
     return sys.stdout
 
 
-def _write_table(header, firm_ids, table: np.ndarray) -> None:
-    """Write ``header``, then each firm id followed by its row of ``table``, as csv.writer would."""
+def _write_table(header, firm_ids, tables) -> None:
+    """Write ``header``, then each firm id followed by its row, as csv.writer would.
+
+    ``tables`` is an iterable of 2-D float64 arrays whose rows, in turn, are the firms' rows.
+    """
     csv.writer(_stdout(), lineterminator="\n").writerow(header)
-    if _NEEDS_QUOTES.search("".join(firm_ids)):
-        firm_ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in firm_ids]
     # one write per formatter block, which bounds the text held; repr(v) as csv.writer writes
     start = 0
-    for block in repr_blocks(table, b",", b"\n"):
+    for block in chain.from_iterable(_floattext.repr_blocks(t, b",", b"\n") for t in tables):
         rows = block.splitlines(keepends=True)
+        ids = firm_ids[start : start + len(rows)]
+        if _NEEDS_QUOTES.search("".join(ids)):
+            ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in ids]
         pieces = [""] * (2 * len(rows))  # id, row, id, row, ...
-        pieces[::2], pieces[1::2] = firm_ids[start : start + len(rows)], rows
+        pieces[::2], pieces[1::2] = ids, rows
         sys.stdout.write("".join(pieces))
         start += len(rows)
 
@@ -194,7 +210,7 @@ def _cmd_demo(args) -> int:
     from .ratios import table1_demo
 
     firm_ids, columns = table1_demo()
-    _write_table(["firm", *columns], firm_ids, np.column_stack(list(columns.values())))
+    _write_table(["firm", *columns], firm_ids, [np.column_stack(list(columns.values()))])
     return 0
 
 

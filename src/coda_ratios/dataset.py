@@ -189,6 +189,14 @@ class FirmDataset:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "group", group)
 
+    @classmethod
+    def _checked(cls, firm_ids, part_labels, values, group):
+        """A dataset of the loader's columns, which it has already checked as ``__init__`` would:
+        read-only arrays that own their data, of one length, unique ids and positive parts."""
+        ds = object.__new__(cls)
+        ds.__dict__.update(firm_ids=firm_ids, part_labels=part_labels, values=values, group=group)
+        return ds
+
     @property
     def n(self) -> int:
         return len(self.firm_ids)
@@ -306,11 +314,12 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     if not keep.all():
         firm_ids = firm_ids[keep]
         group = None if group is None else group[keep]
-    # read-only arrays that own their data: the dataset holds them without a copy
+    # read-only arrays that own their data: the dataset holds them without a copy.  The
+    # ids are unique and, past the zero policy, every part positive: no check runs twice
     for column in (firm_ids, values, group):
         if column is not None:
             column.setflags(write=False)
-    return FirmDataset(firm_ids=firm_ids, part_labels=config.parts, values=values, group=group)
+    return FirmDataset._checked(firm_ids, config.parts, values, group)
 
 
 def _header_columns(header, config: AnalysisConfig) -> list[str]:
@@ -374,14 +383,14 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
         return np.array([cell.strip() for cell in table[field[name]]], dtype=object)
 
     firm_ids = column("firm_id")
-    if not all(firm_ids) or len(set(firm_ids)) != len(firm_ids):
-        return None
+    group = None if config.group_variable is None else column(config.group_variable)
     values = np.empty((len(firm_ids), len(config.parts)))
     for j, part in enumerate(config.parts):
         values[:, j] = table[field[part]]
-    if not np.isfinite(values).all():
+    del table  # before the id set is built: the columns taken out are all that is kept
+    if not all(firm_ids) or len(set(firm_ids)) != len(firm_ids) or not np.isfinite(values).all():
         return None
-    return firm_ids, values, None if config.group_variable is None else column(config.group_variable)
+    return firm_ids, values, group
 
 
 def _csv_reader_columns(fh, config: AnalysisConfig):

@@ -7,12 +7,14 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from coda_ratios import _floattext, cli
 from coda_ratios.cli import main
+from coda_ratios.dataset import FirmDataset
 
 CONFIG_TEXT = """\
 [analysis]
@@ -105,6 +107,20 @@ def test_analyze_timestamp_from_mtime(workdir, monkeypatch):
     assert main(["analyze", *_args(workdir)]) == 0
 
 
+@pytest.mark.parametrize(
+    "mtime_ns, timestamp",
+    [(-1_500_000_000, "1969-12-31T23:59:58Z"), (1_500_000_000, "1970-01-01T00:00:01Z")],
+)
+def test_analyze_timestamp_is_the_second_the_mtime_falls_in(
+    workdir, monkeypatch, capsys, mtime_ns, timestamp
+):
+    # rounded down, before 1970 too, where truncating toward zero gives the next second
+    monkeypatch.delenv("SOURCE_DATE_EPOCH")
+    os.utime(workdir / "firms.csv", ns=(mtime_ns, mtime_ns))
+    assert main(["analyze", *_args(workdir)]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["timestamp"] == timestamp
+
+
 def test_analyze_bad_source_date_epoch_exits_1(workdir, monkeypatch, capsys):
     for epoch, what in [
         ("abc", "must be a whole number of seconds"),
@@ -133,7 +149,7 @@ def test_analyze_out_of_range_mtime_names_the_data_file(monkeypatch):
     # no file system at hand stores a modification time past year 9999, so os.stat is faked
     fake_os = type(os)("os")
     fake_os.environ = {}
-    fake_os.stat = lambda path: os.stat_result((0,) * 8 + (1e17, 0))
+    fake_os.stat = lambda path: os.stat_result((0,) * 8 + (1e17, 0), {"st_mtime_ns": 10**26})
     monkeypatch.setattr(cli, "os", fake_os)
     with pytest.raises(cli.CodaError) as excinfo:
         cli._timestamp_for("firms.csv")
@@ -451,6 +467,21 @@ def test_analyze_write_error_leaves_no_temporary_file(workdir, monkeypatch, caps
     assert (workdir / "r.json").read_bytes() == (workdir / "b.svg").read_bytes() == b"kept"
 
 
+def test_analyze_passes_over_a_temporary_file_an_earlier_run_left(workdir, monkeypatch, capsys):
+    # a run killed before its move leaves <output>.<pid>.tmp, and a later run may get its pid
+    monkeypatch.chdir(workdir)
+    stale = {f"r.json.{os.getpid()}.tmp": b"stale", f"r.json.{os.getpid()}.1.tmp": b"stale too"}
+    for name, data in stale.items():
+        (workdir / name).write_bytes(data)
+    assert main(["analyze", *_args(workdir, "--out", "r.json", "--svg", "b.svg")]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((workdir / "r.json").read_bytes())["metadata"]["n"] == 6
+    assert (workdir / "b.svg").read_bytes().startswith(b"<svg ")
+    # the run writes and removes no file but its own
+    assert {name: (workdir / name).read_bytes() for name in stale} == stale
+    assert sorted(os.listdir(workdir)) == sorted(["analysis.ini", "b.svg", "firms.csv", "r.json", *stale])
+
+
 def test_analyze_replaces_each_output_with_a_new_file(workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     (workdir / "r.json").write_bytes(b"kept")
@@ -647,6 +678,29 @@ def test_program_entry_freezes_the_heap():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert (result.returncode, result.stderr) == (0, b"True")
+
+
+def test_transform_holds_one_block_of_rows_at_a_time(workdir, monkeypatch):
+    # past the load, what transform allocates is set by the formatter block, not by n: no
+    # whole-table log or coordinate matrix, and no string of every id
+    n, block = 50_000, 1024
+    values = np.random.default_rng(2).lognormal(3.0, 1.5, size=(n, 3))
+    ds = FirmDataset(firm_ids=[f"f{i}" for i in range(n)], part_labels=("TA", "NCL", "CL"), values=values)
+    monkeypatch.setattr(cli, "load_dataset_csv", lambda path, config: ds)
+    monkeypatch.setattr(_floattext, "_BLOCK", block)
+
+    class Discard:  # stdout that keeps nothing
+        write = staticmethod(len)
+
+    with contextlib.redirect_stdout(Discard()):
+        assert main(["transform", *_args(workdir)]) == 0  # first-call costs, such as imports
+        tracemalloc.start()
+        try:
+            assert main(["transform", *_args(workdir)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1000 * block  # bytes; the (n, 3) values alone take 1.2 MB
 
 
 def test_program_to_a_pipe_writes_the_in_process_bytes(workdir, capsys):

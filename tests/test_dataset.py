@@ -339,6 +339,30 @@ def test_read_csv_duplicate_firm_id_reports_line():
     assert excinfo.value.line == 4
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "csv_reader"])
+@pytest.mark.parametrize("zeros", ["7,0", "0,0"], ids=["second", "both"])
+def test_read_csv_duplicate_firm_id_in_a_dropped_row_reports_line(quote, zeros):
+    # drop_row would remove the repeat, yet a repeated id is an error all the same
+    first, second = zeros.split(",")
+    text = f"firm_id,TA,NCL,CL\n{quote}f1{quote},{first},2,3\nf2,4,5,6\nf1,{second},8,9\n"
+    with pytest.raises(DuplicateFirmIdError) as excinfo:
+        read_dataset_csv(io.StringIO(text), make_config(zero_policy=ZeroPolicy(mode="drop_row")))
+    assert str(excinfo.value) == "duplicate firm_id 'f1' at line 4"
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "csv_reader"])
+def test_a_load_checks_ids_and_signs_once(quote):
+    text = f"firm_id,TA,NCL,CL\n{quote}f1{quote},1,2,3\nf2,4,5,6\n"
+    positive = mock.Mock(wraps=dataset.check_positive)
+    unique = mock.Mock(wraps=dataset.check_unique_ids)
+    with mock.patch.object(dataset, "check_positive", positive), \
+            mock.patch.object(dataset, "check_unique_ids", unique):
+        ds = read_dataset_csv(io.StringIO(text), make_config())
+    assert ds.firm_ids.tolist() == ["f1", "f2"]
+    assert positive.call_count == 1  # apply_zero_policy's
+    assert unique.call_count == (1 if quote else 0)  # the loadtxt path tests its own id set
+
+
 @pytest.mark.parametrize("mode", ["reject", "drop_row", "replace"])
 def test_read_csv_negative_is_fatal_under_every_zero_policy(mode):
     text = "firm_id,TA,NCL,CL\nf1,1,-2,3\n"
@@ -633,17 +657,14 @@ def test_dataset_holds_read_only_arrays_that_own_their_data_as_given():
 def test_both_readers_hand_their_columns_to_the_dataset_without_a_copy(quote, mode):
     zero = "0" if mode != "reject" else "7"
     text = f"firm_id,TA,NCL,CL,brand\n{quote}f1{quote},1,2,3,yes\nf2,4,5,6,no\nf3,{zero},8,9,no\n"
-    held = []
-
-    def read_only(data, dtype):
-        column = real(data, dtype)
-        held.append(column is data)
-        return column
-
-    real = dataset._read_only
-    with mock.patch.object(dataset, "_read_only", read_only):
+    # the loader's columns go in as they are: no copy is made, nor even considered
+    with mock.patch.object(dataset, "_read_only", side_effect=AssertionError("a column was copied")):
         ds = read_dataset_csv(
             io.StringIO(text), make_config(group_variable="brand", zero_policy=ZeroPolicy(mode=mode))
         )
-    assert held == [True, True, True]  # firm_ids, values, brand
+    columns = (ds.firm_ids, ds.values, ds.group)
+    assert all(column.flags.owndata and not column.flags.writeable for column in columns)
+    # and they are what the public constructor would hold without a copy
+    again = FirmDataset(firm_ids=ds.firm_ids, part_labels=ds.part_labels, values=ds.values, group=ds.group)
+    assert again.firm_ids is ds.firm_ids and again.values is ds.values and again.group is ds.group
     assert ds.n == (2 if mode == "drop_row" else 3)

@@ -106,7 +106,13 @@ def test_transform_mixing_fallback_and_fast_values_matches_csv_writer(tmp_path, 
     )
     # the table transform writes: every fallback class next to fast values, in both columns
     table = np.column_stack([_FALLBACK_AND_FAST, _FALLBACK_AND_FAST[::-1]])
-    monkeypatch.setattr(cli, "ilr_matrix", lambda *args: table)
+    handed = [0]  # rows of table handed out so far
+
+    def ilr_rows(values, labels, tree):  # the next rows of table, one per firm asked for
+        start, handed[0] = handed[0], handed[0] + len(values)
+        return table[start : handed[0]]
+
+    monkeypatch.setattr(cli, "ilr_matrix", ilr_rows)
     monkeypatch.setattr(_floattext, "_BLOCK", block)
     out = io.StringIO()
     argv = ["transform", "--data", str(tmp_path / "firms.csv"),
@@ -119,6 +125,7 @@ def test_transform_mixing_fallback_and_fast_values_matches_csv_writer(tmp_path, 
     writer.writerow(["firm_id", "y1", "y2"])
     writer.writerows([firm_id, *map(repr, row)] for firm_id, row in zip(ids, table.tolist()))
     assert out.getvalue() == expected.getvalue()
+    assert handed == [len(table)]
 
 
 _CHILD = """

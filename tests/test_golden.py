@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 import coda_ratios
+from coda_ratios import _floattext
 from coda_ratios.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -142,6 +143,16 @@ def test_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
         name for name in names if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()
     ]
     assert differing == []
+
+
+@pytest.mark.parametrize("block", [1, 64])
+def test_wide_transform_matches_golden_bytes_at_any_block(block, tmp_path, monkeypatch):
+    # 15 coordinates: one row, or four, per formatter pass and so per ilr block, where
+    # the golden run writes all 300 rows in one
+    monkeypatch.setattr(_floattext, "_BLOCK", block)
+    _wide_inputs(tmp_path)
+    out = _run("transform", "--data", str(tmp_path / "data.csv"), "--config", str(tmp_path / "config.ini"))
+    assert out == (GOLDEN / "wide_transform.csv").read_bytes()
 
 
 def test_demo_table1_matches_golden_bytes():
