@@ -110,12 +110,17 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     return cells.view(np.uint8)
 
 
+def block_rows(width: int) -> int:
+    """Rows of ``width`` values in one pass: as many as ``_BLOCK`` values fill, at least one."""
+    return max(1, _BLOCK // width)
+
+
 def repr_blocks(table: np.ndarray, before: bytes, end: bytes) -> Iterator[str]:
     """Each row of the 2-D float64 ``table`` as ``before + repr(v)`` per value, then ``end``,
     as one string per block of whole rows."""
     rows, width = table.shape
     cell = len(before) + _CELL
-    step = max(1, _BLOCK // width)
+    step = block_rows(width)
     for start in range(0, rows, step):
         block = table[start : start + step]
         grid = np.zeros((len(block), width * cell + len(end)), np.uint8)

@@ -152,8 +152,8 @@ def _cmd_transform(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
     names = config.tree.coordinate_names
-    # the rows of one formatter pass at a time, so no whole-table log or coordinate matrix exists
-    step = max(1, _floattext._BLOCK // len(names))
+    # the rows of one formatter pass, and of one ilr block, at a time: no whole coordinate matrix
+    step = _floattext.block_rows(len(names))
     blocks = (ilr_matrix(ds.values[i : i + step], ds.part_labels, config.tree) for i in range(0, ds.n, step))
     _write_table(["firm_id", *names], ds.firm_ids, blocks)
     return 0

@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from . import _floattext
 from .errors import LengthMismatchError, UnknownLabelError
 from .sbp import PartitionTree, validate_tree
 
@@ -92,12 +93,19 @@ def ilr_matrix(values: np.ndarray, labels, tree: PartitionTree) -> np.ndarray:
 
     Column i is the balance of ``tree.splits[i]``, summed by
     :func:`_balance` without a matrix product, whose kernel and so whose
-    rounding would depend on the CPU.
+    rounding would depend on the CPU.  The result is one C-order array,
+    filled a block of rows at a time, so no (n, D) log matrix or per-split
+    column exists whole; each row's coordinates depend on that row alone.
     """
     validate_tree(tree, labels)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(labels):
         raise LengthMismatchError(len(labels), values.shape)
-    logs = np.log(values)
     index = {label: j for j, label in enumerate(labels)}
-    return np.column_stack([_balance(logs, index, num, den) for num, den in tree.splits])
+    Y = np.empty((len(values), len(tree.splits)))
+    step = _floattext.block_rows(len(tree.splits))  # the rows of one formatter pass
+    for i in range(0, len(values), step):
+        logs = np.log(values[i : i + step])
+        for k, (num, den) in enumerate(tree.splits):
+            Y[i : i + step, k] = _balance(logs, index, num, den)
+    return Y

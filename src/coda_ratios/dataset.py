@@ -11,7 +11,10 @@ but not longer, and every firm_id must be non-empty.
 
 A loaded dataset holds each column once: the firm ids and the group
 column as read-only 1-D object arrays of ``str``, built from the reader's
-cells, and the parts as one read-only (n, D) float64 array.
+cells, and the parts as one read-only (n, D) float64 array.  The group
+column holds one ``str`` object per distinct value, shared by every firm
+that has it, so a few values cost a few strings however many firms there
+are; compare its values with ``==``, not ``is``.
 
 Zeros are a policy decision, negatives are not: a negative magnitude is a
 hard error under every policy, because repairing it means restructuring
@@ -29,7 +32,7 @@ import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 
 import numpy as np
@@ -70,6 +73,23 @@ def check_positive(values, firm_ids, part_labels, zero_ok=False) -> None:
             (f"{firm_ids[i]}:{part_labels[j]}", float(values[i, j]))
             for i, j in zip(*np.nonzero(bad))
         )
+
+
+def _shared_strip():
+    """A fresh function mapping a cell to its stripped text, one ``str`` object per distinct text.
+
+    Called as each cell is read, so the cell is freed at once and a column of
+    a few values holds a few strings; a repeated cell is a hit of the C-level
+    cache.  Sharing after the read would leave the freed cells' memory
+    resident, between the strings a load keeps.
+    """
+    shared = {}
+
+    def strip(cell):
+        text = cell.strip()
+        return shared.setdefault(text, text)
+
+    return lru_cache(maxsize=None)(strip)
 
 
 def check_unique_ids(firm_ids, lines=None) -> None:
@@ -158,7 +178,8 @@ class FirmDataset:
     ``values`` is a read-only (n, D) float64 array whose columns follow
     ``part_labels``; ``group`` is None or a read-only 1-D object array of one
     ``str`` per firm, which :func:`two_groups` splits; the loader fills it
-    with the configured group variable, and leaves it None when none is.
+    with the configured group variable, one shared ``str`` per distinct
+    value, and leaves it None when none is.
     A given array that owns its data, is read-only and has the field's dtype
     is not copied: the dataset shares it with the caller, who must not make
     it writeable again.
@@ -339,9 +360,10 @@ def _header_columns(header, config: AnalysisConfig) -> list[str]:
 def _loadtxt_columns(fh, config: AnalysisConfig):
     """``(firm_ids, values, group)`` of ``fh`` from one ``np.loadtxt`` pass, or None.
 
-    Ids and the group column are 1-D object arrays of stripped cells.  Every
-    other column is read as ``"U1"``, so it is counted as a field but makes
-    no ``str``; ``usecols`` would let a row of the wrong length through.
+    Ids and the group column are 1-D object arrays of stripped cells, the
+    group column with one ``str`` per distinct value.  Every other column is
+    read as ``"U1"``, so it is counted as a field but makes no ``str``;
+    ``usecols`` would let a row of the wrong length through.
 
     None means the csv.reader path must read the file: a line holds a
     character of ``_NOT_PLAIN`` or is longer than the csv field limit; the
@@ -369,21 +391,24 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
             (f"c{j}", np.float64 if name in config.parts else object if name in texts else "U1")
             for j, name in enumerate(header)
         ]
+        # the group's cells are stripped and shared as they are read; encoding=None
+        # hands the converter str, where older numpy's default, "bytes", hands it latin-1 bytes
+        converters = {} if config.group_variable is None else {
+            header.index(config.group_variable): _shared_strip()
+        }
         with warnings.catch_warnings():
             # a header-only file is an EmptyDataError, and stderr carries only the error line
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(
-                rows, dtype=dtype, delimiter=",", quotechar=None, comments=None, ndmin=1
+                rows, dtype=dtype, delimiter=",", quotechar=None, comments=None, ndmin=1,
+                converters=converters, encoding=None,
             )
     except (CodaError, csv.Error, ValueError):  # a UnicodeDecodeError too: the csv.reader path words it
         return None
     field = {name: f"c{j}" for j, name in enumerate(header)}
 
-    def column(name):
-        return np.array([cell.strip() for cell in table[field[name]]], dtype=object)
-
-    firm_ids = column("firm_id")
-    group = None if config.group_variable is None else column(config.group_variable)
+    firm_ids = np.array([cell.strip() for cell in table[field["firm_id"]]], dtype=object)
+    group = None if config.group_variable is None else table[field[config.group_variable]].copy()
     values = np.empty((len(firm_ids), len(config.parts)))
     for j, part in enumerate(config.parts):
         values[:, j] = table[field[part]]
@@ -396,7 +421,8 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
 def _csv_reader_columns(fh, config: AnalysisConfig):
     """``(firm_ids, values, group)`` of ``fh`` read by ``csv.reader``, cell by cell.
 
-    Ids and the group column are returned as 1-D object arrays of stripped cells.
+    Ids and the group column are returned as 1-D object arrays of stripped cells,
+    the group column with one ``str`` per distinct value.
 
     Raises a CodaError for the first problem found, citing its line: a
     malformed record, a bad header, a row longer than the header, an empty
@@ -407,6 +433,7 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
     header = _header_columns(next(records, None), config)
     col = {name: j for j, name in enumerate(header)}
     g = col.get(config.group_variable)
+    strip_group = _shared_strip()
 
     width = len(header)
     firm_ids, group, lines, flat = [], [], array("q"), array("d")
@@ -435,7 +462,7 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
                 v = math.nan
             flat.append(v)
         if g is not None:
-            group.append(cells[g].strip())
+            group.append(strip_group(cells[g]))
 
     if malformed:
         raise MalformedNumberError(malformed)

@@ -312,6 +312,18 @@ def test_read_csv_accepts_whitespace_around_numbers(quote):
 
 
 @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "csv_reader"])
+def test_a_loaded_group_column_holds_one_str_per_value(quote):
+    # each cell is stripped as before; the cells of one value then share one str
+    cells = [" yes", "yes", "no", "yes ", "\xa0no\u3000", "yes", "no"]
+    rows = [f"{quote}f{i}{quote},1,2,3,{cell}" for i, cell in enumerate(cells)]
+    text = "firm_id,TA,NCL,CL,brand\n" + "\n".join(rows) + "\n"
+    ds = read_dataset_csv(io.StringIO(text), make_config(group_variable="brand"))
+    assert ds.group.tolist() == ["yes", "yes", "no", "yes", "no", "yes", "no"]
+    assert all(type(v) is str for v in ds.group)
+    assert len({id(v) for v in ds.group}) == len(set(ds.group)) == 2
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "csv_reader"])
 def test_read_csv_with_50000_external_columns_takes_linear_time(quote):
     # looking each header name up again in the whole header would take minutes here
     extra = [f"x{j}" for j in range(50_000)]

@@ -155,6 +155,19 @@ def test_wide_transform_matches_golden_bytes_at_any_block(block, tmp_path, monke
     assert out == (GOLDEN / "wide_transform.csv").read_bytes()
 
 
+@pytest.mark.parametrize("block", [1, 64])
+def test_sector_analyze_matches_golden_bytes_at_any_block(block, tmp_path, monkeypatch):
+    # 4 coordinates: ilr fills one row, or 16, per block, where the golden run
+    # fills all 2000 rows in one
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", SOURCE_DATE_EPOCH)
+    monkeypatch.setattr(_floattext, "_BLOCK", block)
+    names = write_outputs("sector", tmp_path)
+    differing = [
+        name for name in names if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()
+    ]
+    assert differing == []
+
+
 def test_demo_table1_matches_golden_bytes():
     assert _run("demo", "table1") == (GOLDEN / "demo_table1.csv").read_bytes()
 

@@ -423,3 +423,27 @@ def test_report_keeps_no_per_firm_column():
     assert len(report.variables) == 8
     # one column alone is 20 000 * 8 bytes = 156 KiB
     assert retained < 256 * 1024
+
+
+def test_run_analysis_holds_one_copy_of_the_coordinates():
+    # 50 000 firms over 5 parts; ilr fills its (n, 4) result a block of rows at a time, so no
+    # (n, 5) log matrix, per-split column or stacked copy of those columns is ever held
+    n, parts = 50_000, ("CA", "NCA", "CL", "NCL", "SA")
+    rng = np.random.default_rng(5)
+    brands = rng.choice(["no", "yes"], n).tolist()
+    ds = make_dataset(rng.uniform(1.0, 2.0, size=(n, 5)), brands, parts=parts)
+    config = AnalysisConfig(
+        parts=parts,
+        sbp="((CA|NCA)|((CL|NCL)|SA))",
+        standard_ratios=(RatioSpec("solvency", ("CA", "NCA"), ("CL", "NCL")),),
+        group_variable="brand",
+    )
+    run_analysis(ds, config)  # first-call caches are not the run's
+    tracemalloc.start()
+    try:
+        run_analysis(ds, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column = n * 8  # bytes; the coordinates take 4 columns, and whole-table logs, splits and their stack 13
+    assert peak < 11 * column
