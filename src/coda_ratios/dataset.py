@@ -180,11 +180,9 @@ class FirmDataset:
     ``str`` per firm, which :func:`two_groups` splits; the loader fills it
     with the configured group variable, one shared ``str`` per distinct
     value, and leaves it None when none is.
-    A given array that owns its data, is read-only and has the field's dtype
-    is not copied: the dataset shares it with the caller, who must not make
-    it writeable again.
-    Anything else is copied, so a caller's list or writeable array is never
-    changed or made read-only.
+    The dataset holds read-only copies of what it is given, so a caller's
+    list or array is never changed or made read-only, and a caller can
+    never change the dataset.
     """
 
     firm_ids: np.ndarray
@@ -193,48 +191,38 @@ class FirmDataset:
     group: np.ndarray | None = None
 
     def __post_init__(self):
-        firm_ids = _read_only(self.firm_ids, object)
+        firm_ids = np.array(self.firm_ids, dtype=object)
         part_labels = tuple(self.part_labels)
         n = len(firm_ids)
-        values = _read_only(self.values, np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if values.shape != (n, len(part_labels)):
             raise LengthMismatchError((n, len(part_labels)), values.shape)
         check_part_labels(part_labels)
-        group = _read_only(self.group, object)
+        group = None if self.group is None else np.array(self.group, dtype=object)
         if group is not None and len(group) != n:
             raise LengthMismatchError(n, len(group))
         check_unique_ids(firm_ids)
         check_positive(values, firm_ids, part_labels)
-        object.__setattr__(self, "firm_ids", firm_ids)
-        object.__setattr__(self, "part_labels", part_labels)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "group", group)
+        self._hold(firm_ids, part_labels, values, group)
 
     @classmethod
     def _checked(cls, firm_ids, part_labels, values, group):
-        """A dataset of the loader's columns, which it has already checked as ``__init__`` would:
-        read-only arrays that own their data, of one length, unique ids and positive parts."""
+        """A dataset of the loader's own columns, held without a copy: arrays of one length,
+        with unique ids and positive parts, which the loader has checked as ``__init__`` would."""
         ds = object.__new__(cls)
-        ds.__dict__.update(firm_ids=firm_ids, part_labels=part_labels, values=values, group=group)
+        ds._hold(firm_ids, part_labels, values, group)
         return ds
+
+    def _hold(self, firm_ids, part_labels, values, group):
+        """Hold these columns as they are, each array made read-only."""
+        for column in (firm_ids, values, group):
+            if column is not None:
+                column.setflags(write=False)
+        self.__dict__.update(firm_ids=firm_ids, part_labels=part_labels, values=values, group=group)
 
     @property
     def n(self) -> int:
         return len(self.firm_ids)
-
-
-def _read_only(data, dtype) -> np.ndarray | None:
-    """``data`` as a read-only ``dtype`` array: itself if None or one that owns its data, else a copy."""
-    if data is None or (
-        isinstance(data, np.ndarray)
-        and data.dtype == dtype
-        and data.flags.owndata
-        and not data.flags.writeable
-    ):
-        return data
-    data = np.array(data, dtype=dtype)
-    data.setflags(write=False)
-    return data
 
 
 def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
@@ -335,11 +323,7 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     if not keep.all():
         firm_ids = firm_ids[keep]
         group = None if group is None else group[keep]
-    # read-only arrays that own their data: the dataset holds them without a copy.  The
-    # ids are unique and, past the zero policy, every part positive: no check runs twice
-    for column in (firm_ids, values, group):
-        if column is not None:
-            column.setflags(write=False)
+    # the ids are unique and, past the zero policy, every part positive: no check runs twice
     return FirmDataset._checked(firm_ids, config.parts, values, group)
 
 
@@ -360,10 +344,10 @@ def _header_columns(header, config: AnalysisConfig) -> list[str]:
 def _loadtxt_columns(fh, config: AnalysisConfig):
     """``(firm_ids, values, group)`` of ``fh`` from one ``np.loadtxt`` pass, or None.
 
-    Ids and the group column are 1-D object arrays of stripped cells, the
-    group column with one ``str`` per distinct value.  Every other column is
-    read as ``"U1"``, so it is counted as a field but makes no ``str``;
-    ``usecols`` would let a row of the wrong length through.
+    Ids and the group column are read as 1-D object arrays, each cell stripped
+    by a converter as it is read, the group column with one ``str`` per distinct
+    value.  Every other column is read as ``"U1"``, so it is counted as a field
+    but makes no ``str``; ``usecols`` would let a row of the wrong length through.
 
     None means the csv.reader path must read the file: a line holds a
     character of ``_NOT_PLAIN`` or is longer than the csv field limit; the
@@ -386,16 +370,15 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
     rows = chain.from_iterable(map(checked, iter(partial(fh.readlines, 1 << 16), [])))
     try:
         header = _header_columns(next(csv.reader(rows, strict=True), None), config)
-        texts = ("firm_id", config.group_variable)
+        # the text columns are stripped as they are read, the group's cells shared too; encoding=None
+        # hands a converter str, where older numpy's default, "bytes", hands it latin-1 bytes
+        converters = {header.index("firm_id"): str.strip}
+        if config.group_variable is not None:
+            converters[header.index(config.group_variable)] = _shared_strip()
         dtype = [
-            (f"c{j}", np.float64 if name in config.parts else object if name in texts else "U1")
+            (f"c{j}", object if j in converters else np.float64 if name in config.parts else "U1")
             for j, name in enumerate(header)
         ]
-        # the group's cells are stripped and shared as they are read; encoding=None
-        # hands the converter str, where older numpy's default, "bytes", hands it latin-1 bytes
-        converters = {} if config.group_variable is None else {
-            header.index(config.group_variable): _shared_strip()
-        }
         with warnings.catch_warnings():
             # a header-only file is an EmptyDataError, and stderr carries only the error line
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -407,7 +390,7 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
         return None
     field = {name: f"c{j}" for j, name in enumerate(header)}
 
-    firm_ids = np.array([cell.strip() for cell in table[field["firm_id"]]], dtype=object)
+    firm_ids = table[field["firm_id"]].copy()
     group = None if config.group_variable is None else table[field[config.group_variable]].copy()
     values = np.empty((len(firm_ids), len(config.parts)))
     for j, part in enumerate(config.parts):

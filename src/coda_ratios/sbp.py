@@ -67,9 +67,26 @@ def parse_sbp(text: str) -> PartitionTree:
     Raises :class:`SbpSyntaxError` (citing the byte offset of the problem)
     or, for a repeated leaf, :class:`DuplicateLabelError`.
     """
-    splits = []
     _expect(text, 0, "(")  # the root is a split, not a lone label
-    _, pos = _parse_sub(text, 0, splits)
+    splits, pos = [], 0
+    opened = []  # per open node: its index in splits, then its numerator's leaves once read
+    while True:
+        while (pos := _skip_ws(text, pos)) < len(text) and text[pos] == "(":
+            opened.append([len(splits), None])
+            splits.append(None)  # this split precedes those of its two sides
+            pos += 1
+        m = _LABEL_RE.match(text, pos)
+        if m is None:
+            raise SbpSyntaxError(_byte_offset(text, pos), "label or '('")
+        leaves, pos = (m.group(),), m.end()
+        while opened and opened[-1][1] is not None:  # a denominator read closes its node
+            i, num = opened.pop()
+            splits[i] = (num, leaves)
+            leaves, pos = num + leaves, _expect(text, pos, ")")
+        if not opened:
+            break
+        opened[-1][1] = leaves  # a numerator read: its denominator follows the '|'
+        pos = _expect(text, pos, "|")
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise SbpSyntaxError(_byte_offset(text, pos), "end of input")
@@ -84,19 +101,19 @@ def format_sbp(tree: PartitionTree) -> str:
     non-empty sides, and every split is used.
     """
     splits = iter(tree.splits)
-
-    def sub(leaves):
+    text, todo = [], [tree.leaf_labels]  # leaf groups still to write, last first; a token is a one-leaf group
+    while todo:
+        leaves = todo.pop()
         if len(leaves) == 1:
-            return leaves[0]
+            text.append(leaves[0])
+            continue
         split = next(splits, None)
         if split is None or not all(split) or split[0] + split[1] != leaves:
             raise CodaError(f"splits do not nest into one partition: expected a split of {leaves}")
-        return f"({sub(split[0])}|{sub(split[1])})"
-
-    text = sub(tree.leaf_labels)
+        todo += ((")",), split[1], ("|",), split[0], ("(",))
     if next(splits, None) is not None:
         raise CodaError(f"splits do not nest into one partition: more than {tree.dimension - 1} splits")
-    return text
+    return "".join(text)
 
 
 def check_part_labels(labels) -> None:
@@ -137,23 +154,6 @@ def _skip_ws(text: str, pos: int) -> int:
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
-
-
-def _parse_sub(text: str, pos: int, splits: list) -> tuple[tuple[str, ...], int]:
-    """The leaves of the sub at ``pos`` and the position after it; appends its splits in pre-order."""
-    pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos] == "(":
-        i = len(splits)
-        splits.append(None)  # this split precedes those of its two sides
-        num, pos = _parse_sub(text, pos + 1, splits)
-        pos = _expect(text, pos, "|")
-        den, pos = _parse_sub(text, pos, splits)
-        splits[i] = (num, den)
-        return num + den, _expect(text, pos, ")")
-    m = _LABEL_RE.match(text, pos)
-    if m is None:
-        raise SbpSyntaxError(_byte_offset(text, pos), "label or '('")
-    return (m.group(),), m.end()
 
 
 def _expect(text: str, pos: int, token: str) -> int:

@@ -648,7 +648,7 @@ def test_dataset_copies_callers_arrays_and_holds_read_only_columns():
     assert [array.tolist() for array in id_arrays] == [id_list, id_list]
 
 
-def test_dataset_holds_read_only_arrays_that_own_their_data_as_given():
+def test_dataset_copies_read_only_arrays_that_own_their_data():
     firm_ids = np.array(["f1", "f2"], dtype=object)
     values = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     brand = np.array(["yes", "no"], dtype=object)
@@ -658,10 +658,26 @@ def test_dataset_holds_read_only_arrays_that_own_their_data_as_given():
         firm_ids=firm_ids, part_labels=("TA", "NCL", "CL"), values=values,
         group=brand,
     )
-    assert ds.firm_ids is firm_ids and ds.values is values and ds.group is brand
-    # a read-only view does not own its data: it is copied
+    for column, given in ((ds.firm_ids, firm_ids), (ds.values, values), (ds.group, brand)):
+        assert column.flags.owndata and not column.flags.writeable
+        assert not np.shares_memory(column, given)
+        np.testing.assert_array_equal(column, given)
+    # a read-only view is copied too
     ds = FirmDataset(firm_ids=firm_ids, part_labels=("A", "B"), values=values[:, :2])
     assert ds.values.flags.owndata and not np.shares_memory(ds.values, values)
+
+
+def test_a_caller_cannot_change_a_dataset_through_the_arrays_it_gave():
+    firm_ids = np.array(["f1", "f2"], dtype=object)
+    values = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    for array in (firm_ids, values):
+        array.setflags(write=False)
+    ds = FirmDataset(firm_ids=firm_ids, part_labels=("TA", "NCL", "CL"), values=values)
+    # an array that owns its data may be made writeable again, after the positivity check
+    values.setflags(write=True)
+    values[0, 0] = -1.0
+    assert ds.values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert not ds.values.flags.writeable
 
 
 @pytest.mark.parametrize("mode", ["reject", "drop_row", "replace"])
@@ -669,14 +685,15 @@ def test_dataset_holds_read_only_arrays_that_own_their_data_as_given():
 def test_both_readers_hand_their_columns_to_the_dataset_without_a_copy(quote, mode):
     zero = "0" if mode != "reject" else "7"
     text = f"firm_id,TA,NCL,CL,brand\n{quote}f1{quote},1,2,3,yes\nf2,4,5,6,no\nf3,{zero},8,9,no\n"
-    # the loader's columns go in as they are: no copy is made, nor even considered
-    with mock.patch.object(dataset, "_read_only", side_effect=AssertionError("a column was copied")):
+    # the loader's columns go in as they are: the public constructor, which copies, never runs
+    with mock.patch.object(FirmDataset, "__post_init__", side_effect=AssertionError("a column was copied")):
         ds = read_dataset_csv(
             io.StringIO(text), make_config(group_variable="brand", zero_policy=ZeroPolicy(mode=mode))
         )
     columns = (ds.firm_ids, ds.values, ds.group)
     assert all(column.flags.owndata and not column.flags.writeable for column in columns)
-    # and they are what the public constructor would hold without a copy
+    # while the public constructor copies them
     again = FirmDataset(firm_ids=ds.firm_ids, part_labels=ds.part_labels, values=ds.values, group=ds.group)
-    assert again.firm_ids is ds.firm_ids and again.values is ds.values and again.group is ds.group
+    assert not any(np.shares_memory(copy, column) for copy, column in zip(
+        (again.firm_ids, again.values, again.group), columns))
     assert ds.n == (2 if mode == "drop_row" else 3)

@@ -67,14 +67,14 @@ def test_p_value_at_large_df_against_live_oracle(df):
         assert student_t_two_sided_p(t, df) == pytest.approx(_oracle(t, df), rel=1e-8)
 
 
-@pytest.mark.xfail(strict=True, reason="1 - x keeps few digits at small t^2/df; ROADMAP item 4")
+@pytest.mark.xfail(reason="1 - x keeps few digits at small t^2/df; ROADMAP item 4")
 def test_p_value_at_small_t_and_large_df_against_live_oracle():
     t, df = 1e-4, 10**7
     assert student_t_two_sided_p(t, df) == pytest.approx(_oracle(t, df), rel=1e-8)
 
 
 # relative errors 2.86e-8, 2.18e-8 and 2.09e-8: the bound tdist states is 5.3e-8 at df = 1e7
-@pytest.mark.xfail(strict=True, reason="1e-8 holds only up to df = 1e6; ROADMAP item 4")
+@pytest.mark.xfail(reason="1e-8 holds only up to df = 1e6; ROADMAP item 4")
 @pytest.mark.parametrize("t", [0.014, 0.02, 1.725])
 def test_p_value_at_df_1e7_within_1e8_against_live_oracle(t):
     assert student_t_two_sided_p(t, 10**7) == pytest.approx(_oracle(t, 10**7), rel=1e-8)
