@@ -11,6 +11,8 @@ identical input yields byte-identical SVG.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import CodaError
@@ -24,6 +26,8 @@ BAND_BOTTOM = 380
 _BOX_HALF = 40  # box spans center +- 40
 _CAP_HALF = 20  # whisker caps span center +- 20
 _GLYPH_R = 4
+
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")  # no XML 1.0 Char
 
 
 def _fmt(v: float) -> str:
@@ -49,6 +53,8 @@ def emit_boxplot_svg(summaries) -> bytes:
     for name, box in summaries:
         if not isinstance(box, BoxSummary):
             raise TypeError(f"expected BoxSummary for {name!r}, got {type(box).__name__}")
+        if _NOT_XML.search(name):
+            raise CodaError(f"variable {name!r} holds a character that an SVG cannot carry")
 
     vmin, vmax = _extent(summaries)
     span = vmax - vmin

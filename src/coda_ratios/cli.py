@@ -18,11 +18,8 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import os
-import re
 import stat
 import sys
 from datetime import datetime, timezone
@@ -32,11 +29,8 @@ import numpy as np
 
 from . import _floattext
 from .composition import ilr_matrix
-from .dataset import load_config, load_dataset_csv, two_groups
+from .dataset import _NEEDS_QUOTES, _csv_field, load_config, load_dataset_csv, two_groups
 from .errors import CodaError
-
-# ids that csv.writer may quote
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,29 +161,23 @@ def _stdout():
 
 
 def _write_table(header, firm_ids, tables) -> None:
-    """Write ``header``, then each firm id followed by its row, as csv.writer would.
+    """Write ``header``, then each firm id and its row; a field holding ',', '"', CR or LF is quoted.
 
     ``tables`` is an iterable of 2-D float64 arrays whose rows, in turn, are the firms' rows.
     """
-    csv.writer(_stdout(), lineterminator="\n").writerow(header)
-    # one write per formatter block, which bounds the text held; repr(v) as csv.writer writes
+    out = _stdout()
+    out.write(",".join(map(_csv_field, header)) + "\n")
+    # one write per formatter block, which bounds the text held
     start = 0
     for block in chain.from_iterable(_floattext.repr_blocks(t, b",", b"\n") for t in tables):
         rows = block.splitlines(keepends=True)
         ids = firm_ids[start : start + len(rows)]
-        if _NEEDS_QUOTES.search("".join(ids)):
-            ids = [_csv_field(f) if _NEEDS_QUOTES.search(f) else f for f in ids]
+        if _NEEDS_QUOTES.search("".join(ids)):  # one search per block keeps plain ids on the fast path
+            ids = list(map(_csv_field, ids))
         pieces = [""] * (2 * len(rows))  # id, row, id, row, ...
         pieces[::2], pieces[1::2] = ids, rows
-        sys.stdout.write("".join(pieces))
+        out.write("".join(pieces))
         start += len(rows)
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as csv.writer writes it in a row, quoted or not."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([text])
-    return out.getvalue()[:-1]
 
 
 def _cmd_validate(args) -> int:

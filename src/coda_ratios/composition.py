@@ -25,15 +25,8 @@ import math
 import numpy as np
 
 from . import _floattext
-from .errors import LengthMismatchError, UnknownLabelError
+from .errors import LengthMismatchError
 from .sbp import PartitionTree, validate_tree
-
-
-def check_known(labels, known) -> None:
-    """Raise UnknownLabelError listing, sorted, every label not among ``known``."""
-    unknown = sorted(set(labels) - set(known))
-    if unknown:
-        raise UnknownLabelError(unknown)
 
 
 def _balance(logs: np.ndarray, index, num, den) -> np.ndarray:

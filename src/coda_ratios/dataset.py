@@ -7,7 +7,8 @@ plus every configured part and may not repeat a name.  Any other column
 counts only towards a row's fields: of those, just the configured group
 variable (e.g. a yes/no brand flag) is kept, as the dataset's group
 column.  A row may be shorter than the header (missing cells are empty)
-but not longer, and every firm_id must be non-empty.
+but not longer, and every firm_id must be non-empty.  A CSV written by
+the program quotes a field holding ',', '"', CR or LF, doubling its '"'.
 
 A loaded dataset holds each column once: the firm ids and the group
 column as read-only 1-D object arrays of ``str``, built from the reader's
@@ -28,6 +29,7 @@ import configparser
 import csv
 import io
 import math
+import re
 import warnings
 from array import array
 from contextlib import contextmanager
@@ -37,7 +39,6 @@ from itertools import chain
 
 import numpy as np
 
-from .composition import check_known
 from .errors import (
     AllRowsDroppedError,
     CodaError,
@@ -52,13 +53,20 @@ from .errors import (
     ZeroCellError,
 )
 from .ratios import RatioSpec
-from .sbp import PartitionTree, check_part_labels, parse_sbp, repeats, validate_tree
+from .sbp import PartitionTree, check_known, check_part_labels, parse_sbp, repeats, validate_tree
 
 _ZERO_MODES = ("reject", "drop_row", "replace")
 
 # A quote needs the csv.reader path.  np.loadtxt strips these ASCII
 # separators from around a number as whitespace, and float() does not.
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted, its '"' doubled, when it holds ',', '"', CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
 def check_positive(values, firm_ids, part_labels, zero_ok=False) -> None:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import check_known, ilr_matrix
+from .composition import ilr_matrix
 from .errors import CodaError
-from .sbp import check_part_labels, parse_sbp
+from .sbp import check_known, check_part_labels, parse_sbp
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ of aborting the run.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -25,7 +23,7 @@ import numpy as np
 
 from ._floattext import repr_rows
 from .composition import ilr_matrix
-from .dataset import AnalysisConfig, FirmDataset, two_groups
+from .dataset import AnalysisConfig, FirmDataset, _csv_field, two_groups
 from .errors import (
     CodaError,
     TooFewObservationsError,
@@ -252,11 +250,9 @@ def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
             out += ('outliers": ', _json_list(values), piece)
         return ("".join(out) + "\n").encode("utf-8")
     if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        rows = [CSV_COLUMNS]
         for e in entries:
             stats = (_cell(e[section] and e[section][key]) for section, key in _CSV_STATS.values())
-            writer.writerow([e["name"], str(report.n), *stats])
-        return out.getvalue().encode("utf-8")
+            rows.append([e["name"], str(report.n), *stats])
+        return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

@@ -26,6 +26,7 @@ from .errors import (
     DuplicateLabelError,
     LabelMismatchError,
     SbpSyntaxError,
+    UnknownLabelError,
 )
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -126,6 +127,13 @@ def check_part_labels(labels) -> None:
         raise CodaError("part labels must be non-empty")
     if len(labels) < 2:
         raise CodaError(f"need at least 2 parts, got {len(labels)}")
+
+
+def check_known(labels, known) -> None:
+    """Raise UnknownLabelError listing, sorted, every label not among ``known``."""
+    unknown = sorted(set(labels) - set(known))
+    if unknown:
+        raise UnknownLabelError(unknown)
 
 
 def repeats(items) -> list:

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -37,3 +40,17 @@ def random_tree_text(rng: np.random.Generator, labels) -> str:
 def random_composition(rng: np.random.Generator, labels, n: int = 1) -> np.ndarray:
     """(n, D) strictly positive random compositions spanning several magnitudes."""
     return np.exp(rng.uniform(-4.0, 8.0, size=(n, len(labels))))
+
+
+def csv_text(rows) -> str:
+    """``rows`` as CSV lines ending in LF, each field quoted when it holds ',', '"', CR or LF.
+
+    csv.writer quotes a field holding any character of its line terminator, so with
+    CR LF as the terminator it quotes by this rule on every Python version.
+    """
+    lines = []
+    for row in rows:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue()[:-2] + "\n")
+    return "".join(lines)

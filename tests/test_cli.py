@@ -291,6 +291,21 @@ def test_analyze_svg_span_too_wide_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not out.exists() and not svg.exists()
 
 
+@pytest.mark.filterwarnings("error")  # the error line is all that reaches stderr
+def test_analyze_svg_of_a_name_xml_cannot_carry_exits_1_and_writes_nothing(workdir, capsys):
+    # a config key may hold a control character; JSON escapes it, XML 1.0 has no way to
+    (workdir / "analysis.ini").write_text(CONFIG_TEXT.replace("r1 =", "r\x01x ="), encoding="utf-8")
+    out, svg = workdir / "report.json", workdir / "boxes.svg"
+    assert main(["analyze", *_args(workdir, "--out", str(out), "--svg", str(svg))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: variable 'r\\x01x' holds a character")
+    assert err.count("\n") == 1
+    assert not out.exists() and not svg.exists()
+
+    assert main(["analyze", *_args(workdir, "--out", str(out))]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["variables"][4]["name"] == "r\x01x"
+
+
 def test_analyze_missing_file_exits_1(workdir, capsys):
     code = main(
         ["analyze", "--data", str(workdir / "nope.csv"), "--config", str(workdir / "analysis.ini")]

@@ -12,7 +12,6 @@ from coda_ratios import (
     parse_sbp,
     validate_tree,
 )
-from coda_ratios.composition import check_known
 from coda_ratios.errors import (
     CodaError,
     DuplicateLabelError,
@@ -21,6 +20,7 @@ from coda_ratios.errors import (
     NonPositivePartError,
     UnknownLabelError,
 )
+from coda_ratios.sbp import check_known
 
 from conftest import random_composition, random_tree_text
 

@@ -4,13 +4,14 @@
 back to the cell-by-cell ``csv.reader`` path for anything that pass cannot
 read or check.  On any text the result must be the one the ``csv.reader``
 path gives alone: the same dataset, bit for bit, or the same error.
-``transform`` formats a chunk of rows at a time and must write the bytes
-``csv.writer`` writes.
+``transform`` formats a chunk of rows at a time and must write the bytes of
+the one quoting rule, which any CSV reader reads back one row per firm.
 """
 
 import contextlib
 import csv
 import io
+import sys
 from unittest import mock
 
 import pytest
@@ -34,6 +35,8 @@ from coda_ratios.errors import (
     MalformedNumberError,
     NonPositivePartError,
 )
+
+from conftest import csv_text
 
 HEADER = ("firm_id", "TA", "NCL", "CL", "brand")
 UNUSED = ("town", "nace")  # columns no config names: counted as fields, never kept
@@ -225,13 +228,15 @@ def workdir(tmp_path_factory):
 
 
 magnitudes = st.floats(min_value=1e-3, max_value=1e6)
+# the csv module of Python 3.10 can neither write nor read a NUL
+ID_ALPHABET = 'ab1 ,"\r\n\té' + ("\x00" if sys.version_info >= (3, 11) else "")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(
     rows=st.lists(
         st.tuples(
-            st.text(alphabet='ab1 ,"\r\n', min_size=1, max_size=6).filter(str.strip),
+            st.text(alphabet=ID_ALPHABET, min_size=1, max_size=6).filter(str.strip),
             magnitudes,
             magnitudes,
             magnitudes,
@@ -255,8 +260,20 @@ def test_transform_bytes_equal_csv_writer(workdir, rows, block):
     config = load_config(workdir / "analysis.ini")
     ds = load_dataset_csv(data, config)
     coords = ilr_matrix(ds.values, ds.part_labels, config.tree)
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(["firm_id", *config.tree.coordinate_names])
-    writer.writerows([firm_id, *map(repr, row)] for firm_id, row in zip(ds.firm_ids, coords.tolist()))
-    assert out.getvalue() == expected.getvalue()
+    table = [["firm_id", *config.tree.coordinate_names]]
+    table += ([firm_id, *map(repr, row)] for firm_id, row in zip(ds.firm_ids, coords.tolist()))
+    assert out.getvalue() == csv_text(table)
+    # a CSV reader reads back the header and one row per firm, the ids as given
+    assert list(csv.reader(io.StringIO(out.getvalue(), newline=""))) == table
+    assert [row[0] for row in table[1:]] == [firm_id.strip() for firm_id, *_ in rows]
+
+
+def test_transform_id_holding_a_bare_cr_reads_back_as_one_firm_row(workdir):
+    data = workdir / "firms.csv"
+    data.write_bytes(b'firm_id,TA,NCL,CL\n"a\rb",1,2,3\nc,3,4,5\n')
+    argv = ["transform", "--data", str(data), "--config", str(workdir / "analysis.ini")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert out.getvalue().startswith('firm_id,y1,y2\n"a\rb",')
+    assert [row[0] for row in csv.reader(io.StringIO(out.getvalue(), newline=""))] == ["firm_id", "a\rb", "c"]

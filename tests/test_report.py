@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -20,6 +22,9 @@ from coda_ratios import (
     run_analysis,
 )
 from coda_ratios.errors import SingleGroupError
+from coda_ratios.report import CSV_COLUMNS
+
+from conftest import csv_text
 
 PARTS = ("TA", "NCL", "CL")
 SBP = "(TA|(NCL|CL))"
@@ -306,6 +311,18 @@ def test_csv_degenerate_cells_are_empty():
     assert first[2] == ""  # mean
     assert first[8] == ""  # t
     assert first[6] == "0"  # outlier count still present
+
+
+def test_csv_report_quotes_a_name_holding_a_separator_a_quote_or_a_line_end():
+    # a report built by hand may hold names that no config key can
+    names = ("a,b", 'q"x', "a\rb", "c\nd", "e\r\nf", "Bilanz \u00fcber \u20ac", "plain")
+    box = box_summary([1.0, 2.0, 3.0, 4.0, 5.0])
+    variables = tuple(VariableReport(name, "ratio", None, "-", box, None, "-") for name in names)
+    report = AnalysisReport(variables, 5, {}, None, None, None)
+    text = emit_report(report, "csv").decode("utf-8")
+    table = [list(CSV_COLUMNS), *([name, "5", "", "", "", "", "0", "0", "", "", "", ""] for name in names)]
+    assert text == csv_text(table)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == table
 
 
 def test_emit_report_unknown_format():

@@ -1,4 +1,5 @@
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -154,3 +155,19 @@ def test_circles_equal_the_per_value_lines(seed):
     svg = _svg_text(summaries).splitlines()
     assert [line for line in svg if line.startswith("<circle")] == _circles_one_by_one(summaries)
 
+
+# every character XML 1.0 has no Char for: C0 controls but tab, LF and CR, surrogates, U+FFFE, U+FFFF
+@pytest.mark.parametrize(
+    "bad", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"]
+)
+def test_a_name_that_xml_cannot_carry_is_an_error_naming_the_variable(bad):
+    name = f"r{bad}x"
+    with pytest.raises(CodaError, match=re.escape(repr(name))):
+        emit_boxplot_svg([("y1", box_summary([1, 2, 3])), (name, box_summary([1, 2, 3]))])
+
+
+def test_names_xml_can_carry_parse_back():
+    names = ["t\tx", "l\nx", "\x7f\x85\ud7ff\ue000\ufffd", "\U0001f4c8", '<&"\'>']
+    root = ET.fromstring(emit_boxplot_svg([(name, box_summary([1, 2, 3])) for name in names]))
+    labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == names
