@@ -28,6 +28,9 @@ _CAP_HALF = 20  # whisker caps span center +- 20
 _GLYPH_R = 4
 
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")  # no XML 1.0 Char
+# markup, and tab, LF and CR as references: an XML reader reads them raw as spaces or LF
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                          "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
 
 
 def _fmt(v: float) -> str:
@@ -80,7 +83,7 @@ def emit_boxplot_svg(summaries) -> bytes:
         y_q1, y_med, y_q3 = scale(box.q1), scale(box.median), scale(box.q3)
         y_wlo, y_whi = scale(box.whiskers[0]), scale(box.whiskers[1])
         lines += [
-            f'<g data-variable="{_escape(name)}">',
+            f'<g data-variable="{name.translate(_ESCAPES)}">',
             # whisker stems (vertical) and caps (horizontal)
             _line(cx, y_q3, cx, y_whi),
             _line(cx, y_q1, cx, y_wlo),
@@ -103,14 +106,8 @@ def emit_boxplot_svg(summaries) -> bytes:
     lines.append("</g>")
     lines += [
         f'<text x="{_fmt(i * PANEL_W + PANEL_W / 2)}" y="394" font-size="12" font-family="sans-serif" '
-        f'fill="black" text-anchor="middle">{_escape(name)}</text>'
+        f'fill="black" text-anchor="middle">{name.translate(_ESCAPES)}</text>'
         for i, (name, _) in enumerate(summaries)
     ]
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-    )

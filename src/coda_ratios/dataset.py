@@ -182,7 +182,7 @@ class AnalysisConfig:
 class FirmDataset:
     """An immutable sector sample in columns: row i of every field is firm i.
 
-    ``firm_ids`` is a read-only 1-D object array of one ``str`` per firm;
+    ``firm_ids`` is a read-only 1-D object array of one stripped, non-empty ``str`` per firm;
     ``values`` is a read-only (n, D) float64 array whose columns follow
     ``part_labels``; ``group`` is None or a read-only 1-D object array of one
     ``str`` per firm, which :func:`two_groups` splits; the loader fills it
@@ -209,6 +209,9 @@ class FirmDataset:
         group = None if self.group is None else np.array(self.group, dtype=object)
         if group is not None and len(group) != n:
             raise LengthMismatchError(n, len(group))
+        for firm_id in firm_ids:  # as a reader gives them: a stripped, non-empty str each
+            if not (isinstance(firm_id, str) and firm_id and firm_id == firm_id.strip()):
+                raise CodaError(f"firm_id {firm_id!r} is not a non-empty str without surrounding whitespace")
         check_unique_ids(firm_ids)
         check_positive(values, firm_ids, part_labels)
         self._hold(firm_ids, part_labels, values, group)

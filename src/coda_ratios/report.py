@@ -17,6 +17,7 @@ of aborting the run.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,10 +163,15 @@ _HOLE = "<outliers>"
 _ANCHOR = 'outliers": ' + json.dumps(_HOLE)
 
 
-def _box_dict(b: BoxSummary):
-    # the JSON keys are the field names in field order
-    d = {**vars(b), "n_outliers": b.n_outliers, "n_extreme_outliers": b.n_extreme_outliers}
-    return d | {"outliers": _HOLE, "extreme_outliers": _HOLE}
+def _fields(o):
+    """json.dumps's ``default``: a report record is written as its fields, in field order,
+    a box with its two outlier counts and a hole for each outlier list."""
+    if isinstance(o, BoxSummary):
+        d = {**vars(o), "n_outliers": o.n_outliers, "n_extreme_outliers": o.n_extreme_outliers}
+        return d | {"outliers": _HOLE, "extreme_outliers": _HOLE}
+    if isinstance(o, (VariableReport, DescriptiveStats, GroupComparison)):
+        return vars(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _json_list(values: np.ndarray) -> str:
@@ -176,19 +182,7 @@ def _json_list(values: np.ndarray) -> str:
     return f"[\n{items}\n        ]" if values.size else "[]"
 
 
-def _comparison_dict(c: GroupComparison | None):
-    if c is None:
-        return None
-    return {
-        "t": c.t_value,
-        "df": c.df,
-        "p": c.p_value,
-        "r_squared": c.r_squared,
-        "group_means": list(c.group_means),
-    }
-
-
-# each CSV statistic column -> the (section, key) of the JSON entry it is read from
+# each CSV statistic column -> the (record, field) of the VariableReport it is read from
 _CSV_STATS = {
     "mean": ("stats", "mean"),
     "sd": ("stats", "sd"),
@@ -202,6 +196,7 @@ _CSV_STATS = {
     "r_squared": ("comparison", "r_squared"),
 }
 CSV_COLUMNS = ("variable", "n", *_CSV_STATS)
+_NOT_UTF8 = re.compile("[\ud800-\udfff]")  # a lone surrogate, the one character UTF-8 cannot encode
 
 
 def _cell(x) -> str:
@@ -214,25 +209,13 @@ def _cell(x) -> str:
 
 def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
     """Serialize a report; identical reports give byte-identical output."""
-    entries = [
-        {
-            "name": v.name,
-            "kind": v.kind,
-            "stats": None if v.stats is None else vars(v.stats),
-            "stats_note": v.stats_note,
-            "box": _box_dict(v.box),
-            "comparison": _comparison_dict(v.comparison),
-            "comparison_note": v.comparison_note,
-        }
-        for v in report.variables
-    ]
     if format == "json":
         doc = {
             "metadata": {
                 "n": report.n,
                 "timestamp": report.timestamp,
                 "group_variable": report.group_variable,
-                "groups": [list(g) for g in report.groups] if report.groups else None,
+                "groups": report.groups or None,
                 "t_convention": (
                     f"t compares mean({report.groups[1][0]}) - mean({report.groups[0][0]})"
                     if report.groups
@@ -240,10 +223,10 @@ def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
                 ),
                 "config": report.config_echo,
             },
-            "variables": entries,
+            "variables": report.variables,
         }
         lists = [x for v in report.variables for x in (v.box.outliers, v.box.extreme_outliers)]
-        pieces = json.dumps(doc, indent=2, allow_nan=False).split(_ANCHOR)
+        pieces = json.dumps(doc, indent=2, allow_nan=False, default=_fields).split(_ANCHOR)
         assert len(pieces) == len(lists) + 1  # two holes per variable
         out = [pieces[0]]
         for values, piece in zip(lists, pieces[1:]):
@@ -251,8 +234,10 @@ def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
         return ("".join(out) + "\n").encode("utf-8")
     if format == "csv":
         rows = [CSV_COLUMNS]
-        for e in entries:
-            stats = (_cell(e[section] and e[section][key]) for section, key in _CSV_STATS.values())
-            rows.append([e["name"], str(report.n), *stats])
+        for v in report.variables:
+            if _NOT_UTF8.search(v.name):
+                raise CodaError(f"variable {v.name!r} holds a character that UTF-8 cannot carry")
+            stats = (_cell(getattr(getattr(v, record), field, None)) for record, field in _CSV_STATS.values())
+            rows.append([v.name, str(report.n), *stats])
         return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

@@ -61,9 +61,11 @@ class BoxSummary:
 
 @dataclass(frozen=True)
 class GroupComparison:
-    t_value: float
+    """An equal-variance t comparison; its fields, in order, are its report entry's keys."""
+
+    t: float
     df: int
-    p_value: float
+    p: float
     r_squared: float
     group_means: tuple[float, float]
 
@@ -180,6 +182,4 @@ def two_sample_t_equal_var(a, b) -> GroupComparison:
     t = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
     p = student_t_two_sided_p(t, df)
     r2 = t * t / (t * t + df)
-    return GroupComparison(
-        t_value=t, df=df, p_value=p, r_squared=r2, group_means=(mean_a, mean_b)
-    )
+    return GroupComparison(t=t, df=df, p=p, r_squared=r2, group_means=(mean_a, mean_b))

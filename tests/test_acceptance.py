@@ -124,8 +124,8 @@ def test_criterion_04_sign_flip_property_suite():
             ok = ok and vp.stats.excess_kurtosis == v.stats.excess_kurtosis
             ok = ok and vp.box.n_outliers == v.box.n_outliers
             ok = ok and vp.box.n_extreme_outliers == v.box.n_extreme_outliers
-            ok = ok and abs(abs(vp.comparison.t_value) - abs(v.comparison.t_value)) <= 1e-10
-            ok = ok and abs(vp.comparison.p_value - v.comparison.p_value) <= 1e-10
+            ok = ok and abs(abs(vp.comparison.t) - abs(v.comparison.t)) <= 1e-10
+            ok = ok and abs(vp.comparison.p - v.comparison.p) <= 1e-10
             ok = ok and abs(vp.comparison.r_squared - v.comparison.r_squared) <= 1e-10
         if not ok:
             break

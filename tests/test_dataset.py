@@ -522,6 +522,16 @@ def test_dataset_rejects_duplicate_ids():
     assert "at line" not in str(excinfo.value)
 
 
+@pytest.mark.parametrize("bad", ["", " a ", "a\t", "\u3000a", 3, None, b"a"])
+def test_dataset_holds_only_ids_a_reader_would_give(bad):
+    # a reader gives each id as a stripped, non-empty str; transform writes them as such
+    with pytest.raises(CodaError) as excinfo:
+        _dataset([("f1", (1, 2, 3)), (bad, (4, 5, 6))])
+    assert str(excinfo.value) == (
+        f"firm_id {bad!r} is not a non-empty str without surrounding whitespace"
+    )
+
+
 def test_dataset_rejects_repeated_part_labels():
     # with a repeated label, a lookup by label would silently read the last such column
     with pytest.raises(DuplicateLabelError, match="^duplicate part label\\(s\\): A$"):

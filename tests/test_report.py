@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,9 @@ import pytest
 from coda_ratios import (
     AnalysisConfig,
     AnalysisReport,
+    BoxSummary,
+    DescriptiveStats,
+    GroupComparison,
     FirmDataset,
     RatioSpec,
     VariableReport,
@@ -21,7 +25,7 @@ from coda_ratios import (
     ratio_column,
     run_analysis,
 )
-from coda_ratios.errors import SingleGroupError
+from coda_ratios.errors import CodaError, SingleGroupError
 from coda_ratios.report import CSV_COLUMNS
 
 from conftest import csv_text
@@ -178,7 +182,7 @@ def test_group_metadata_and_t_orientation():
         pytest.approx(float(yes.mean())),
         pytest.approx(float(no.mean())),
     )
-    assert (v.comparison.t_value > 0) == (yes.mean() > no.mean())
+    assert (v.comparison.t > 0) == (yes.mean() > no.mean())
 
 
 def test_no_group_variable_no_comparisons():
@@ -240,8 +244,8 @@ def test_permutation_invariants_end_to_end():
             assert vp.stats.sd == v.stats.sd
             assert vp.box.n_outliers == v.box.n_outliers
             assert vp.box.n_extreme_outliers == v.box.n_extreme_outliers
-            assert vp.comparison.t_value == -v.comparison.t_value
-            assert vp.comparison.p_value == v.comparison.p_value
+            assert vp.comparison.t == -v.comparison.t
+            assert vp.comparison.p == v.comparison.p
             assert vp.comparison.r_squared == v.comparison.r_squared
 
 
@@ -279,6 +283,28 @@ def test_json_report_shape():
     assert v["stats"]["n"] == 6
     assert v["box"]["n_outliers"] == v["box"]["n_outliers"]
     assert v["comparison"]["df"] == 4
+
+
+def _keys(record_type):
+    return [f.name for f in dataclasses.fields(record_type)]
+
+
+def test_json_entries_are_their_records_fields():
+    report = run_analysis(DATASET, make_config(group_variable="brand"))
+    doc = json.loads(emit_report(report, "json"))
+    for entry in doc["variables"]:
+        assert list(entry) == _keys(VariableReport)
+        assert list(entry["stats"]) == _keys(DescriptiveStats)
+        assert list(entry["comparison"]) == _keys(GroupComparison)
+        assert list(entry["box"]) == [*_keys(BoxSummary), "n_outliers", "n_extreme_outliers"]
+
+
+def test_json_of_a_value_json_cannot_write_is_json_s_own_error():
+    box = box_summary([1.0, 2.0, 3.0, 4.0, 5.0])
+    variable = VariableReport("v", "ratio", None, "-", box, None, "-")
+    report = AnalysisReport((variable,), 5, {"parts": {"A"}}, None, None, None)
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        emit_report(report, "json")
 
 
 def test_json_round_trips_floats_exactly():
@@ -323,6 +349,16 @@ def test_csv_report_quotes_a_name_holding_a_separator_a_quote_or_a_line_end():
     table = [list(CSV_COLUMNS), *([name, "5", "", "", "", "", "0", "0", "", "", "", ""] for name in names)]
     assert text == csv_text(table)
     assert list(csv.reader(io.StringIO(text, newline=""))) == table
+
+
+def test_csv_report_refuses_a_name_utf8_cannot_carry():
+    # a lone surrogate, which a hand-built report may hold; the JSON escapes it
+    box = box_summary([1.0, 2.0, 3.0, 4.0, 5.0])
+    variables = tuple(VariableReport(name, "ratio", None, "-", box, None, "-") for name in ("a", "a\ud800"))
+    report = AnalysisReport(variables, 5, {}, None, None, None)
+    assert json.loads(emit_report(report, "json"))["variables"][1]["name"] == "a\ud800"
+    with pytest.raises(CodaError, match="^variable 'a\\\\ud800' holds a character that UTF-8 cannot carry$"):
+        emit_report(report, "csv")
 
 
 def test_emit_report_unknown_format():

@@ -265,24 +265,24 @@ def test_box_summary_empty():
 
 def test_t_test_identical_groups():
     cmp_ = two_sample_t_equal_var([1, 2, 3], [1, 2, 3])
-    assert cmp_.t_value == 0.0
-    assert cmp_.p_value == 1.0
+    assert cmp_.t == 0.0
+    assert cmp_.p == 1.0
     assert cmp_.r_squared == 0.0
     assert cmp_.df == 4
 
 
 def test_t_test_frozen_example():
     cmp_ = two_sample_t_equal_var([1, 2, 3], [2, 3, 4])
-    assert cmp_.t_value == pytest.approx(-1.224744871391589, rel=1e-12)
+    assert cmp_.t == pytest.approx(-1.224744871391589, rel=1e-12)
     assert cmp_.df == 4
-    assert cmp_.p_value == pytest.approx(0.28786413472669068, abs=1e-8)
+    assert cmp_.p == pytest.approx(0.28786413472669068, abs=1e-8)
     assert cmp_.r_squared == pytest.approx(0.2727272727272727, rel=1e-12)
     assert cmp_.group_means == (2.0, 3.0)
 
 
 def test_t_test_positive_when_first_group_larger():
     cmp_ = two_sample_t_equal_var([2, 3, 4], [1, 2, 3])
-    assert cmp_.t_value > 0
+    assert cmp_.t > 0
 
 
 def test_t_test_sign_flip_exact():
@@ -292,8 +292,8 @@ def test_t_test_sign_flip_exact():
         b = rng.normal(loc=0.5, size=int(rng.integers(2, 25)))
         c1 = two_sample_t_equal_var(a, b)
         c2 = two_sample_t_equal_var(-a, -b)
-        assert c2.t_value == -c1.t_value
-        assert c2.p_value == c1.p_value
+        assert c2.t == -c1.t
+        assert c2.p == c1.p
         assert c2.r_squared == c1.r_squared
 
 
@@ -303,10 +303,10 @@ def test_t_test_r_squared_identity():
         a = rng.normal(size=int(rng.integers(2, 25)))
         b = rng.normal(loc=1.0, size=int(rng.integers(2, 25)))
         cmp_ = two_sample_t_equal_var(a, b)
-        t, df = cmp_.t_value, cmp_.df
+        t, df = cmp_.t, cmp_.df
         assert abs(cmp_.r_squared - t * t / (t * t + df)) < 1e-12
         assert 0.0 <= cmp_.r_squared <= 1.0
-        assert 0.0 < cmp_.p_value <= 1.0
+        assert 0.0 < cmp_.p <= 1.0
 
 
 def test_t_test_errors():
@@ -356,5 +356,5 @@ def test_dummy_regression_matches_t_identity():
         groups = ["yes"] * na + ["no"] * nb
         r2 = _dummy_regression_r2(values, groups)
         cmp_ = two_sample_t_equal_var(a, b)
-        t, df = cmp_.t_value, cmp_.df
+        t, df = cmp_.t, cmp_.df
         assert abs(r2 - t * t / (t * t + df)) < 1e-12

@@ -167,7 +167,12 @@ def test_a_name_that_xml_cannot_carry_is_an_error_naming_the_variable(bad):
 
 
 def test_names_xml_can_carry_parse_back():
-    names = ["t\tx", "l\nx", "\x7f\x85\ud7ff\ue000\ufffd", "\U0001f4c8", '<&"\'>']
-    root = ET.fromstring(emit_boxplot_svg([(name, box_summary([1, 2, 3])) for name in names]))
-    labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
-    assert labels == names
+    # tab, LF and CR are written as references: raw, an XML reader reads each as a
+    # space in an attribute, and a CR or CR LF in text as an LF
+    names = ["t\tx", "l\nx", "c\rx", "n\r\nx", "\x7f\x85\ud7ff\ue000\ufffd", "\U0001f4c8", '<&"\'>']
+    svg = emit_boxplot_svg([(name, box_summary([1, 2, 3])) for name in names])
+    assert b'data-variable="t&#9;x"' in svg and b">n&#13;&#10;x</text>" in svg
+    root = ET.fromstring(svg)
+    ns = "{http://www.w3.org/2000/svg}"
+    assert [g.get("data-variable") for g in root.iter(f"{ns}g") if "data-variable" in g.attrib] == names
+    assert [el.text for el in root.iter(f"{ns}text")] == names
