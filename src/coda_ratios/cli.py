@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 validation or data failure, 2 usage error.
 For reproducible reports the analyze timestamp is taken from the
 SOURCE_DATE_EPOCH environment variable when set, otherwise from the data
 file's modification time; identical inputs therefore produce identical
-bytes.
+bytes.  Every command hands stdout UTF-8 bytes through one writer,
+``_write``, whatever the locale or the stream's encoding, in-process too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import _floattext
 from .composition import ilr_matrix
-from .dataset import _NEEDS_QUOTES, _csv_field, load_config, load_dataset_csv, two_groups
+from .dataset import _csv_fields, load_config, load_dataset_csv, two_groups
 from .errors import CodaError
 
 
@@ -102,12 +103,7 @@ def _cmd_analyze(args) -> int:
             with open(path, "wb") as fh:
                 fh.write(data)
         if not args.out:
-            out = _stdout()
-            out.flush()
-            if hasattr(out, "buffer"):  # the encoded bytes, with no str copy of the report
-                out.buffer.write(text)
-            else:  # a text-only stream, such as io.StringIO
-                out.write(text.decode("utf-8"))
+            _write(text)
         while staged:
             os.replace(*staged[0])
             del staged[0]
@@ -153,44 +149,44 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _stdout():
-    """``sys.stdout``; a CodaError when the program started with stdout closed."""
+def _write(data: bytes) -> None:
+    """Write the UTF-8 bytes ``data`` to stdout whatever its encoding; a CodaError if stdout is closed."""
     if sys.stdout is None:
         raise CodaError("stdout is closed")
-    return sys.stdout
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # what the text layer holds goes first
+        sys.stdout.buffer.write(data)
+    else:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _write_table(header, firm_ids, tables) -> None:
-    """Write ``header``, then each firm id and its row; a field holding ',', '"', CR or LF is quoted.
+    """Hand ``_write`` the UTF-8 CSV of ``header``, then of each firm id and its row.
 
     ``tables`` is an iterable of 2-D float64 arrays whose rows, in turn, are the firms' rows.
     """
-    out = _stdout()
-    out.write(",".join(map(_csv_field, header)) + "\n")
+    _write((",".join(_csv_fields(header)) + "\n").encode("utf-8"))
     # one write per formatter block, which bounds the text held
     start = 0
     for block in chain.from_iterable(_floattext.repr_blocks(t, b",", b"\n") for t in tables):
         rows = block.splitlines(keepends=True)
-        ids = firm_ids[start : start + len(rows)]
-        if _NEEDS_QUOTES.search("".join(ids)):  # one search per block keeps plain ids on the fast path
-            ids = list(map(_csv_field, ids))
         pieces = [""] * (2 * len(rows))  # id, row, id, row, ...
-        pieces[::2], pieces[1::2] = ids, rows
-        out.write("".join(pieces))
+        pieces[::2], pieces[1::2] = _csv_fields(firm_ids[start : start + len(rows)]), rows
+        _write("".join(pieces).encode("utf-8"))
         start += len(rows)
 
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
     ds = load_dataset_csv(args.data, config)
-    # the group split is checked before anything is printed
+    # the group split is checked before anything is written
     groups = None if config.group_variable is None else two_groups(ds)
-    out = _stdout()
     parts = ", ".join(ds.part_labels)
-    print(f"OK: {ds.n} firm(s), {len(ds.part_labels)} part(s) ({parts})", file=out)
+    text = f"OK: {ds.n} firm(s), {len(ds.part_labels)} part(s) ({parts})\n"
     if groups is not None:
         sizes = ", ".join(f"{value}: {int(mask.sum())}" for value, mask in groups)
-        print(f"OK: group variable {config.group_variable!r} splits as {sizes}", file=out)
+        text += f"OK: group variable {config.group_variable!r} splits as {sizes}\n"
+    _write(text.encode("utf-8"))
     return 0
 
 
@@ -221,10 +217,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     if argv is None:  # run as a program, not called in-process
-        # exit-time collections skip the import heap; stdout is UTF-8 whatever the locale
-        gc.freeze()
-        if sys.stdout is not None:  # None when the program starts with stdout closed
-            sys.stdout.reconfigure(encoding="utf-8")
+        gc.freeze()  # exit-time collections skip the import heap
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "analyze":

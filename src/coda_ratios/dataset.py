@@ -64,9 +64,11 @@ _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as a CSV field: quoted, its '"' doubled, when it holds ',', '"', CR or LF."""
-    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+def _csv_fields(texts):
+    """``texts`` as CSV fields: each holding ',', '"', CR or LF quoted, its '"' doubled."""
+    if not _NEEDS_QUOTES.search("".join(texts)):  # one search; plain fields come back as they are
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
 
 
 def check_positive(values, firm_ids, part_labels, zero_ok=False) -> None:
@@ -185,7 +187,7 @@ class FirmDataset:
     ``firm_ids`` is a read-only 1-D object array of one stripped, non-empty ``str`` per firm;
     ``values`` is a read-only (n, D) float64 array whose columns follow
     ``part_labels``; ``group`` is None or a read-only 1-D object array of one
-    ``str`` per firm, which :func:`two_groups` splits; the loader fills it
+    stripped ``str`` per firm, which :func:`two_groups` splits; the loader fills it
     with the configured group variable, one shared ``str`` per distinct
     value, and leaves it None when none is.
     The dataset holds read-only copies of what it is given, so a caller's
@@ -212,6 +214,9 @@ class FirmDataset:
         for firm_id in firm_ids:  # as a reader gives them: a stripped, non-empty str each
             if not (isinstance(firm_id, str) and firm_id and firm_id == firm_id.strip()):
                 raise CodaError(f"firm_id {firm_id!r} is not a non-empty str without surrounding whitespace")
+        for value in () if group is None else group:  # a stripped str each, empty for a short row
+            if not (isinstance(value, str) and value == value.strip()):
+                raise CodaError(f"group value {value!r} is not a str without surrounding whitespace")
         check_unique_ids(firm_ids)
         check_positive(values, firm_ids, part_labels)
         self._hold(firm_ids, part_labels, values, group)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._floattext import repr_rows
 from .composition import ilr_matrix
-from .dataset import AnalysisConfig, FirmDataset, _csv_field, two_groups
+from .dataset import AnalysisConfig, FirmDataset, _csv_fields, two_groups
 from .errors import (
     CodaError,
     TooFewObservationsError,
@@ -239,5 +239,5 @@ def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
                 raise CodaError(f"variable {v.name!r} holds a character that UTF-8 cannot carry")
             stats = (_cell(getattr(getattr(v, record), field, None)) for record, field in _CSV_STATS.values())
             rows.append([v.name, str(report.n), *stats])
-        return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows).encode("utf-8")
+        return "".join(",".join(_csv_fields(row)) + "\n" for row in rows).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

@@ -629,18 +629,25 @@ def _program(workdir, *argv, **env):
     )
 
 
-@pytest.mark.parametrize("command", ["transform", "validate", "analyze"])
-def test_stdout_is_utf8_whatever_the_locale(workdir, command):
+@pytest.mark.parametrize("command", ["transform", "validate", "analyze", "demo"])
+def test_stdout_is_utf8_whatever_the_locale(workdir, command, monkeypatch):
     # a firm id and a group value that neither ASCII nor Latin-1 writes as UTF-8 bytes
     text = CSV_TEXT.replace("f1,", "firmé,").replace("yes", "sí")
     (workdir / "firms.csv").write_text(text, encoding="utf-8")
-    utf8 = _program(workdir, command, *_args(workdir), PYTHONIOENCODING="utf-8")
+    argv = [command, *(["table1"] if command == "demo" else _args(workdir))]
+    utf8 = _program(workdir, *argv, PYTHONIOENCODING="utf-8")
     assert (utf8.returncode, utf8.stderr) == (0, b"")
-    if command != "analyze":  # the JSON report escapes non-ASCII text
+    if command in ("transform", "validate"):  # the JSON report escapes non-ASCII text
         assert ("firmé" if command == "transform" else "sí").encode("utf-8") in utf8.stdout
     for encoding in ("ascii", "latin-1"):
-        other = _program(workdir, command, *_args(workdir), PYTHONIOENCODING=encoding)
+        other = _program(workdir, *argv, PYTHONIOENCODING=encoding)
         assert (other.returncode, other.stderr, other.stdout) == (0, b"", utf8.stdout), encoding
+        # in-process, on a text stdout of that encoding, main writes the program's bytes
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0, encoding
+        stdout.flush()
+        assert stdout.buffer.getvalue() == utf8.stdout, encoding
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes the child's stdout before exec")

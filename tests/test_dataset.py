@@ -532,6 +532,19 @@ def test_dataset_holds_only_ids_a_reader_would_give(bad):
     )
 
 
+@pytest.mark.parametrize(
+    "bad, wrong",
+    [([1, "x", 1, "x"], 1), (["x", None, "x", "y"], None), ([1, 2, 1, 2], 1), (["x", " y", "x", "y"], " y")],
+)
+def test_dataset_holds_only_group_values_a_reader_would_give(bad, wrong):
+    # a reader gives each group value as a stripped str, empty for a short row
+    rows = [(f"f{i}", (1, 2, 3)) for i in range(4)]
+    _dataset(rows, group=("x", "", "x", ""))
+    with pytest.raises(CodaError) as excinfo:
+        _dataset(rows, group=bad)
+    assert str(excinfo.value) == f"group value {wrong!r} is not a str without surrounding whitespace"
+
+
 def test_dataset_rejects_repeated_part_labels():
     # with a repeated label, a lookup by label would silently read the last such column
     with pytest.raises(DuplicateLabelError, match="^duplicate part label\\(s\\): A$"):
