@@ -9,6 +9,8 @@ variable (e.g. a yes/no brand flag) is kept, as the dataset's group
 column.  A row may be shorter than the header (missing cells are empty)
 but not longer, and every firm_id must be non-empty.  A CSV written by
 the program quotes a field holding ',', '"', CR or LF, doubling its '"'.
+A file without quotes or long lines is read by ``np.loadtxt``, a regular
+file from its path in numpy's C chunks; any other by ``csv.reader``.
 
 A loaded dataset holds each column once: the firm ids and the group
 column as read-only 1-D object arrays of ``str``, built from the reader's
@@ -29,13 +31,13 @@ import configparser
 import csv
 import io
 import math
+import os
 import re
 import warnings
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +62,7 @@ _ZERO_MODES = ("reject", "drop_row", "replace")
 # A quote needs the csv.reader path.  np.loadtxt strips these ASCII
 # separators from around a number as whitespace, and float() does not.
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt decompresses a path by these suffixes
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
@@ -299,9 +302,20 @@ def _open_utf8(path, newline=None):
 
 
 def load_dataset_csv(path, config: AnalysisConfig) -> FirmDataset:
-    """Load a firm-per-row CSV and return a validated dataset."""
-    with _open_utf8(path, newline="") as fh:
-        return read_dataset_csv(fh, config)
+    """Load a firm-per-row CSV and return a validated dataset.
+
+    A regular file, found by stat before any open (opening a FIFO waits for a writer), is read
+    from its absolute path, never taken for a URL; anything else (a pipe, a bytes path, a name
+    np.loadtxt would decompress) is read as :func:`read_dataset_csv` reads."""
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if not (isinstance(name, str) and os.path.isfile(name) and not name.endswith(_COMPRESSED)):
+        with _open_utf8(path, newline="") as fh:
+            return read_dataset_csv(fh, config)
+    columns = _loadtxt_columns(os.path.abspath(name), config)
+    if columns is None:
+        with _open_utf8(path, newline="") as fh:
+            columns = _csv_reader_columns(fh, config)
+    return _dataset(*columns, config)
 
 
 def _records(reader):
@@ -318,13 +332,11 @@ def _records(reader):
 
 
 def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
-    """Like load_dataset_csv but from an open text stream.
+    """Like load_dataset_csv but from an open text stream, read from where it stands.
 
-    One ``np.loadtxt`` pass reads a plain file, one without quotes; a file it
-    cannot read, or with an empty or repeated id or a number that is not finite, is
-    read again by the ``csv.reader`` path, which words every error with its line.
-    A stream that cannot seek (a pipe) is read into memory first.  A file with no
-    firm rows is an :class:`EmptyDataError`; apply_zero_policy checks the signs.
+    One ``np.loadtxt`` pass reads a plain file by lines; a file it cannot read, or with an
+    empty or repeated id or a number that is not finite, is read again by the ``csv.reader``
+    path, which words every error with its line.  A pipe is read into memory first.
     """
     if not fh.seekable():
         fh = io.StringIO(fh.read(), newline="")
@@ -332,7 +344,11 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     columns = _loadtxt_columns(fh, config)
     if columns is None:
         fh.seek(start)
-    firm_ids, values, group = columns or _csv_reader_columns(fh, config)
+    return _dataset(*(columns or _csv_reader_columns(fh, config)), config)
+
+
+def _dataset(firm_ids, values, group, config: AnalysisConfig) -> FirmDataset:
+    """The dataset of a reader's columns past the zero policy: no rows is an EmptyDataError."""
     if not len(firm_ids):
         raise EmptyDataError()
     keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
@@ -341,6 +357,18 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
         group = None if group is None else group[keep]
     # the ids are unique and, past the zero policy, every part positive: no check runs twice
     return FirmDataset._checked(firm_ids, config.parts, values, group)
+
+
+def _is_plain(read) -> bool:
+    """Whether the text or bytes ``read(size)`` gives are plain: no ``_NOT_PLAIN`` character (all
+    ASCII, so the same bytes in UTF-8), and a line end in every full chunk.  A line past the csv field
+    limit covers a whole chunk of half that limit, so it never passes (nor do some shorter ones)."""
+    size = max(1, min(1 << 16, csv.field_size_limit() // 2))
+    data = read(size)
+    marks, ends = (_NOT_PLAIN, "\r\n") if isinstance(data, str) else (_NOT_PLAIN.encode(), b"\r\n")
+    while data and not any(c in data for c in marks) and (len(data) < size or any(c in data for c in ends)):
+        data = read(size)
+    return not data
 
 
 def _header_columns(header, config: AnalysisConfig) -> list[str]:
@@ -357,37 +385,33 @@ def _header_columns(header, config: AnalysisConfig) -> list[str]:
     return header
 
 
-def _loadtxt_columns(fh, config: AnalysisConfig):
-    """``(firm_ids, values, group)`` of ``fh`` from one ``np.loadtxt`` pass, or None.
+def _loadtxt_columns(source, config: AnalysisConfig):
+    """``(firm_ids, values, group)`` of ``source`` from one ``np.loadtxt`` pass, or None.
 
-    Ids and the group column are read as 1-D object arrays, each cell stripped
-    by a converter as it is read, the group column with one ``str`` per distinct
-    value.  Every other column is read as ``"U1"``, so it is counted as a field
-    but makes no ``str``; ``usecols`` would let a row of the wrong length through.
+    ``source`` is a regular file's absolute path, read in numpy's C chunks, or a seekable text
+    stream, read by lines from where it stands.  Ids and the group column are 1-D object arrays,
+    each cell stripped by a converter as it is read, the group column with one ``str`` per
+    distinct value.  Other columns are ``"U1"``: no ``str``, but counted, unlike with ``usecols``.
 
-    None means the csv.reader path must read the file: a line holds a
-    character of ``_NOT_PLAIN`` or is longer than the csv field limit; the
-    header or a row is one that path rejects or reads differently (a short
-    row, say); an id is empty or repeated or a part not finite (a negative
-    part is apply_zero_policy's to find); or a part is named firm_id.  A
-    failed read may have consumed any part of ``fh``.
+    None means the csv.reader path must read the file: it is not plain; the header or a row
+    is one that path rejects or reads differently (a short row, say); an id is empty or
+    repeated or a part not finite (a negative part is apply_zero_policy's to find); or a part
+    is named firm_id.  A failed read may have consumed any part of a stream.
     """
     if "firm_id" in config.parts:  # one column, read as both text and number
         return None
-    limit = csv.field_size_limit()
-
-    def checked(batch):
-        text = "".join(batch)
-        if any(c in text for c in _NOT_PLAIN) or max(map(len, batch)) > limit:
-            raise ValueError("not a plain file")  # np.loadtxt passes it on
-        return batch
-
-    # a batch of lines at a time keeps the checks in C, and no Python frame runs per line
-    rows = chain.from_iterable(map(checked, iter(partial(fh.readlines, 1 << 16), [])))
     try:
-        header = _header_columns(next(csv.reader(rows, strict=True), None), config)
-        # the text columns are stripped as they are read, the group's cells shared too; encoding=None
-        # hands a converter str, where older numpy's default, "bytes", hands it latin-1 bytes
+        path = isinstance(source, str)
+        with open(source, encoding="utf-8-sig", newline="") if path else nullcontext(source) as fh:
+            start = fh.tell()
+            if not _is_plain(fh.buffer.read if path else fh.read):  # a path's bytes, undecoded
+                return None
+            fh.seek(start)
+            # a plain file's header is its first line, which np.loadtxt skips
+            header = _header_columns(next(csv.reader([fh.readline()], strict=True)), config)
+            fh.seek(start)
+        # the text columns are stripped as they are read, the group's cells shared too;
+        # an encoding hands a converter str, where older numpy's default, "bytes", hands it bytes
         converters = {header.index("firm_id"): str.strip}
         if config.group_variable is not None:
             converters[header.index(config.group_variable)] = _shared_strip()
@@ -399,10 +423,10 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
             # a header-only file is an EmptyDataError, and stderr carries only the error line
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(
-                rows, dtype=dtype, delimiter=",", quotechar=None, comments=None, ndmin=1,
-                converters=converters, encoding=None,
+                source, dtype=dtype, delimiter=",", quotechar=None, comments=None, ndmin=1,
+                converters=converters, encoding="utf-8-sig", skiprows=1,
             )
-    except (CodaError, csv.Error, ValueError):  # a UnicodeDecodeError too: the csv.reader path words it
+    except (CodaError, csv.Error, ValueError, OSError):  # the csv.reader path words each, by the name given
         return None
     field = {name: f"c{j}" for j, name in enumerate(header)}
 
@@ -412,7 +436,7 @@ def _loadtxt_columns(fh, config: AnalysisConfig):
     for j, part in enumerate(config.parts):
         values[:, j] = table[field[part]]
     del table  # before the id set is built: the columns taken out are all that is kept
-    if not all(firm_ids) or len(set(firm_ids)) != len(firm_ids) or not np.isfinite(values).all():
+    if "" in (ids := set(firm_ids)) or len(ids) != len(firm_ids) or not np.isfinite(values).all():
         return None
     return firm_ids, values, group
 

@@ -587,6 +587,13 @@ def test_validate_ok(workdir, capsys):
     out = capsys.readouterr().out
     assert "OK: 6 firm(s), 3 part(s) (TA, NCL, CL)" in out
     assert "no: 3, yes: 3" in out
+    # a group value holding a newline is written as its repr, so the OK line stays one line
+    (workdir / "newline.csv").write_text(
+        'firm_id,TA,NCL,CL,brand\nf1,1,2,3,"a\nb"\nf2,4,5,6,no\n', encoding="utf-8"
+    )
+    argv = ["validate", "--data", str(workdir / "newline.csv"), "--config", str(workdir / "analysis.ini")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "OK: group variable 'brand' splits as 'a\\nb': 1, no: 1"
 
 
 def test_validate_single_group_fails(workdir, capsys):

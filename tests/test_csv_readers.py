@@ -1,19 +1,25 @@
 """Properties of the two CSV readers and of the transform writer.
 
-``read_dataset_csv`` reads a file with one ``np.loadtxt`` pass and falls
-back to the cell-by-cell ``csv.reader`` path for anything that pass cannot
-read or check.  On any text the result must be the one the ``csv.reader``
-path gives alone: the same dataset, bit for bit, or the same error.
+``load_dataset_csv`` and ``read_dataset_csv`` read a file with one
+``np.loadtxt`` pass, a regular file from its path and a stream by lines,
+and fall back to the cell-by-cell ``csv.reader`` path for anything that
+pass cannot read or check.  On any text, in a file or a stream, the result
+must be the one the ``csv.reader`` path gives alone: the same dataset, bit
+for bit, or the same error.
 ``transform`` formats a chunk of rows at a time and must write the bytes of
 the one quoting rule, which any CSV reader reads back one row per firm.
 """
 
 import contextlib
 import csv
+import gzip
 import io
+import os
 import sys
+import threading
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -118,13 +124,23 @@ def csv_texts(draw):
     return text
 
 
-def _outcome(text, newline, config):
+def _outcome(text, newline, config, path=None):
+    """The dataset of ``text`` read from a stream, or from ``path`` when given, or its error."""
     try:
-        ds = read_dataset_csv(io.StringIO(text, newline=newline), config)
+        if path is None:
+            ds = read_dataset_csv(io.StringIO(text, newline=newline), config)
+        else:
+            ds = load_dataset_csv(path, config)
     except CodaError as exc:
         return type(exc), str(exc)
     group = None if ds.group is None else ds.group.tolist()
     return ds.firm_ids.tolist(), ds.values.shape, ds.values.tobytes(), group
+
+
+@pytest.fixture(scope="module")
+def data_file(tmp_path_factory):
+    # module scope: one file for all examples, rewritten by each
+    return tmp_path_factory.mktemp("agree") / "firms.csv"
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -164,16 +180,36 @@ def _outcome(text, newline, config):
     mode="reject",
     group=False,
 )
-def test_loadtxt_path_agrees_with_csv_reader_path(text, newline, mode, group):
+# a byte-order mark, which a file drops and a stream keeps in the first column name
+@example(text="\ufefffirm_id,TA,NCL,CL\nf1,1,2,3\n", newline="", mode="reject", group=False)
+# lone CR line ends, which a file read by np.loadtxt turns into LF
+@example(
+    text="firm_id,TA,NCL,CL,brand\rf1,1,2,3,yes\r\rf2,4,5,6,no\r",
+    newline="",
+    mode="reject",
+    group=True,
+)
+# a cell starting with '\x1c', which np.loadtxt strips as whitespace and float() does not
+@example(text="firm_id,TA,NCL,CL\nf1,\x1c1,2,3\nf2,4,5,6\n", newline="", mode="reject", group=False)
+# a cell past the csv field limit, which no np.loadtxt pass may read
+@example(
+    text="firm_id,TA,NCL,CL,brand\nf1,1,2,3," + "y" * LONG + "\nf2,4,5,6,no\n",
+    newline="",
+    mode="reject",
+    group=True,
+)
+def test_loadtxt_path_agrees_with_csv_reader_path(data_file, text, newline, mode, group):
     config = AnalysisConfig(
         parts=("TA", "NCL", "CL"),
         sbp="(TA|(NCL|CL))",
         group_variable="brand" if group else None,
         zero_policy=ZeroPolicy(mode=mode),
     )
-    both = _outcome(text, newline, config)
+    # a file is compared with a file: a stream and a file read a lone CR differently
+    data_file.write_text(text, encoding="utf-8", newline=newline)
+    both = _outcome(text, newline, config), _outcome(text, newline, config, data_file)
     with mock.patch.object(dataset, "_loadtxt_columns", return_value=None):
-        csv_reader_only = _outcome(text, newline, config)
+        csv_reader_only = _outcome(text, newline, config), _outcome(text, newline, config, data_file)
     assert both == csv_reader_only
 
 
@@ -215,6 +251,63 @@ def test_loadtxt_path_reads_only_files_without_quotes():
     assert dataset._loadtxt_columns(io.StringIO(text), config) is not None
     quoted = text.replace("yes", '"yes"')
     assert dataset._loadtxt_columns(io.StringIO(quoted), config) is None
+
+
+PLAIN = "firm_id,TA,NCL,CL,brand\nf1,1,2,3,yes\nf2,4,5,6,no\n"
+PLAIN_CONFIG = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))", group_variable="brand")
+
+
+def _loadtxt_sources(path):
+    """What ``load_dataset_csv(path)`` hands np.loadtxt, and the ids it reads."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        ds = load_dataset_csv(path, PLAIN_CONFIG)
+    return [call.args[0] for call in loadtxt.call_args_list], ds.firm_ids.tolist()
+
+
+# given as it is, numpy would take the second name for a URL to fetch
+@pytest.mark.parametrize("name", ["firms.csv", "http://h/firms.csv"])
+def test_a_regular_file_reaches_np_loadtxt_as_its_absolute_path(tmp_path, monkeypatch, name):
+    path = tmp_path / os.path.normpath(name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(PLAIN, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert _loadtxt_sources(name) == ([str(path)], ["f1", "f2"])
+
+
+def test_a_name_np_loadtxt_would_decompress_is_read_as_a_stream(tmp_path):
+    plain = tmp_path / "firms.csv.gz"
+    plain.write_text(PLAIN, encoding="utf-8")
+    sources, ids = _loadtxt_sources(plain)
+    assert ids == ["f1", "f2"] and not any(isinstance(source, str) for source in sources)
+    packed = tmp_path / "packed" / "firms.csv.gz"
+    packed.parent.mkdir()
+    packed.write_bytes(gzip.compress(PLAIN.encode("utf-8")))
+    with pytest.raises(CodaError) as exc:
+        load_dataset_csv(packed, PLAIN_CONFIG)
+    assert str(exc.value) == f"{packed} is not valid UTF-8: byte 0x8b at byte offset 1"
+
+
+def test_bytes_paths_and_file_descriptors_are_read_as_streams(tmp_path):
+    path = tmp_path / "firms.csv"
+    path.write_text(PLAIN, encoding="utf-8")
+    for name in (os.fsencode(path), os.open(path, os.O_RDONLY)):  # the load closes the descriptor
+        sources, ids = _loadtxt_sources(name)
+        assert ids == ["f1", "f2"] and not any(isinstance(source, str) for source in sources)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_is_opened_once(tmp_path):
+    # a second open would wait for a writer that never comes
+    fifo = tmp_path / "firms.csv"
+    os.mkfifo(fifo)
+    loaded = []
+    reader = threading.Thread(target=lambda: loaded.append(_loadtxt_sources(fifo)), daemon=True)
+    reader.start()
+    with open(fifo, "w", encoding="utf-8") as fh:
+        fh.write(PLAIN)
+    reader.join(timeout=60)
+    assert loaded and loaded[0][1] == ["f1", "f2"]
+    assert not any(isinstance(source, str) for source in loaded[0][0])
 
 
 @pytest.fixture(scope="module")
