@@ -69,6 +69,7 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     floor_lo = np.floor(lo)
     whole = hi.astype(np.int64) + floor_lo.astype(np.int64)
     frac = lo - floor_lo  # exact: Y is a multiple of 2**-47
+    del ax, p, hi, ah, ph, al, pl, lo, floor_lo  # freed before the loop's and the cells' arrays
     # h > 0.55: the nearest integer is inside.  Being within h of Y is monotone in the digit
     # count of a candidate (Y rounded to a multiple of 10**j): the last one inside is repr's
     h = np.take(_H, b * 20 + k)
@@ -85,7 +86,8 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
         ad = np.abs(d)
         inside = ad < hw
         slow[idx[(ad == hw) | (inside & (d == -step / 2))]] = True
-        idx, w, f, hw, r = idx[inside], w[inside], f[inside], hw[inside], r[inside]
+        keep = np.flatnonzero(inside)  # one index for five arrays: cheaper than five masks
+        idx, w, f, hw, r = idx[keep], w[keep], f[keep], hw[keep], r[keep]
         if not idx.size:
             break
         cand[idx] = w - r
@@ -105,6 +107,7 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     last = np.maximum(19 - level, 20 - k)
     cells -= np.take(_DROP, first * 20 + last, axis=0, mode="clip")  # "0"s outside first..last
     cells += np.take(_POINT, k, axis=0)
+    slow = np.flatnonzero(slow)  # one index for the read and the write
     text = [repr(v) for v in x[slow].tolist()]
     cells[slow] = np.array(text, dtype=f"S{_CELL}").view(np.int64).reshape(-1, _CELL // 8)
     return cells.view(np.uint8)

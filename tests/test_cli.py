@@ -729,7 +729,7 @@ def test_transform_holds_one_block_of_rows_at_a_time(workdir, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 1000 * block  # bytes; the (n, 3) values alone take 1.2 MB
+    assert peak < 400 * block  # bytes; the (n, 3) values alone take 1.2 MB
 
 
 def test_program_to_a_pipe_writes_the_in_process_bytes(workdir, capsys):

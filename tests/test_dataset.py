@@ -720,3 +720,19 @@ def test_both_readers_hand_their_columns_to_the_dataset_without_a_copy(quote, mo
     assert not any(np.shares_memory(copy, column) for copy, column in zip(
         (again.firm_ids, again.values, again.group), columns))
     assert ds.n == (2 if mode == "drop_row" else 3)
+
+
+@pytest.mark.parametrize("special", [",", '"', "\r", "\n"], ids=["comma", "quote", "CR", "LF"])
+def test_csv_fields_quotes_the_one_field_that_needs_it(special):
+    plain = [f"f{i}" for i in range(6)]
+    texts = [*plain[:3], f"a{special}b", *plain[3:]]
+    expected = [*plain[:3], '"a' + special.replace('"', '""') + 'b"', *plain[3:]]
+    assert dataset._csv_fields(texts) == expected
+    assert dataset._csv_fields(np.array(texts, dtype=object)[1:]) == expected[1:]
+
+
+def test_csv_fields_hands_back_a_plain_block_itself():
+    plain = [f"f{i}" for i in range(6)] + ["", "a b", "x\ty", "é"]
+    assert dataset._csv_fields(plain) is plain
+    block = np.array(plain, dtype=object)[2:7]  # a slice, as transform writes its ids
+    assert dataset._csv_fields(block) is block

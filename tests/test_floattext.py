@@ -87,6 +87,30 @@ def test_rows_across_block_boundaries(width, monkeypatch):
         assert repr_rows(table, b",", b"\n") == expected
 
 
+def _significant_digits(text: str) -> int:
+    """Digits of a positional repr from its first nonzero digit to its last."""
+    return len(text.lstrip("-").replace(".", "").strip("0"))
+
+
+@pytest.mark.parametrize("block", [12, 97, 8192])
+def test_every_digit_count_in_shuffled_blocks_matches_repr(block, monkeypatch):
+    # m of d digits times 10**e is repr'd in at most d digits, so the digit loop narrows its
+    # candidates at every step and stops at each j from 1 to 16; shuffled, the candidates a
+    # step keeps are not next to each other
+    monkeypatch.setattr(_floattext, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    values = []
+    for d in range(1, 18):
+        for _ in range(120):
+            m = int(rng.integers(10 ** (d - 1), 10**d, dtype=np.int64))
+            e = int(rng.integers(-2 - d, 16 - d))  # 1e-3 <= |x| < 1e15 < 2**52
+            values.append(float(f"{'-' if rng.random() < 0.5 else ''}{m}e{e}"))
+    values = rng.permutation(values)
+    expected = [repr(v) for v in values.tolist()]
+    assert {_significant_digits(t) for t in expected} == set(range(1, 18))
+    assert _reprs(values) == expected
+
+
 _FALLBACK_AND_FAST = [
     0.0, -0.0, 5e-324, -2.5e-320, 1e-5, -9.999999999999999e-05, 0.5, -1024.0, 2.0**52,
     -1.5e300, math.inf, -math.inf, math.nan,  # each goes to repr
