@@ -29,38 +29,32 @@ from .errors import LengthMismatchError
 from .sbp import PartitionTree, validate_tree
 
 
-def _balance(logs: np.ndarray, index, num, den) -> np.ndarray:
-    """sqrt(r*s/(r+s)) * (mean of numerator logs - mean of denominator logs), per row.
+def _balance(logs: np.ndarray, lo: int, mid: int, hi: int) -> np.ndarray:
+    """sqrt(r*s/(r+s)) * (mean of numerator logs - mean of denominator logs), per firm.
 
-    ``logs`` is an (n, D) array of log parts; ``index`` maps a label to its
-    column.  Each mean adds its columns one at a time in group order,
-    starting from 0, like ratios.ratio_column: the one formula behind every
-    ilr coordinate in the package.  Swapping the groups negates the result
-    bit for bit.
+    ``logs`` is a (D, n) array of log parts, one row per leaf in leaf
+    order; rows ``lo:mid`` are the numerator and ``mid:hi`` the denominator.
+    Each mean adds its rows one at a time in leaf order, starting from 0,
+    like ratios.ratio_column: the one formula behind every ilr coordinate
+    in the package.  Swapping the groups negates the result bit for bit.
     """
-    r, s = len(num), len(den)
-    num_sum = sum(logs[:, index[label]] for label in num)
-    den_sum = sum(logs[:, index[label]] for label in den)
-    return math.sqrt(r * s / (r + s)) * (num_sum / r - den_sum / s)
+    r, s = mid - lo, hi - mid
+    return math.sqrt(r * s / (r + s)) * (sum(logs[lo:mid]) / r - sum(logs[mid:hi]) / s)
 
 
 def contrast_matrix(tree: PartitionTree) -> np.ndarray:
     """The read-only (D-1, D) orthonormal log-contrast matrix of a partition tree.
 
     Columns follow ``tree.leaf_labels``; rows sum to zero and ilr = V @ clr.
-    Row i carries +sqrt(s/(r(r+s))) for each numerator part and
-    -sqrt(r/(s(r+s))) for each denominator part of ``tree.splits[i]``,
-    zero elsewhere.
+    Row i of split ``(lo, mid, hi)`` carries +sqrt(s/(r(r+s))) in its r
+    numerator columns ``lo:mid``, -sqrt(r/(s(r+s))) in its s denominator
+    columns ``mid:hi`` and zero elsewhere.
     """
-    labels = tree.leaf_labels
-    index = {label: i for i, label in enumerate(labels)}
-    rows = np.zeros((len(tree.splits), len(labels)))
-    for i, (num, den) in enumerate(tree.splits):
-        r, s = len(num), len(den)
-        for label in num:
-            rows[i, index[label]] = math.sqrt(s / (r * (r + s)))
-        for label in den:
-            rows[i, index[label]] = -math.sqrt(r / (s * (r + s)))
+    rows = np.zeros((len(tree.splits), tree.dimension))
+    for i, (lo, mid, hi) in enumerate(tree.splits):
+        r, s = mid - lo, hi - mid
+        rows[i, lo:mid] = math.sqrt(s / (r * (r + s)))
+        rows[i, mid:hi] = -math.sqrt(r / (s * (r + s)))
     rows.setflags(write=False)
     return rows
 
@@ -87,18 +81,20 @@ def ilr_matrix(values: np.ndarray, labels, tree: PartitionTree) -> np.ndarray:
     Column i is the balance of ``tree.splits[i]``, summed by
     :func:`_balance` without a matrix product, whose kernel and so whose
     rounding would depend on the CPU.  The result is one C-order array,
-    filled a block of rows at a time, so no (n, D) log matrix or per-split
-    column exists whole; each row's coordinates depend on that row alone.
+    filled a block of rows at a time, each block's logs taken once and
+    gathered into leaf order, so no (n, D) log matrix or per-split column
+    exists whole; each row's coordinates depend on that row alone.
     """
     validate_tree(tree, labels)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(labels):
         raise LengthMismatchError(len(labels), values.shape)
     index = {label: j for j, label in enumerate(labels)}
+    columns = [index[label] for label in tree.leaf_labels]
     Y = np.empty((len(values), len(tree.splits)))
     step = _floattext.block_rows(len(tree.splits))  # the rows of one formatter pass
     for i in range(0, len(values), step):
-        logs = np.log(values[i : i + step])
-        for k, (num, den) in enumerate(tree.splits):
-            Y[i : i + step, k] = _balance(logs, index, num, den)
+        logs = np.log(values[i : i + step]).T[columns]  # (D, rows), one row per leaf
+        for k, (lo, mid, hi) in enumerate(tree.splits):
+            Y[i : i + step, k] = _balance(logs, lo, mid, hi)
     return Y

@@ -11,8 +11,8 @@ Whitespace between tokens is insignificant.  The left sub-expression of a
 node is the numerator, the right the denominator; swapping the two sides is
 how a permuted coordinate is expressed.  Coordinates are numbered by
 pre-order traversal, so the root split is coordinate 1.  A tree is stored
-as nothing but these splits, each its numerator and denominator leaves,
-which is what every balance reads.
+as its leaves in text order and, per split, where its numerator starts,
+its denominator starts and it ends: every group is a run of leaves.
 """
 
 from __future__ import annotations
@@ -36,26 +36,36 @@ _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 class PartitionTree:
     """A full sequential binary partition over D leaf labels.
 
-    ``splits`` are the D-1 internal nodes in pre-order, one per balance
-    coordinate, each a ``(numerator leaves, denominator leaves)`` pair of
-    label tuples.  ``leaf_labels`` are the root split's leaves, in
-    left-to-right order of appearance in the DSL text.  Leaves must pass
-    :func:`check_part_labels`, and splits that do not nest into one full
-    partition are a :class:`CodaError`.
+    ``leaf_labels`` are the leaves in DSL text order; they must pass
+    :func:`check_part_labels` and be DSL labels, so :func:`format_sbp`
+    round-trips.  ``splits`` are the D-1 internal nodes in pre-order, one
+    per coordinate, each an int triple ``(lo, mid, hi)`` dividing
+    ``leaf_labels[lo:hi]`` into the numerator ``[lo:mid]`` and the
+    denominator ``[mid:hi]``; splits that do not nest are a :class:`CodaError`.
     """
 
-    splits: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    leaf_labels: tuple[str, ...] = field(init=False)
+    leaf_labels: tuple[str, ...]
+    splits: tuple[tuple[int, int, int], ...]
     coordinate_names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        splits = tuple((tuple(num), tuple(den)) for num, den in self.splits)
-        leaves = splits[0][0] + splits[0][1] if splits else ()
+        leaves, splits = tuple(self.leaf_labels), tuple(map(tuple, self.splits))
         check_part_labels(leaves)
-        object.__setattr__(self, "splits", splits)
+        for label in leaves:
+            if not isinstance(label, str) or not _LABEL_RE.fullmatch(label):
+                raise CodaError(f"part label {label!r} cannot be written in the partition DSL")
+        if len(splits) != len(leaves) - 1:
+            raise CodaError(f"a tree of {len(leaves)} leaves has {len(leaves) - 1} splits, got {len(splits)}")
+        todo = [(0, len(leaves))]  # ranges of two or more leaves still to split, the next last
+        for split in splits:  # with D-1 splits each cutting the range due, no range is left uncut
+            lo, hi = todo.pop()
+            ints = len(split) == 3 and all(type(i) is int for i in split)
+            if not (ints and lo == split[0] < split[1] < split[2] == hi):
+                raise CodaError(f"expected a split ({lo}, mid, {hi}) of ints, {lo} < mid < {hi}, got {split}")
+            todo += [(a, b) for a, b in ((split[1], hi), (lo, split[1])) if b - a > 1]
         object.__setattr__(self, "leaf_labels", leaves)
+        object.__setattr__(self, "splits", splits)
         object.__setattr__(self, "coordinate_names", tuple(f"y{i + 1}" for i in range(len(splits))))
-        format_sbp(self)  # the nesting check: raises unless the splits form one partition
 
     @property
     def dimension(self) -> int:
@@ -69,52 +79,45 @@ def parse_sbp(text: str) -> PartitionTree:
     or, for a repeated leaf, :class:`DuplicateLabelError`.
     """
     _expect(text, 0, "(")  # the root is a split, not a lone label
-    splits, pos = [], 0
-    opened = []  # per open node: its index in splits, then its numerator's leaves once read
+    leaves, splits, pos = [], [], 0
+    opened = []  # per open node: [its index in splits, its first leaf, its cut once its numerator is read]
     while True:
         while (pos := _skip_ws(text, pos)) < len(text) and text[pos] == "(":
-            opened.append([len(splits), None])
+            opened.append([len(splits), len(leaves), None])
             splits.append(None)  # this split precedes those of its two sides
             pos += 1
         m = _LABEL_RE.match(text, pos)
         if m is None:
             raise SbpSyntaxError(_byte_offset(text, pos), "label or '('")
-        leaves, pos = (m.group(),), m.end()
-        while opened and opened[-1][1] is not None:  # a denominator read closes its node
-            i, num = opened.pop()
-            splits[i] = (num, leaves)
-            leaves, pos = num + leaves, _expect(text, pos, ")")
+        leaves.append(m.group())
+        pos = m.end()
+        while opened and opened[-1][2] is not None:  # a denominator read closes its node
+            i, lo, mid = opened.pop()
+            splits[i] = (lo, mid, len(leaves))
+            pos = _expect(text, pos, ")")
         if not opened:
             break
-        opened[-1][1] = leaves  # a numerator read: its denominator follows the '|'
+        opened[-1][2] = len(leaves)  # a numerator read: its denominator follows the '|'
         pos = _expect(text, pos, "|")
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise SbpSyntaxError(_byte_offset(text, pos), "end of input")
-    return PartitionTree(tuple(splits))
+    return PartitionTree(leaves, splits)
 
 
 def format_sbp(tree: PartitionTree) -> str:
     """Canonical text for a tree: no whitespace, parse/format round-trips.
 
-    Walks ``tree.splits`` in pre-order; raises :class:`CodaError` unless
-    each group of two or more leaves is split by the next split, into two
-    non-empty sides, and every split is used.
+    Before leaf j come a ')' for each split ending there, the '|' of the one
+    split cut there (none before the first leaf) and a '(' for each split
+    starting there; after the last leaf, a ')' for each split ending there.
     """
-    splits = iter(tree.splits)
-    text, todo = [], [tree.leaf_labels]  # leaf groups still to write, last first; a token is a one-leaf group
-    while todo:
-        leaves = todo.pop()
-        if len(leaves) == 1:
-            text.append(leaves[0])
-            continue
-        split = next(splits, None)
-        if split is None or not all(split) or split[0] + split[1] != leaves:
-            raise CodaError(f"splits do not nest into one partition: expected a split of {leaves}")
-        todo += ((")",), split[1], ("|",), split[0], ("(",))
-    if next(splits, None) is not None:
-        raise CodaError(f"splits do not nest into one partition: more than {tree.dimension - 1} splits")
-    return "".join(text)
+    opens = Counter(lo for lo, _, _ in tree.splits)
+    closes = Counter(hi for _, _, hi in tree.splits)
+    text = (
+        ")" * closes[j] + "|" * (j > 0) + "(" * opens[j] + label for j, label in enumerate(tree.leaf_labels)
+    )
+    return "".join(text) + ")" * closes[tree.dimension]
 
 
 def check_part_labels(labels) -> None:

@@ -32,6 +32,17 @@ def tree_text(sub) -> str:
     return sub if isinstance(sub, str) else f"({tree_text(sub[0])}|{tree_text(sub[1])})"
 
 
+def reference_splits(sub) -> list:
+    """Pre-order (numerator leaves, denominator leaves) label tuples of a nested-pairs tree."""
+
+    def leaves(s):
+        return (s,) if isinstance(s, str) else leaves(s[0]) + leaves(s[1])
+
+    if isinstance(sub, str):
+        return []
+    return [(leaves(sub[0]), leaves(sub[1]))] + reference_splits(sub[0]) + reference_splits(sub[1])
+
+
 def random_tree_text(rng: np.random.Generator, labels) -> str:
     """Random sequential binary partition over the given labels."""
     return tree_text(random_tree(rng, labels))

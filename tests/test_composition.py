@@ -22,7 +22,7 @@ from coda_ratios.errors import (
 )
 from coda_ratios.sbp import check_known
 
-from conftest import random_composition, random_tree_text
+from conftest import random_composition, random_tree, random_tree_text, reference_splits, tree_text
 
 LIABILITIES = ("TA", "NCL", "CL")
 
@@ -245,6 +245,28 @@ def test_ilr_matrix_route_agrees_with_balance_route():
         assert np.array_equal(ilr_matrix(X[:, order], shuffled, tree), Y)
         for i in range(len(X)):
             assert ilr_matrix(X[i : i + 1], labels[:size], tree)[0].tolist() == Y[i].tolist()
+
+
+def test_ilr_matrix_sums_each_group_left_to_right_from_zero():
+    # README Determinism: each mean adds its log columns one at a time in the
+    # tree's leaf order, starting from 0; the reference holds each group as
+    # its label tuple and the data columns in another order than the leaves
+    labels = [f"p{i:02d}" for i in range(48)]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, len(labels) + 1))
+        nested = random_tree(rng, labels[:size])
+        columns = [labels[j] for j in rng.permutation(size)]
+        X = random_composition(rng, columns, 17)
+        logs = dict(zip(columns, np.log(X).T))  # one contiguous log call, as ilr_matrix makes
+        expected = np.empty((len(X), size - 1))
+        for k, (num, den) in enumerate(reference_splits(nested)):
+            r, s = len(num), len(den)
+            num_sum = sum(logs[label] for label in num)
+            den_sum = sum(logs[label] for label in den)
+            expected[:, k] = math.sqrt(r * s / (r + s)) * (num_sum / r - den_sum / s)
+        Y = ilr_matrix(X, columns, parse_sbp(tree_text(nested)))
+        assert Y.tobytes() == expected.tobytes()
 
 
 def test_ilr_matrix_checks_labels_and_shape(liability_tree):

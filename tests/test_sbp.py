@@ -1,10 +1,13 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coda_ratios import PartitionTree, format_sbp, parse_sbp, validate_tree
 from coda_ratios.errors import CodaError, DuplicateLabelError, LabelMismatchError, SbpSyntaxError
 
-from conftest import random_tree, tree_text
+from conftest import random_tree, reference_splits, tree_text
 
 
 def test_two_part_tree():
@@ -12,7 +15,7 @@ def test_two_part_tree():
     assert tree.leaf_labels == ("A", "B")
     assert tree.dimension == 2
     assert tree.coordinate_names == ("y1",)
-    assert tree.splits == ((("A",), ("B",)),)
+    assert tree.splits == ((0, 1, 2),)
 
 
 def test_three_part_tree_preorder():
@@ -20,17 +23,13 @@ def test_three_part_tree_preorder():
     assert tree.leaf_labels == ("TA", "NCL", "CL")
     assert tree.coordinate_names == ("y1", "y2")
     # root balance first, nested balance second
-    assert tree.splits == ((("TA",), ("NCL", "CL")), (("NCL",), ("CL",)))
+    assert tree.splits == ((0, 1, 3), (1, 2, 3))
 
 
 def test_preorder_on_deeper_tree():
     tree = parse_sbp("(((A|B)|C)|(D|E))")
-    assert tree.splits == (
-        (("A", "B", "C"), ("D", "E")),
-        (("A", "B"), ("C",)),
-        (("A",), ("B",)),
-        (("D",), ("E",)),
-    )
+    assert tree.leaf_labels == ("A", "B", "C", "D", "E")
+    assert tree.splits == ((0, 3, 5), (0, 2, 3), (0, 1, 2), (3, 4, 5))
     assert len(tree.splits) == len(tree.leaf_labels) - 1
 
 
@@ -114,17 +113,6 @@ def test_trees_compare_by_their_splits():
     assert parse_sbp("(TA | (NCL|CL))") == a
 
 
-def _reference_splits(sub):
-    """Pre-order (numerator leaves, denominator leaves) of a nested-tuple tree."""
-
-    def leaves(s):
-        return (s,) if isinstance(s, str) else leaves(s[0]) + leaves(s[1])
-
-    if isinstance(sub, str):
-        return []
-    return [(leaves(sub[0]), leaves(sub[1]))] + _reference_splits(sub[0]) + _reference_splits(sub[1])
-
-
 def test_random_trees_round_trip():
     labels = [f"p{i}" for i in range(48)]
     for seed in range(100):
@@ -136,33 +124,81 @@ def test_random_trees_round_trip():
         assert format_sbp(tree) == text
         again = parse_sbp(format_sbp(tree))
         assert again == tree
-        assert tree.splits == tuple(_reference_splits(nested))
+        labels_of = [(tree.leaf_labels[lo:mid], tree.leaf_labels[mid:hi]) for lo, mid, hi in tree.splits]
+        assert labels_of == reference_splits(nested)
         assert len(tree.splits) == size - 1
         assert sorted(tree.leaf_labels) == sorted(labels[:size])
 
 
 def test_splits_built_directly_match_parsed_tree():
-    splits = ((("TA",), ("NCL", "CL")), (("NCL",), ("CL",)))
-    assert PartitionTree(splits) == parse_sbp("(TA|(NCL|CL))")
-    assert PartitionTree([[["TA"], ["NCL", "CL"]], [["NCL"], ["CL"]]]) == PartitionTree(splits)
+    tree = PartitionTree(("TA", "NCL", "CL"), ((0, 1, 3), (1, 2, 3)))
+    assert tree == parse_sbp("(TA|(NCL|CL))")
+    assert PartitionTree(["TA", "NCL", "CL"], [[0, 1, 3], [1, 2, 3]]) == tree
 
 
-A_BC = (("A",), ("B", "C"))
+ABC = ("A", "B", "C")
 
 
 @pytest.mark.parametrize(
-    "splits,message",
+    "leaves,splits,message",
     [
-        ((), "at least 2 parts, got 0"),  # no split at all
-        ((A_BC,), r"expected a split of \('B', 'C'\)"),  # (B, C) is never split
-        ((A_BC, (("C",), ("B",))), "expected a split of"),  # its sides out of order
-        ((A_BC, (("B",), ("C",)), (("B",), ("C",))), "more than 2 splits"),
-        (((("A", "B"), ("C",)), A_BC), "expected a split of"),  # reaches past its group
-        (((("A", "B"), ()), (("A",), ("B",))), "expected a split of"),  # an empty side
-        ((((), ("A", "B")), ((), ("A", "B"))), "expected a split of"),  # empty sides throughout
+        (ABC, (), "a tree of 3 leaves has 2 splits, got 0$"),  # no split at all
+        ((), (), "at least 2 parts, got 0"),  # no leaf either
+        (ABC, ((0, 1, 3),), "has 2 splits, got 1$"),  # (B, C) is never split
+        # its sides swapped
+        (ABC, ((0, 1, 3), (1, 3, 2)), r"expected a split \(1, mid, 3\) of ints, 1 < mid < 3, got \(1, 3, 2\)$"),
+        (ABC, ((0, 1, 3), (1, 2, 3), (1, 2, 3)), "has 2 splits, got 3$"),
+        (ABC, ((0, 2, 3), (0, 1, 3)), r"0 < mid < 2, got \(0, 1, 3\)"),  # reaches past its group
+        (("A", "B"), ((0, 2, 2),), r"0 < mid < 2, got \(0, 2, 2\)"),  # an empty side
+        (ABC, ((0, 0, 3), (0, 0, 3)), r"0 < mid < 3, got \(0, 0, 3\)"),  # empty sides throughout
+        (ABC, ((0, 1), (1, 2, 3)), r"got \(0, 1\)"),  # a pair, not a triple
+        (ABC, ((0, 1, 3, 3), (1, 2, 3)), r"got \(0, 1, 3, 3\)"),  # four entries
+        (ABC, ((0, 1.0, 3), (1, 2, 3)), r"got \(0, 1.0, 3\)"),  # a float cut
+        (ABC, ((0, "1", 3), (1, 2, 3)), r"got \(0, '1', 3\)"),  # a str cut
+        (ABC, ((0, 1, 3), (True, 2, 3)), r"got \(True, 2, 3\)"),  # a bool is not a leaf index
+        (ABC, ((0, 1, 3), (1, np.int64(2), 3)), "1 < mid < 3, got"),  # nor a numpy int
     ],
-    ids=["none", "missing", "reordered", "extra", "overreaching", "empty_side", "empty_chain"],
+    ids=[
+        "none",
+        "no_leaves",
+        "missing",
+        "reordered",
+        "extra",
+        "overreaching",
+        "empty_side",
+        "empty_chain",
+        "short_triple",
+        "long_triple",
+        "float_entry",
+        "str_entry",
+        "bool_entry",
+        "numpy_entry",
+    ],
 )
-def test_splits_that_do_not_nest_are_rejected(splits, message):
+def test_splits_that_do_not_nest_are_rejected(leaves, splits, message):
     with pytest.raises(CodaError, match=message):
-        PartitionTree(splits)
+        PartitionTree(leaves, splits)
+
+
+@pytest.mark.parametrize("label", ["a|b", " A", "B ", "9", "(", "é"])
+def test_leaves_the_dsl_cannot_write_are_rejected(label):
+    # each would format to text that fails to parse, or parses to another tree
+    with pytest.raises(CodaError, match=f"part label {re.escape(repr(label))} cannot be written"):
+        PartitionTree((label, "B2", "c"), ((0, 1, 3), (1, 2, 3)))
+
+
+def test_one_sided_tree_of_3000_parts_round_trips_in_linear_memory():
+    # (((p0|p1)|p2)|...|p2999): each split's numerator is every leaf before its cut
+    labels = [f"p{i}" for i in range(3000)]
+    text = "(" * 2999 + labels[0] + "".join(f"|{label})" for label in labels[1:])
+    tracemalloc.start()
+    try:
+        tree = parse_sbp(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.splits[:2] == ((0, 2999, 3000), (0, 2998, 2999))
+    assert format_sbp(tree) == text
+    # the leaves, D-1 int triples and D-1 coordinate names: about 0.8 MB, where
+    # splits holding their leaf labels held about D**2/2 of them, 37 MB
+    assert held < 2_000_000
