@@ -88,7 +88,7 @@ class TooFewObservationsError(CodaError):
 
 
 class ZeroVarianceError(CodaError):
-    """A sample's variance is zero, or too small for its higher moments."""
+    """A sample's variance is zero: its values are all equal."""
 
 
 class ZeroPooledVarianceError(CodaError):

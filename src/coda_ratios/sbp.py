@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -49,7 +50,10 @@ class PartitionTree:
     coordinate_names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        leaves, splits = tuple(self.leaf_labels), tuple(map(tuple, self.splits))
+        leaves = tuple(self.leaf_labels)
+        # a value that is not iterable, in place of the splits or of a split, fails as a split
+        splits = self.splits if isinstance(self.splits, Iterable) else (self.splits,)
+        splits = tuple(tuple(s) if isinstance(s, Iterable) else s for s in splits)
         check_part_labels(leaves)
         for label in leaves:
             if not isinstance(label, str) or not _LABEL_RE.fullmatch(label):
@@ -59,7 +63,7 @@ class PartitionTree:
         todo = [(0, len(leaves))]  # ranges of two or more leaves still to split, the next last
         for split in splits:  # with D-1 splits each cutting the range due, no range is left uncut
             lo, hi = todo.pop()
-            ints = len(split) == 3 and all(type(i) is int for i in split)
+            ints = isinstance(split, tuple) and len(split) == 3 and all(type(i) is int for i in split)
             if not (ints and lo == split[0] < split[1] < split[2] == hi):
                 raise CodaError(f"expected a split ({lo}, mid, {hi}) of ints, {lo} < mid < {hi}, got {split}")
             todo += [(a, b) for a, b in ((split[1], hi), (lo, split[1])) if b - a > 1]

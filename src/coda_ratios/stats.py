@@ -10,7 +10,14 @@ Estimator conventions (the ones mainstream statistical packages print):
   two-sided p, and R^2 = t^2/(t^2 + df), the explained variance of the
   one-dummy regression.
 
-Central moments m_k use the 1/n denominator; sd uses n-1.
+Central moments m_k use the 1/n denominator; sd uses n-1.  describe and the
+t-test scale their data (both groups by one e) by 2**-e, e = math.frexp(largest
+magnitude)[1], and scale the mean, sd and group means back.  A power of two
+scales exactly, and no moment leaves the float range: against 60-digit mpmath
+the mean, sd and group means are within 1e-15 of the largest magnitude |x|max,
+skewness, kurtosis, t and R^2 within 1e-14 * max(|v|, 1) * |x|max / sd (the
+pooled sd for t and R^2).  So a spread tiny next to its offset still loses
+digits in the rounded mean: 1e-11 around 50 puts skewness off by 6.5e-3.
 """
 
 from __future__ import annotations
@@ -89,30 +96,22 @@ def describe(data) -> DescriptiveStats:
         raise TooFewObservationsError(4, n, "describe")
     if _is_constant(a):
         raise ZeroVarianceError("data has zero variance")
+    e = math.frexp(max(a.max(), -a.min()))[1]
+    a = np.ldexp(a, -e)
     mean = a.mean()
     # explicit products, not dev**k: numpy's vectorized pow is not
     # sign-symmetric at the last ulp, and skewness must flip its sign
     # bit-exactly when the data are negated
-    dev = a - mean
+    dev = np.subtract(a, mean, out=a)  # in place: the scaled copy is this call's own
     dev2 = dev * dev
     ss = float(dev2.sum())
     m2 = ss / n
-    if m2 == 0.0:
-        raise ZeroVarianceError("data has zero variance")
-    if m2 * m2 == 0.0:  # G1 and G2 would divide by m2**1.5 and m2**2
-        raise ZeroVarianceError("data has a variance too small to compute higher moments")
     m3 = float((dev2 * dev).mean())
     m4 = float((dev2 * dev2).mean())
-    # numpy powers: past the float range they give inf, where float ** raises OverflowError
-    g1 = math.sqrt(n * (n - 1)) / (n - 2) * m3 / np.float64(m2) ** 1.5
-    g2 = ((n + 1) * (m4 / np.float64(m2) ** 2 - 3.0) + 6.0) * (n - 1) / ((n - 2) * (n - 3))
-    return DescriptiveStats(
-        n=n,
-        mean=float(mean),
-        sd=math.sqrt(ss / (n - 1)),
-        skewness=float(g1),
-        excess_kurtosis=float(g2),
-    )
+    g1 = math.sqrt(n * (n - 1)) / (n - 2) * m3 / m2**1.5
+    g2 = ((n + 1) * (m4 / m2**2 - 3.0) + 6.0) * (n - 1) / ((n - 2) * (n - 3))
+    sd = float(np.ldexp(math.sqrt(ss / (n - 1)), e))  # past the float range: inf, not OverflowError
+    return DescriptiveStats(n, math.ldexp(float(mean), e), sd, g1, g2)
 
 
 def box_summary(data) -> BoxSummary:
@@ -168,18 +167,19 @@ def two_sample_t_equal_var(a, b) -> GroupComparison:
     the share of variance a one-dummy regression on group membership
     explains.
     """
-    xa = _as_array(a)
-    xb = _as_array(b)
+    xa, xb = _as_array(a), _as_array(b)
     na, nb = xa.size, xb.size
     if na < 2 or nb < 2:
         raise TooFewObservationsError(2, min(na, nb), "each group of the t-test")
+    e = math.frexp(max(xa.max(), -xa.min(), xb.max(), -xb.min()))[1]  # one scale for both groups
+    xa, xb = np.ldexp(xa, -e), np.ldexp(xb, -e)
     df = na + nb - 2
     pooled = ((na - 1) * xa.var(ddof=1) + (nb - 1) * xb.var(ddof=1)) / df
     if pooled == 0.0 or (_is_constant(xa) and _is_constant(xb)):
         raise ZeroPooledVarianceError()
-    mean_a = float(xa.mean())
-    mean_b = float(xb.mean())
+    mean_a, mean_b = float(xa.mean()), float(xb.mean())
     t = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
     p = student_t_two_sided_p(t, df)
     r2 = t * t / (t * t + df)
-    return GroupComparison(t=t, df=df, p=p, r_squared=r2, group_means=(mean_a, mean_b))
+    means = (math.ldexp(mean_a, e), math.ldexp(mean_b, e))
+    return GroupComparison(t=t, df=df, p=p, r_squared=r2, group_means=means)

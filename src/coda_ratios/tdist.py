@@ -84,6 +84,8 @@ def student_t_two_sided_p(t: float, df: int) -> float:
         df_value = math.nan
     if not (math.isfinite(df_value) and df_value.is_integer() and df_value >= 1):
         raise CodaError(f"degrees of freedom must be a positive integer, got {df!r}")
+    if math.isnan(t):
+        raise CodaError(f"t must be a number, got {t!r}")
     df = int(df_value)
     if t == 0.0:
         return 1.0

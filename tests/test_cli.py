@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ import pytest
 from coda_ratios import _floattext, cli
 from coda_ratios.cli import main
 from coda_ratios.dataset import FirmDataset
+
+from conftest import assert_stated_bound
 
 CONFIG_TEXT = """\
 [analysis]
@@ -221,9 +224,6 @@ def test_ambiguous_ratio_config_exits_1(workdir, command, ratios, message):
     "parts,variable",
     [
         ("1,1e308,1.5e308", "r1p"),  # NCL + CL overflows, so r1p = inf
-        ("1e200,1,1", "r1"),  # r1 is finite but its moments overflow
-        ("1e308,1e-300,1", "r1"),
-        ("1,1,1.3e103", "r1p"),  # m2 is finite, m2**1.5 is not
     ],
 )
 @pytest.mark.filterwarnings("error")  # the error line is all that reaches stderr
@@ -245,21 +245,36 @@ def test_analyze_overflowing_statistic_exits_1(workdir, capsys, parts, variable)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        # unscaled, r1's squared deviations, or r1p's m2**1.5, would pass 1.8e308
+        CSV_TEXT + "f7,1e200,1,1,yes\n",
+        CSV_TEXT + "f7,1e308,1e-300,1,yes\n",
+        CSV_TEXT + "f7,1,1,1.3e103,yes\n",
+        # unscaled, r1's m2**2 would underflow to 0 and r1p's squared deviations overflow
+        "firm_id,TA,NCL,CL,brand\n"
+        + "".join(f"f{k},{k}e-160,1,1,{brand}\n" for k, brand in zip((1, 2, 3, 5, 8, 13), ["yes", "no"] * 3)),
+    ],
+    ids=["1e200,1,1", "1e308,1e-300,1", "1,1,1.3e103", "1e-160"],
+)
 @pytest.mark.filterwarnings("error")
-def test_analyze_underflowing_variance_exits_1(workdir, capsys):
-    # r1 = TA/2 has too small a variance for its moments (a stats note);
-    # its twin r1p = 2/TA overflows them, which is the run's error
-    rows = "".join(
-        f"f{k},{k}e-160,1,1,{brand}\n" for k, brand in zip((1, 2, 3, 5, 8, 13), ["yes", "no"] * 3)
-    )
-    (workdir / "tiny.csv").write_text("firm_id,TA,NCL,CL,brand\n" + rows, encoding="utf-8")
+def test_analyze_reports_moments_of_values_near_the_float_range_ends(workdir, data):
+    (workdir / "far.csv").write_text(data, encoding="utf-8")
+    out = workdir / "report.json"
     code = main(
-        ["analyze", "--data", str(workdir / "tiny.csv"), "--config", str(workdir / "analysis.ini")]
+        ["analyze", "--data", str(workdir / "far.csv"), "--config", str(workdir / "analysis.ini"), "--out", str(out)]
     )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: variable 'r1p' has a statistic that is not finite")
-    assert err.count("\n") == 1
+    assert code == 0
+    variables = {v["name"]: v for v in json.loads(out.read_text(encoding="utf-8"))["variables"]}
+    firms = [line.split(",") for line in data.splitlines()[1:]]
+    yes = [brand == "yes" for *_, brand in firms]
+    r1 = [float(ta) / (float(ncl) + float(cl)) for _, ta, ncl, cl, _ in firms]
+    r1p = [(float(ncl) + float(cl)) / float(ta) for _, ta, ncl, cl, _ in firms]
+    for name, values in (("r1", r1), ("r1p", r1p)):
+        entry = variables[name]
+        stats, comparison = SimpleNamespace(**entry["stats"]), SimpleNamespace(**entry["comparison"])
+        assert_stated_bound(values, stats, comparison, yes)
 
 
 @pytest.mark.filterwarnings("error")  # the error line is all that reaches stderr

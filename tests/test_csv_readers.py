@@ -143,7 +143,7 @@ def data_file(tmp_path_factory):
     return tmp_path_factory.mktemp("agree") / "firms.csv"
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(
     text=csv_texts(),
     newline=st.sampled_from(["", "\n"]),
@@ -325,7 +325,7 @@ magnitudes = st.floats(min_value=1e-3, max_value=1e6)
 ID_ALPHABET = 'ab1 ,"\r\n\té' + ("\x00" if sys.version_info >= (3, 11) else "")
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(
     rows=st.lists(
         st.tuples(

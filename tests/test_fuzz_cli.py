@@ -59,7 +59,7 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(
     command=st.sampled_from(["analyze", "transform", "validate"]),
     mode=st.sampled_from(["reject", "drop_row", "replace"]),

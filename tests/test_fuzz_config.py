@@ -111,7 +111,7 @@ FAULTS = [
 ]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(
     command=st.sampled_from(["analyze", "transform", "validate"]),
     tree=trees,

@@ -157,6 +157,8 @@ ABC = ("A", "B", "C")
         (ABC, ((0, "1", 3), (1, 2, 3)), r"got \(0, '1', 3\)"),  # a str cut
         (ABC, ((0, 1, 3), (True, 2, 3)), r"got \(True, 2, 3\)"),  # a bool is not a leaf index
         (ABC, ((0, 1, 3), (1, np.int64(2), 3)), "1 < mid < 3, got"),  # nor a numpy int
+        (("A", "B"), (5,), r"0 < mid < 2, got 5$"),  # a split that is no sequence
+        (("A", "B"), 5, r"0 < mid < 2, got 5$"),  # splits that are no sequence
     ],
     ids=[
         "none",
@@ -173,6 +175,8 @@ ABC = ("A", "B", "C")
         "str_entry",
         "bool_entry",
         "numpy_entry",
+        "int_split",
+        "int_splits",
     ],
 )
 def test_splits_that_do_not_nest_are_rejected(leaves, splits, message):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coda_ratios import box_summary, describe, two_sample_t_equal_var
 from coda_ratios.errors import (
@@ -10,6 +12,8 @@ from coda_ratios.errors import (
     ZeroPooledVarianceError,
     ZeroVarianceError,
 )
+
+from conftest import assert_stated_bound
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +151,51 @@ def test_describe_errors():
         describe([1, 2, 3])
     with pytest.raises(ZeroVarianceError):
         describe([2, 2, 2, 2])
-    # the values differ, so the sample is not constant, but each squared
-    # deviation (about 1e-400) underflows to 0, and so does their sum
-    with pytest.raises(ZeroVarianceError, match="^data has zero variance$"):
-        describe([1e-200, 2e-200, 3e-200, 4e-200])
 
 
-@pytest.mark.parametrize("moment", [describe])
-def test_underflowing_variance_raises(moment):
-    # m2 is about 2e-320, so m2**1.5 and m2**2 underflow to 0.0
-    with pytest.raises(ZeroVarianceError, match="too small to compute higher moments"):
-        moment([k * 1e-160 for k in (1, 2, 3, 5, 8, 13)])
+def test_describe_sd_past_the_float_range_is_inf():
+    # the scaled moments are all finite; only the sd, scaled back, is not
+    with np.errstate(over="ignore"):
+        stats = describe([-1.7e308, 1.7e308, -1.7e308, 1.7e308])
+    assert (stats.mean, stats.sd, stats.skewness, stats.excess_kurtosis) == (0.0, math.inf, 0.0, -6.0)
+
+
+@st.composite
+def scaled_samples(draw):
+    """4 to 12 values with ties and both signs, lognormal around a power of ten from 1e-300 to
+    1e300, and where they are cut into two groups of 2 or more."""
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    pool = draw(st.lists(st.tuples(st.booleans(), st.floats(-5.0, 5.0)), min_size=2, max_size=12))
+    values = [(-1) ** negative * math.exp(z) * scale for negative, z in pool]
+    x = draw(st.lists(st.sampled_from(values), min_size=4, max_size=12))
+    return x, draw(st.integers(2, len(x) - 2))
+
+
+@given(scaled_samples())
+# unscaled, the squared deviations of the first, and m2**2 of the second, underflow to 0
+@example(([1e-200, 2e-200, 3e-200, 4e-200], 2))
+@example(([k * 1e-160 for k in (1, 2, 3, 5, 8, 13)], 3))
+@example(([1e300, -1e300, 1e300, 2e300], 2))
+@settings(max_examples=300)
+def test_statistics_match_mpmath_over_the_float_range(sample):
+    x, cut = np.array(sample[0]), sample[1]
+    if np.all(x == x[0]):
+        with pytest.raises(ZeroVarianceError, match="^data has zero variance$"):
+            describe(x)
+        return
+    stats = describe(x)
+    mirrored = describe(-x)
+    assert (mirrored.mean, mirrored.skewness) == (-stats.mean, -stats.skewness)
+    assert (mirrored.n, mirrored.sd, mirrored.excess_kurtosis) == (stats.n, stats.sd, stats.excess_kurtosis)
+    group = np.arange(x.size) < cut
+    a, b = x[group], x[~group]
+    if np.all(a == a[0]) and np.all(b == b[0]):
+        with pytest.raises(ZeroPooledVarianceError):
+            two_sample_t_equal_var(a, b)
+        comparison = None
+    else:
+        comparison = two_sample_t_equal_var(a, b)
+    assert_stated_bound(x, stats, comparison, group)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coda_ratios import two_sample_t_equal_var
 from coda_ratios.errors import CodaError
 from coda_ratios.tdist import regularized_incomplete_beta, student_t_two_sided_p
 
@@ -115,6 +116,14 @@ def test_p_decreases_as_t_grows(df):
 def test_invalid_df_rejected(df):
     with pytest.raises(CodaError, match="^degrees of freedom must be a positive integer, got "):
         student_t_two_sided_p(1.0, df)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the variance
+def test_nan_t_rejected():
+    with pytest.raises(CodaError, match="^t must be a number, got nan$"):
+        student_t_two_sided_p(float("nan"), 5)
+    with pytest.raises(CodaError, match="^t must be a number, got nan$"):
+        two_sample_t_equal_var([1, 2, np.inf], [1, 2, 3])
 
 
 def test_integer_like_df_accepted():
