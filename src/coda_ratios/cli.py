@@ -81,11 +81,15 @@ def _timestamp_for(data_path: str) -> str:
 def _cmd_analyze(args) -> int:
     # the analysis modules load here, so the other commands never import them
     from .boxplot_svg import emit_boxplot_svg
-    from .report import emit_report, run_analysis
+    from .report import _analyze, _group_rows, emit_report
 
     config = load_config(args.config)
-    # the dataset goes straight in, so no per-firm data outlives the statistics
-    report = run_analysis(load_dataset_csv(args.data, config), config, _timestamp_for(args.data))
+    ds = load_dataset_csv(args.data, config)
+    timestamp = _timestamp_for(args.data)
+    columns = ds.values, ds.part_labels, _group_rows(ds, config)  # all the statistics read
+    del ds  # frees every firm id and group cell: a del in the callee would not, before 3.11
+    report = _analyze(*columns, config, timestamp)
+    del columns  # nor are the values held while the outputs are built
     # both outputs are built before either file is opened, so an error writes neither
     text = emit_report(report, "csv" if args.out and args.out.endswith(".csv") else "json")
     svg = emit_boxplot_svg([(v.name, v.box) for v in report.variables]) if args.svg else None

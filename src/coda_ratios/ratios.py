@@ -49,9 +49,11 @@ def ratio_column(values: np.ndarray, labels, spec: RatioSpec) -> np.ndarray:
     check_part_labels(labels)
     check_known(spec.numerator + spec.denominator, labels)
     index = {label: j for j, label in enumerate(labels)}
-    num = sum(values[:, index[label]] for label in spec.numerator)
-    den = sum(values[:, index[label]] for label in spec.denominator)
-    return num / den
+    num, den = (0 + values[:, index[group[0]]] for group in (spec.numerator, spec.denominator))
+    for total, group in ((num, spec.numerator), (den, spec.denominator)):
+        for label in group[1:]:
+            total += values[:, index[label]]  # in place: each sum is a new array of this call's
+    return np.divide(num, den, out=num) if num.dtype.kind == "f" else num / den
 
 
 def invert_spec(spec: RatioSpec) -> RatioSpec:

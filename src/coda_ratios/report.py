@@ -98,8 +98,6 @@ def _require_finite(name: str, numbers) -> None:
         )
 
 
-# overflow is reported by _require_finite as an error, not as a warning
-@np.errstate(over="ignore", invalid="ignore")
 def run_analysis(
     ds: FirmDataset, config: AnalysisConfig, timestamp: str | None = None
 ) -> AnalysisReport:
@@ -108,12 +106,19 @@ def run_analysis(
     ``timestamp`` is echoed into the report metadata verbatim; pass None
     for a timestamp-free (fully input-determined) report.
     """
-    Y = ilr_matrix(ds.values, ds.part_labels, config.tree)
+    return _analyze(ds.values, ds.part_labels, _group_rows(ds, config), config, timestamp)
 
-    # groups fixed once, low value first, as row indices: same order as the mask, but faster
-    groups = None
-    if config.group_variable is not None:
-        groups = [(g, np.flatnonzero(mask)) for g, mask in two_groups(ds)]
+
+def _group_rows(ds: FirmDataset, config: AnalysisConfig):
+    """None, or the two groups of ``ds``, low value first, as (value, row indices): faster than masks."""
+    return None if config.group_variable is None else [(g, np.flatnonzero(m)) for g, m in two_groups(ds)]
+
+
+# overflow is reported by _require_finite as an error, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
+def _analyze(values, part_labels, groups, config: AnalysisConfig, timestamp) -> AnalysisReport:
+    """run_analysis on the dataset columns it reads, ``groups`` from _group_rows: no firm id."""
+    Y = ilr_matrix(values, part_labels, config.tree)
 
     # one (kind, values) per name of config.variable_names, in the same order, each
     # made when its turn comes; the report keeps its statistics, not the column
@@ -125,22 +130,22 @@ def run_analysis(
             yield "balance_permuted", -y
         for spec in config.standard_ratios:
             for s, kind in ((spec, "ratio"), (invert_spec(spec), "ratio_permuted")):
-                yield kind, ratio_column(ds.values, ds.part_labels, s)
+                yield kind, ratio_column(values, part_labels, s)
 
     variables = []
-    for name, (kind, values) in zip(config.variable_names, columns(), strict=True):
-        _require_finite(name, values)  # and so every outlier, an element of values
+    for name, (kind, column) in zip(config.variable_names, columns(), strict=True):
+        _require_finite(name, column)  # and so every outlier, an element of the column
         try:
-            stats, stats_note = describe(values), None
+            stats, stats_note = describe(column), None
         except (TooFewObservationsError, ZeroVarianceError) as exc:
             stats, stats_note = None, str(exc)
-        box = box_summary(values)
+        box = box_summary(column)
         _require_finite(name, _numbers(stats) + _numbers(box))
         comparison = comparison_note = None
         if groups is not None:
             (_, low), (_, high) = groups
             try:
-                comparison = two_sample_t_equal_var(values[high], values[low])
+                comparison = two_sample_t_equal_var(column[high], column[low])
             except (TooFewObservationsError, ZeroPooledVarianceError) as exc:
                 comparison_note = str(exc)
             _require_finite(name, _numbers(comparison))
@@ -148,7 +153,7 @@ def run_analysis(
 
     return AnalysisReport(
         variables=tuple(variables),
-        n=ds.n,
+        n=len(values),
         config_echo=_config_echo(config),
         timestamp=timestamp,
         group_variable=config.group_variable,
@@ -174,12 +179,28 @@ def _fields(o):
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _json_list(values: np.ndarray) -> str:
-    """``values`` as json.dumps(indent=2, allow_nan=False) writes a list that is a box field."""
+def _json_lists(boxes):
+    """Each box's outliers, then its extreme outliers, as bytes pieces of the list json.dumps(indent=2,
+    allow_nan=False) writes, from one repr_rows pass.  A box_summary's extreme outliers are a prefix
+    and a suffix of its outliers, so their lines are cut from those; a hand-built box's may not be."""
+    arrays, spans = [], []  # the values to format; per list, the (start, stop) line ranges it is cut from
+    for box in boxes:
+        at, o, x = sum(map(len, arrays)), box.outliers, box.extreme_outliers
+        low = int(np.argmin(np.append(x[: len(o)] == o[: len(x)], False)))  # the common prefix
+        cut = ((0, low), (len(o) - len(x) + low, len(o)))
+        spans.append([(at, at + len(o))])
+        if np.concatenate([o[i:j] for i, j in cut]).tobytes() != x.tobytes():
+            o, cut = np.concatenate((o, x)), ((len(o), len(o) + len(x)),)
+        arrays.append(o)
+        spans.append([(at + i, at + j) for i, j in cut])
+    values = np.concatenate([np.empty(0), *arrays])
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    items = repr_rows(values[:, None], b" " * 10, b",\n")[:-2]
-    return f"[\n{items}\n        ]" if values.size else "[]"
+    text = memoryview(repr_rows(values[:, None], b" " * 10, b",\n").encode())
+    line = np.concatenate(([0], np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1))
+    for ranges in spans:
+        items = [text[line[i] : line[j]] for i, j in ranges if i < j]
+        yield [b"[\n", *items[:-1], items[-1][:-2], b"\n        ]"] if items else [b"[]"]
 
 
 # each CSV statistic column -> the (record, field) of the VariableReport it is read from
@@ -225,13 +246,11 @@ def emit_report(report: AnalysisReport, format: str = "json") -> bytes:
             },
             "variables": report.variables,
         }
-        lists = [x for v in report.variables for x in (v.box.outliers, v.box.extreme_outliers)]
         pieces = json.dumps(doc, indent=2, allow_nan=False, default=_fields).split(_ANCHOR)
-        assert len(pieces) == len(lists) + 1  # two holes per variable
-        out = [pieces[0]]
-        for values, piece in zip(lists, pieces[1:]):
-            out += ('outliers": ', _json_list(values), piece)
-        return ("".join(out) + "\n").encode("utf-8")
+        out = [pieces[0].encode("utf-8")]
+        for items, piece in zip(_json_lists([v.box for v in report.variables]), pieces[1:], strict=True):
+            out += (b'outliers": ', *items, piece.encode("utf-8"))
+        return b"".join(out + [b"\n"])
     if format == "csv":
         rows = [CSV_COLUMNS]
         for v in report.variables:

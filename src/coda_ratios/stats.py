@@ -12,12 +12,13 @@ Estimator conventions (the ones mainstream statistical packages print):
 
 Central moments m_k use the 1/n denominator; sd uses n-1.  describe and the
 t-test scale their data (both groups by one e) by 2**-e, e = math.frexp(largest
-magnitude)[1], and scale the mean, sd and group means back.  A power of two
-scales exactly, and no moment leaves the float range: against 60-digit mpmath
-the mean, sd and group means are within 1e-15 of the largest magnitude |x|max,
-skewness, kurtosis, t and R^2 within 1e-14 * max(|v|, 1) * |x|max / sd (the
-pooled sd for t and R^2).  So a spread tiny next to its offset still loses
-digits in the rounded mean: 1e-11 around 50 puts skewness off by 6.5e-3.
+magnitude)[1], and scale the mean, sd and group means back; the t-test scales
+its deviations again, by the largest.  A power of two scales exactly, and no
+moment leaves the float range: against 60-digit mpmath the mean, sd and group
+means are within 1e-15 of the largest magnitude |x|max, skewness, kurtosis, t
+and R^2 within 1e-14 * max(|v|, 1) * |x|max / sd (the pooled sd for t and
+R^2).  So a spread tiny next to its offset still loses digits in the rounded
+mean: 1e-11 around 50 puts skewness off by 6.5e-3.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def describe(data) -> DescriptiveStats:
     dev2 = dev * dev
     ss = float(dev2.sum())
     m2 = ss / n
-    m3 = float((dev2 * dev).mean())
-    m4 = float((dev2 * dev2).mean())
+    m3 = float(np.multiply(dev2, dev, out=dev).mean())  # dev is not read again
+    m4 = float(np.multiply(dev2, dev2, out=dev2).mean())
     g1 = math.sqrt(n * (n - 1)) / (n - 2) * m3 / m2**1.5
     g2 = ((n + 1) * (m4 / m2**2 - 3.0) + 6.0) * (n - 1) / ((n - 2) * (n - 3))
     sd = float(np.ldexp(math.sqrt(ss / (n - 1)), e))  # past the float range: inf, not OverflowError
@@ -173,13 +174,17 @@ def two_sample_t_equal_var(a, b) -> GroupComparison:
         raise TooFewObservationsError(2, min(na, nb), "each group of the t-test")
     e = math.frexp(max(xa.max(), -xa.min(), xb.max(), -xb.min()))[1]  # one scale for both groups
     xa, xb = np.ldexp(xa, -e), np.ldexp(xb, -e)
-    df = na + nb - 2
-    pooled = ((na - 1) * xa.var(ddof=1) + (nb - 1) * xb.var(ddof=1)) / df
-    if pooled == 0.0 or (_is_constant(xa) and _is_constant(xb)):
+    if _is_constant(xa) and _is_constant(xb):
         raise ZeroPooledVarianceError()
     mean_a, mean_b = float(xa.mean()), float(xb.mean())
-    t = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
+    # deviations by 2**-s, in place, the largest into [0.5, 1): no pooled variance underflows to 0
+    dev_a, dev_b = np.subtract(xa, mean_a, out=xa), np.subtract(xb, mean_b, out=xb)
+    s = math.frexp(max(dev_a.max(), -dev_a.min(), dev_b.max(), -dev_b.min()))[1]
+    var_a, var_b = (np.square(np.ldexp(d, -s, out=d), out=d).sum() / (len(d) - 1) for d in (dev_a, dev_b))
+    df = na + nb - 2
+    pooled = ((na - 1) * var_a + (nb - 1) * var_b) / df
+    t = float(np.ldexp(mean_a - mean_b, -s)) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
     p = student_t_two_sided_p(t, df)
-    r2 = t * t / (t * t + df)
+    r2 = 1.0 if abs(t) > 2.0**500 else t * t / (t * t + df)  # as t * t + df rounds to t * t, or is inf
     means = (math.ldexp(mean_a, e), math.ldexp(mean_b, e))
     return GroupComparison(t=t, df=df, p=p, r_squared=r2, group_means=means)

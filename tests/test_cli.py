@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -745,6 +746,30 @@ def test_transform_holds_one_block_of_rows_at_a_time(workdir, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peak < 400 * block  # bytes; the (n, 3) values alone take 1.2 MB
+
+
+def test_analyze_lets_the_dataset_go_before_the_statistics(workdir, monkeypatch, capsys):
+    # no statistic reads a firm id or group cell, so none is held while they run: on every
+    # Python, also where a call's arguments stay referenced from the caller's frame (3.10)
+    from coda_ratios import report
+
+    load, describe = cli.load_dataset_csv, report.describe
+    held, alive = [], []
+
+    def loading(path, config):
+        ds = load(path, config)
+        held.extend(weakref.ref(x) for x in (ds, ds.firm_ids, ds.group))
+        return ds
+
+    def describing(values):
+        alive.append([ref() is not None for ref in held])
+        return describe(values)
+
+    monkeypatch.setattr(cli, "load_dataset_csv", loading)
+    monkeypatch.setattr(report, "describe", describing)
+    assert main(["analyze", *_args(workdir)]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["n"] == 6
+    assert alive[0] == [False, False, False]
 
 
 def test_program_to_a_pipe_writes_the_in_process_bytes(workdir, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ def test_ratio_column_sums_groups():
     spec = RatioSpec(name="r1", numerator=("TA",), denominator=("NCL", "CL"))
     values = np.array([[100.0, 20.0, 30.0], [90.0, 5.0, 40.0]])
     assert ratio_column(values, ("TA", "NCL", "CL"), spec).tolist() == [2.0, 2.0]
+
+
+def test_ratio_column_holds_two_columns_of_its_own():
+    # each sum is one new column, added to and then divided in place; the caller's array is
+    # left as it was, and an integer one still gives the float quotient
+    values = np.random.default_rng(4).uniform(1.0, 2.0, size=(50_000, 4))
+    before = values.copy()
+    spec = RatioSpec(name="r", numerator=("a", "b"), denominator=("c", "d"))
+    ratio_column(values, tuple("abcd"), spec)  # first-call costs are not the call's
+    tracemalloc.start()
+    try:
+        ratio_column(values, tuple("abcd"), spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(values) * 8
+    assert np.array_equal(values, before)
+    assert ratio_column(np.array([[3, 1, 2, 2]]), tuple("abcd"), spec).tolist() == [1.0]
 
 
 def test_ratio_column_rejects_unknown_label():

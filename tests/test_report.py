@@ -441,6 +441,26 @@ def test_spliced_json_equals_json_dumps_of_the_whole_document():
     assert b"-0.0" in emitted and b"5e-324" in emitted and b"1e-310" in emitted
 
 
+def test_json_of_hand_built_extreme_outliers_that_are_not_cut_from_the_outliers():
+    # a box_summary's extreme outliers are a prefix and a suffix of its outliers, whose text
+    # they are cut from; one built by hand need not be, nor its lists sorted
+    def box(outliers, extreme, q1=2.0):
+        outliers, extreme = np.array(outliers), np.array(extreme)
+        return BoxSummary(q1, 2.5, 3.0, 1.0, (0.5, 4.5), (-1.0, 6.0), (1.0, 4.0), outliers, extreme)
+
+    boxes = [
+        box([-5.0, 1.5, 9.0], [1.5]),  # from the middle
+        box([0.0, 9.0], [-0.0]),  # equal as numbers, written apart
+        box([9.0], [-5.0, 9.0, 12.0]),  # longer than the outliers
+        box([-5.0, 9.0], [-5.0, 9.0], q1=None),  # no field but the two lists is read
+        box([9.0, -5.0, 7.0], [9.0, 7.0]),  # not ascending
+        box([], []),
+    ]
+    variables = tuple(VariableReport(f"v{i}", "ratio", None, None, b, None, None) for i, b in enumerate(boxes))
+    report = AnalysisReport(variables, 3, {}, None, None, None)
+    assert emit_report(report, "json") == _dumped_whole(report)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_spliced_json_of_a_random_analysis(seed):
     ds = random_dataset(seed, n=200)

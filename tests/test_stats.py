@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,24 @@ def test_describe_errors():
         describe([2, 2, 2, 2])
 
 
+def _peak_bytes(call) -> int:
+    """The most that ``call()`` holds at once past what it was given, by tracemalloc."""
+    call()  # first-call costs are not the call's
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_describe_holds_two_columns_of_its_own():
+    # the scaled copy, turned into the deviations, and their squares: the third and fourth
+    # powers are formed in those two
+    x = np.random.default_rng(3).lognormal(size=50_000)
+    assert _peak_bytes(lambda: describe(x)) < 2.5 * x.nbytes
+
+
 def test_describe_sd_past_the_float_range_is_inf():
     # the scaled moments are all finite; only the sd, scaled back, is not
     with np.errstate(over="ignore"):
@@ -176,6 +195,9 @@ def scaled_samples(draw):
 @example(([1e-200, 2e-200, 3e-200, 4e-200], 2))
 @example(([k * 1e-160 for k in (1, 2, 3, 5, 8, 13)], 3))
 @example(([1e300, -1e300, 1e300, 2e300], 2))
+# a varying group whose variance, unscaled, underflows to 0 beside a constant one
+@example(([0.0, 3.9e-177, 1.0, 1.0], 2))
+@example(([0.0, 1e-170, 2e-170, 1.0, 1.0, 1.0], 3))
 @settings(max_examples=300)
 def test_statistics_match_mpmath_over_the_float_range(sample):
     x, cut = np.array(sample[0]), sample[1]
