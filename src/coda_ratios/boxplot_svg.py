@@ -109,5 +109,5 @@ def emit_boxplot_svg(summaries) -> bytes:
         f'fill="black" text-anchor="middle">{name.translate(_ESCAPES)}</text>'
         for i, (name, _) in enumerate(summaries)
     ]
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines += ["</svg>", ""]  # the empty last line ends the document with "\n"
+    return "\n".join(lines).encode("utf-8")

@@ -189,7 +189,7 @@ def _cmd_validate(args) -> int:
     text = f"OK: {ds.n} firm(s), {len(ds.part_labels)} part(s) ({parts})\n"
     if groups is not None:
         # a value that would not print as one piece of the line (a newline, say) is written as its repr
-        sizes = ", ".join(f"{v if v.isprintable() else repr(v)}: {int(m.sum())}" for v, m in groups)
+        sizes = ", ".join(f"{v if v.isprintable() else repr(v)}: {len(rows)}" for v, rows in groups)
         text += f"OK: group variable {config.group_variable!r} splits as {sizes}\n"
     _write(text.encode("utf-8"))
     return 0

@@ -498,7 +498,9 @@ def _csv_reader_columns(fh, config: AnalysisConfig):
 
 
 def two_groups(ds: FirmDataset) -> tuple[tuple[str, np.ndarray], ...]:
-    """The ``(value, row mask)`` pairs of the dataset's group column, low value first.
+    """The ``(value, row indices)`` pairs of the dataset's group column, low value first.
+
+    The indices ascend, so ``ds.values[rows]`` holds a group's firms in file order.
 
     Raises a CodaError when the dataset has no group column, and a
     SingleGroupError unless the column takes exactly two values.
@@ -508,7 +510,7 @@ def two_groups(ds: FirmDataset) -> tuple[tuple[str, np.ndarray], ...]:
     values = sorted(set(ds.group))
     if len(values) != 2:
         raise SingleGroupError(values)
-    return tuple((value, ds.group == value) for value in values)
+    return tuple((value, np.flatnonzero(ds.group == value)) for value in values)
 
 
 # ---------------------------------------------------------------------------

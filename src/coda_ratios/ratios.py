@@ -42,18 +42,20 @@ class RatioSpec:
 def ratio_column(values: np.ndarray, labels, spec: RatioSpec) -> np.ndarray:
     """``spec`` on every row of an (n, D) array whose columns follow ``labels``.
 
-    Parts are added one column at a time in spec order, starting from 0, for
+    Parts are added one column at a time in spec order, starting from 0.0, for
     every ratio in the package (a matrix product may reorder the additions).
+    The sums are float, so an integer sum cannot wrap: float32 input stays
+    float32, and int64 input is summed in float64.
     ``labels`` must pass check_part_labels and name every part of ``spec``.
     """
     check_part_labels(labels)
     check_known(spec.numerator + spec.denominator, labels)
     index = {label: j for j, label in enumerate(labels)}
-    num, den = (0 + values[:, index[group[0]]] for group in (spec.numerator, spec.denominator))
+    num, den = (0.0 + values[:, index[group[0]]] for group in (spec.numerator, spec.denominator))
     for total, group in ((num, spec.numerator), (den, spec.denominator)):
         for label in group[1:]:
             total += values[:, index[label]]  # in place: each sum is a new array of this call's
-    return np.divide(num, den, out=num) if num.dtype.kind == "f" else num / den
+    return np.divide(num, den, out=num)
 
 
 def invert_spec(spec: RatioSpec) -> RatioSpec:

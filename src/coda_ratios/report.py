@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -110,8 +111,8 @@ def run_analysis(
 
 
 def _group_rows(ds: FirmDataset, config: AnalysisConfig):
-    """None, or the two groups of ``ds``, low value first, as (value, row indices): faster than masks."""
-    return None if config.group_variable is None else [(g, np.flatnonzero(m)) for g, m in two_groups(ds)]
+    """None, or two_groups(ds) when ``config`` names a group variable."""
+    return None if config.group_variable is None else two_groups(ds)
 
 
 # overflow is reported by _require_finite as an error, not as a warning
@@ -181,26 +182,17 @@ def _fields(o):
 
 def _json_lists(boxes):
     """Each box's outliers, then its extreme outliers, as bytes pieces of the list json.dumps(indent=2,
-    allow_nan=False) writes, from one repr_rows pass.  A box_summary's extreme outliers are a prefix
-    and a suffix of its outliers, so their lines are cut from those; a hand-built box's may not be."""
-    arrays, spans = [], []  # the values to format; per list, the (start, stop) line ranges it is cut from
-    for box in boxes:
-        at, o, x = sum(map(len, arrays)), box.outliers, box.extreme_outliers
-        low = int(np.argmin(np.append(x[: len(o)] == o[: len(x)], False)))  # the common prefix
-        cut = ((0, low), (len(o) - len(x) + low, len(o)))
-        spans.append([(at, at + len(o))])
-        if np.concatenate([o[i:j] for i, j in cut]).tobytes() != x.tobytes():
-            o, cut = np.concatenate((o, x)), ((len(o), len(o) + len(x)),)
-        arrays.append(o)
-        spans.append([(at + i, at + j) for i, j in cut])
-    values = np.concatenate([np.empty(0), *arrays])
+    allow_nan=False) writes.  Every list is formatted in one repr_rows pass, a value a line, and each
+    list's text is the slice of that pass from its first line's offset to its last."""
+    lists = [a for box in boxes for a in (box.outliers, box.extreme_outliers)]
+    values = np.concatenate([np.empty(0), *lists])
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
     text = memoryview(repr_rows(values[:, None], b" " * 10, b",\n").encode())
     line = np.concatenate(([0], np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1))
-    for ranges in spans:
-        items = [text[line[i] : line[j]] for i, j in ranges if i < j]
-        yield [b"[\n", *items[:-1], items[-1][:-2], b"\n        ]"] if items else [b"[]"]
+    for i, j in pairwise(np.cumsum([0, *map(len, lists)])):
+        # the list's last line loses its ",\n"
+        yield [b"[\n", text[line[i] : line[j] - 2], b"\n        ]"] if i < j else [b"[]"]
 
 
 # each CSV statistic column -> the (record, field) of the VariableReport it is read from

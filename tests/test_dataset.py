@@ -588,11 +588,11 @@ def test_split_by_group():
         [("f1", (1, 2, 3)), ("f2", (4, 5, 6)), ("f3", (7, 8, 9))],
         group=("yes", "no", "yes"),
     )
-    (no, no_mask), (yes, yes_mask) = two_groups(ds)  # low value first
+    (no, no_rows), (yes, yes_rows) = two_groups(ds)  # low value first
     assert (no, yes) == ("no", "yes")
-    assert yes_mask.tolist() == [True, False, True]
-    assert no_mask.tolist() == [False, True, False]
-    assert int(yes_mask.sum()) + int(no_mask.sum()) == ds.n
+    assert yes_rows.tolist() == [0, 2]
+    assert no_rows.tolist() == [1]
+    assert len(yes_rows) + len(no_rows) == ds.n
 
 
 def test_split_by_group_empty_dataset():

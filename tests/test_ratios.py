@@ -54,6 +54,15 @@ def test_ratio_column_holds_two_columns_of_its_own():
     assert ratio_column(np.array([[3, 1, 2, 2]]), tuple("abcd"), spec).tolist() == [1.0]
 
 
+def test_ratio_column_sums_in_float_whatever_the_dtype():
+    # summed in int64, 2**62 + 2**62 would wrap to -2**63
+    spec = RatioSpec("r", ("A", "B"), ("C",))
+    got = ratio_column(np.array([[2**62, 2**62, 1]]), ("A", "B", "C"), spec)
+    assert got.dtype == np.float64 and got.tolist() == [2.0**63]
+    got = ratio_column(np.array([[1.0, 2.0, 4.0]], dtype=np.float32), ("A", "B", "C"), spec)
+    assert got.dtype == np.float32 and got.tolist() == [0.75]
+
+
 def test_ratio_column_rejects_unknown_label():
     spec = RatioSpec(name="r", numerator=("TA",), denominator=("INV",))
     with pytest.raises(UnknownLabelError) as err:

@@ -25,6 +25,8 @@ from coda_ratios import (
     ratio_column,
     run_analysis,
 )
+from coda_ratios import report as report_module
+from coda_ratios._floattext import repr_rows
 from coda_ratios.errors import CodaError, SingleGroupError
 from coda_ratios.report import CSV_COLUMNS
 
@@ -467,6 +469,24 @@ def test_spliced_json_of_a_random_analysis(seed):
     report = run_analysis(ds, make_config(group_variable="brand"))
     assert sum(v.box.n_outliers for v in report.variables) > 0
     assert emit_report(report, "json") == _dumped_whole(report)
+
+
+def test_json_formats_every_outlier_list_in_one_formatter_pass(monkeypatch):
+    passes = []
+
+    def recording(values, *args):
+        passes.append(values.copy())
+        return repr_rows(values, *args)
+
+    monkeypatch.setattr(report_module, "repr_rows", recording)
+    report = run_analysis(random_dataset(0, n=200), make_config(group_variable="brand"))
+    emitted = emit_report(report, "json")
+    boxes = [v.box for v in report.variables]
+    assert sum(b.n_extreme_outliers for b in boxes) > 0
+    expected = np.concatenate([a for b in boxes for a in (b.outliers, b.extreme_outliers)])
+    assert len(passes) == 1 and passes[0].shape == (len(expected), 1)
+    assert passes[0][:, 0].tobytes() == expected.tobytes()
+    assert emitted == _dumped_whole(report)
 
 
 @pytest.mark.parametrize("outlier", [np.inf, -np.inf])
