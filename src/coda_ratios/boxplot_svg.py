@@ -110,4 +110,6 @@ def emit_boxplot_svg(summaries) -> bytes:
         for i, (name, _) in enumerate(summaries)
     ]
     lines += ["</svg>", ""]  # the empty last line ends the document with "\n"
-    return "\n".join(lines).encode("utf-8")
+    document = "\n".join(lines)
+    del lines  # the pieces go before the encoded copy is made
+    return document.encode("utf-8")

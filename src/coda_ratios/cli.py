@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _floattext
 from .composition import ilr_matrix
-from .dataset import _csv_fields, load_config, load_dataset_csv, two_groups
+from .dataset import _csv_fields, _past_zero_policy, _read_csv, _two_groups, load_config
 from .errors import CodaError
 
 
@@ -81,15 +81,10 @@ def _timestamp_for(data_path: str) -> str:
 def _cmd_analyze(args) -> int:
     # the analysis modules load here, so the other commands never import them
     from .boxplot_svg import emit_boxplot_svg
-    from .report import _analyze, _group_rows, emit_report
+    from .report import _analyze, emit_report
 
-    config = load_config(args.config)
-    ds = load_dataset_csv(args.data, config)
-    timestamp = _timestamp_for(args.data)
-    columns = ds.values, ds.part_labels, _group_rows(ds, config)  # all the statistics read
-    del ds  # frees every firm id and group cell: a del in the callee would not, before 3.11
-    report = _analyze(*columns, config, timestamp)
-    del columns  # nor are the values held while the outputs are built
+    # the statistics' arguments live for the call alone, so no value is held while the outputs are built
+    report = _analyze(*_analysis_input(args), _timestamp_for(args.data))
     # both outputs are built before either file is opened, so an error writes neither
     text = emit_report(report, "csv" if args.out and args.out.endswith(".csv") else "json")
     svg = emit_boxplot_svg([(v.name, v.box) for v in report.variables]) if args.svg else None
@@ -115,6 +110,19 @@ def _cmd_analyze(args) -> int:
         for tmp, _ in staged:
             os.unlink(tmp)
     return 0
+
+
+def _load(args):
+    """``(config, firm_ids, values, group)`` from the load stages in turn, with no dataset:
+    the configuration, the data's read, then the rows the zero policy keeps."""
+    config = load_config(args.config)
+    return config, *_past_zero_policy(*_read_csv(args.data, config), config)
+
+
+def _analysis_input(args):
+    """``report._analyze``'s values, part labels, group rows and config: no firm id or group cell."""
+    config, _, values, group = _load(args)
+    return values, config.parts, None if group is None else _two_groups(group), config
 
 
 def _regular_or_missing(path: str) -> bool:
@@ -143,13 +151,12 @@ def _open_beside(path: str):
 
 
 def _cmd_transform(args) -> int:
-    config = load_config(args.config)
-    ds = load_dataset_csv(args.data, config)
+    config, firm_ids, values, _ = _load(args)
     names = config.tree.coordinate_names
     # the rows of one formatter pass, and of one ilr block, at a time: no whole coordinate matrix
     step = _floattext.block_rows(len(names))
-    blocks = (ilr_matrix(ds.values[i : i + step], ds.part_labels, config.tree) for i in range(0, ds.n, step))
-    _write_table(["firm_id", *names], ds.firm_ids, blocks)
+    blocks = (ilr_matrix(values[i : i + step], config.parts, config.tree) for i in range(0, len(values), step))
+    _write_table(["firm_id", *names], firm_ids, blocks)
     return 0
 
 
@@ -167,26 +174,29 @@ def _write(data: bytes) -> None:
 def _write_table(header, firm_ids, tables) -> None:
     """Hand ``_write`` the UTF-8 CSV of ``header``, then of each firm id and its row.
 
-    ``tables`` is an iterable of 2-D float64 arrays whose rows, in turn, are the firms' rows.
+    ``firm_ids`` is a sequence of ``str``, or an ``S`` array of the ASCII ids of a plain file, where
+    no field holds ',', '"', CR or LF, written as they are.  ``tables`` is an iterable of 2-D float64
+    arrays whose rows, in turn, are the firms' rows.
     """
     _write((",".join(_csv_fields(header)) + "\n").encode("utf-8"))
     # one write per formatter block, which bounds the text held
     start = 0
     for block in chain.from_iterable(_floattext.repr_blocks(t, b",", b"\n") for t in tables):
-        rows = block.splitlines(keepends=True)
-        pieces = [""] * (2 * len(rows))  # id, row, id, row, ...
-        pieces[::2], pieces[1::2] = _csv_fields(firm_ids[start : start + len(rows)]), rows
-        _write("".join(pieces).encode("utf-8"))
+        rows = block.encode("utf-8").splitlines(keepends=True)
+        ids = firm_ids[start : start + len(rows)]
+        ascii_ids = isinstance(ids, np.ndarray) and ids.dtype.kind == "S"
+        pieces = [b""] * (2 * len(rows))  # id, row, id, row, ...
+        pieces[::2] = ids.tolist() if ascii_ids else [field.encode("utf-8") for field in _csv_fields(ids)]
+        pieces[1::2] = rows
+        _write(b"".join(pieces))
         start += len(rows)
 
 
 def _cmd_validate(args) -> int:
-    config = load_config(args.config)
-    ds = load_dataset_csv(args.data, config)
+    config, _, values, group = _load(args)
     # the group split is checked before anything is written
-    groups = None if config.group_variable is None else two_groups(ds)
-    parts = ", ".join(ds.part_labels)
-    text = f"OK: {ds.n} firm(s), {len(ds.part_labels)} part(s) ({parts})\n"
+    groups = None if group is None else _two_groups(group)
+    text = f"OK: {len(values)} firm(s), {len(config.parts)} part(s) ({', '.join(config.parts)})\n"
     if groups is not None:
         # a value that would not print as one piece of the line (a newline, say) is written as its repr
         sizes = ", ".join(f"{v if v.isprintable() else repr(v)}: {len(rows)}" for v, rows in groups)

@@ -19,6 +19,14 @@ column holds one ``str`` object per distinct value, shared by every firm
 that has it, so a few values cost a few strings however many firms there
 are; compare its values with ``==``, not ``is``.
 
+The command-line tool runs the load stages without a dataset, and holds the
+ids of a plain, all-ASCII file without NUL whose first id is shorter than 16
+bytes as one ``S16`` bytes array, no ``str`` per firm: checked for empty and
+repeated ids by a hash of each id's 8-byte words, exactly, written as they
+are and decoded only where an error names an id.  Other files' ids are read
+as ``str``; where a later id fills the 16 bytes, by a second ``np.loadtxt``
+pass.
+
 Zeros are a policy decision, negatives are not: a negative magnitude is a
 hard error under every policy, because repairing it means restructuring
 the accounts upstream (splitting profit into income and expenses, say),
@@ -66,6 +74,8 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt decompresses a path 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
+_ID_WIDTH = 16  # bytes of an ASCII file's id field; an id that fills it may have been cut
+
 
 def _csv_fields(texts):
     """``texts`` as CSV fields: each holding ',', '"', CR or LF quoted, its '"' doubled."""
@@ -84,9 +94,14 @@ def check_positive(values, firm_ids, part_labels, zero_ok=False) -> None:
     bad = ~(((values >= 0.0) if zero_ok else (values > 0.0)) & np.isfinite(values))
     if bad.any():
         raise NonPositivePartError(
-            (f"{firm_ids[i]}:{part_labels[j]}", float(values[i, j]))
+            (f"{_text(firm_ids[i])}:{part_labels[j]}", float(values[i, j]))
             for i, j in zip(*np.nonzero(bad))
         )
+
+
+def _text(firm_id) -> str:
+    """A firm id as an error names it: the ASCII bytes of an ``S`` id array decoded."""
+    return firm_id.decode("ascii") if isinstance(firm_id, bytes) else firm_id
 
 
 def _shared_strip():
@@ -264,7 +279,7 @@ def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
         return keep, values
     if policy.mode == "reject":
         raise ZeroCellError(
-            (firm_ids[i], part_labels[j]) for i, j in zip(*np.nonzero(zero))
+            (_text(firm_ids[i]), part_labels[j]) for i, j in zip(*np.nonzero(zero))
         )
     if policy.mode == "drop_row":
         keep = ~zero.any(axis=1)
@@ -279,7 +294,7 @@ def apply_zero_policy(firm_ids, values, part_labels, policy: ZeroPolicy):
         fill[j] = policy.delta_fraction * positives.min() if positives.size else 0.0
         if fill[j] == 0.0:  # a 0 would stay 0: no positive value, or the product underflows
             why = "the replacement underflows to 0" if positives.size else "column has no positive values"
-            cells = [(firm_ids[i], part_labels[j]) for i in np.nonzero(zero[:, j])[0]]
+            cells = [(_text(firm_ids[i]), part_labels[j]) for i in np.nonzero(zero[:, j])[0]]
             raise ZeroCellError(cells, detail=f"cannot replace zeros: {why}")
     return keep, np.where(zero, fill, values)
 
@@ -308,15 +323,20 @@ def load_dataset_csv(path, config: AnalysisConfig) -> FirmDataset:
     A regular file, found by stat before any open (opening a FIFO waits for a writer), is read
     from its absolute path, never taken for a URL; anything else (a pipe, a bytes path, a name
     np.loadtxt would decompress) is read as :func:`read_dataset_csv` reads."""
+    return _dataset(_read_csv(path, config), config)
+
+
+def _read_csv(path, config: AnalysisConfig):
+    """The ``(firm_ids, values, group)`` :func:`load_dataset_csv` reads, as a reader gives them."""
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
     if not (isinstance(name, str) and os.path.isfile(name) and not name.endswith(_COMPRESSED)):
         with _open_utf8(path, newline="") as fh:
-            return read_dataset_csv(fh, config)
+            return _read_stream(fh, config)
     columns = _loadtxt_columns(os.path.abspath(name), config)
     if columns is None:
         with _open_utf8(path, newline="") as fh:
             columns = _csv_reader_columns(fh, config)
-    return _dataset(*columns, config)
+    return columns
 
 
 def _records(reader):
@@ -339,37 +359,53 @@ def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     empty or repeated id or a number that is not finite, is read again by the ``csv.reader``
     path, which words every error with its line.  A pipe is read into memory first.
     """
+    return _dataset(_read_stream(fh, config), config)
+
+
+def _read_stream(fh, config: AnalysisConfig):
+    """The ``(firm_ids, values, group)`` :func:`read_dataset_csv` reads, as a reader gives them."""
     if not fh.seekable():
         fh = io.StringIO(fh.read(), newline="")
     start = fh.tell()
     columns = _loadtxt_columns(fh, config)
     if columns is None:
         fh.seek(start)
-    return _dataset(*(columns or _csv_reader_columns(fh, config)), config)
+    return columns or _csv_reader_columns(fh, config)
 
 
-def _dataset(firm_ids, values, group, config: AnalysisConfig) -> FirmDataset:
-    """The dataset of a reader's columns past the zero policy: no rows is an EmptyDataError."""
+def _past_zero_policy(firm_ids, values, group, config: AnalysisConfig):
+    """A read's columns for the rows the zero policy keeps, zeros resolved: no rows is an EmptyDataError."""
     if not len(firm_ids):
         raise EmptyDataError()
     keep, values = apply_zero_policy(firm_ids, values, config.parts, config.zero_policy)
     if not keep.all():
         firm_ids = firm_ids[keep]
         group = None if group is None else group[keep]
+    return firm_ids, values, group
+
+
+def _dataset(columns, config: AnalysisConfig) -> FirmDataset:
+    """The dataset of a read's columns past the zero policy, a ``str`` per firm id."""
+    firm_ids, values, group = _past_zero_policy(*columns, config)
+    if firm_ids.dtype.kind == "S":
+        firm_ids = firm_ids.astype(str).astype(object)
     # the ids are unique and, past the zero policy, every part positive: no check runs twice
     return FirmDataset._checked(firm_ids, config.parts, values, group)
 
 
-def _is_plain(read) -> bool:
-    """Whether the text or bytes ``read(size)`` gives are plain: no ``_NOT_PLAIN`` character (all
-    ASCII, so the same bytes in UTF-8), and a line end in every full chunk.  A line past the csv field
-    limit covers a whole chunk of half that limit, so it never passes (nor do some shorter ones)."""
+def _is_plain(read) -> tuple[bool, bool]:
+    """Whether the text or bytes ``read(size)`` gives are plain: no ``_NOT_PLAIN`` character, and a
+    line end in every full chunk; and whether they are ASCII without NUL, which ends an ``S`` item.
+    A line past the csv field limit covers a whole chunk of half that limit, so it never passes (nor
+    do some shorter ones)."""
     size = max(1, min(1 << 16, csv.field_size_limit() // 2))
     data = read(size)
-    marks, ends = (_NOT_PLAIN, "\r\n") if isinstance(data, str) else (_NOT_PLAIN.encode(), b"\r\n")
+    marks, ends, nul = (c if isinstance(data, str) else c.encode() for c in (_NOT_PLAIN, "\r\n", "\0"))
+    ascii_ = True
     while data and not any(c in data for c in marks) and (len(data) < size or any(c in data for c in ends)):
+        ascii_ = ascii_ and data.isascii() and nul not in data
         data = read(size)
-    return not data
+    return not data, ascii_
 
 
 def _header_columns(header, config: AnalysisConfig) -> list[str]:
@@ -386,13 +422,16 @@ def _header_columns(header, config: AnalysisConfig) -> list[str]:
     return header
 
 
-def _loadtxt_columns(source, config: AnalysisConfig):
+def _loadtxt_columns(source, config: AnalysisConfig, bytes_ids=True):
     """``(firm_ids, values, group)`` of ``source`` from one ``np.loadtxt`` pass, or None.
 
     ``source`` is a regular file's absolute path, read in numpy's C chunks, or a seekable text
-    stream, read by lines from where it stands.  Ids and the group column are 1-D object arrays,
-    each cell stripped by a converter as it is read, the group column with one ``str`` per
-    distinct value.  Other columns are ``"U1"``: no ``str``, but counted, unlike with ``usecols``.
+    stream, read by lines from where it stands.  The ids of an ASCII file without NUL whose first
+    id is shorter than 16 bytes are ``S16`` bytes, stripped after the read; a later id that fills
+    the field (and may have been cut) has the file read once more with ``bytes_ids`` false.
+    Other ids and the group column are 1-D object arrays, each cell stripped by a converter as
+    it is read, the group column with one ``str`` per distinct value.  Other columns are
+    ``"U1"``: no ``str``, but counted, unlike with ``usecols``.
 
     None means the csv.reader path must read the file: it is not plain; the header or a row
     is one that path rejects or reads differently (a short row, say); an id is empty or
@@ -405,20 +444,25 @@ def _loadtxt_columns(source, config: AnalysisConfig):
         path = isinstance(source, str)
         with open(source, encoding="utf-8-sig", newline="") if path else nullcontext(source) as fh:
             start = fh.tell()
-            if not _is_plain(fh.buffer.read if path else fh.read):  # a path's bytes, undecoded
+            plain, ascii_ = _is_plain(fh.buffer.read if path else fh.read)  # a path's bytes, undecoded
+            if not plain:
                 return None
             fh.seek(start)
             # a plain file's header is its first line, which np.loadtxt skips
             header = _header_columns(next(csv.reader([fh.readline()], strict=True)), config)
+            first_row = fh.readline().rstrip("\r\n").split(",")  # as np.loadtxt splits a plain line
             fh.seek(start)
-        # the text columns are stripped as they are read, the group's cells shared too;
+        # a first id as long as the field has every id read as str, in one pass
+        first_id = dict(zip(header, first_row)).get("firm_id", "")
+        bytes_ids = bytes_ids and ascii_ and len(first_id) < _ID_WIDTH
+        # text columns read as str are stripped as they are read, the group's cells shared too;
         # an encoding hands a converter str, where older numpy's default, "bytes", hands it bytes
-        converters = {header.index("firm_id"): str.strip}
+        converters = {} if bytes_ids else {header.index("firm_id"): str.strip}
         if config.group_variable is not None:
             converters[header.index(config.group_variable)] = _shared_strip()
+        kinds = {"firm_id": f"S{_ID_WIDTH}", **dict.fromkeys(config.parts, np.float64)}
         dtype = [
-            (f"c{j}", object if j in converters else np.float64 if name in config.parts else "U1")
-            for j, name in enumerate(header)
+            (f"c{j}", object if j in converters else kinds.get(name, "U1")) for j, name in enumerate(header)
         ]
         with warnings.catch_warnings():
             # a header-only file is an EmptyDataError, and stderr carries only the error line
@@ -432,14 +476,46 @@ def _loadtxt_columns(source, config: AnalysisConfig):
     field = {name: f"c{j}" for j, name in enumerate(header)}
 
     firm_ids = table[field["firm_id"]].copy()
+    if bytes_ids and firm_ids.view(np.uint8).reshape(-1, _ID_WIDTH)[:, -1].any():  # an id may have been cut
+        del table, firm_ids
+        if not path:
+            source.seek(start)
+        return _loadtxt_columns(source, config, bytes_ids=False)
     group = None if config.group_variable is None else table[field[config.group_variable]].copy()
     values = np.empty((len(firm_ids), len(config.parts)))
     for j, part in enumerate(config.parts):
         values[:, j] = table[field[part]]
-    del table  # before the id set is built: the columns taken out are all that is kept
-    if "" in (ids := set(firm_ids)) or len(ids) != len(firm_ids) or not np.isfinite(values).all():
+    del table  # before the ids are checked: the columns taken out are all that is kept
+    if bytes_ids:
+        firm_ids = np.char.strip(firm_ids)  # on a plain (no '\x1c'-'\x1f') ASCII file, str.strip
+    if not _distinct(firm_ids) or not np.isfinite(values).all():
         return None
     return firm_ids, values, group
+
+
+def _distinct(firm_ids) -> bool:
+    """Whether the ids are non-empty and pairwise different, exactly: ``str`` ids by a set, ``S``
+    ids by a sorted hash of each id's uint64 words, then a set of those whose hash repeats."""
+    if firm_ids.dtype == object:
+        return "" not in (ids := set(firm_ids)) and len(ids) == len(firm_ids)
+    words = firm_ids.view(np.uint64).reshape(-1, _ID_WIDTH // 8)
+    if not words.any(axis=1).all():  # an empty id: every byte is NUL padding
+        return False
+    hashes = _word_hash(words)
+    ordered = np.sort(hashes)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not shared.size:
+        return True
+    suspects = firm_ids[np.isin(hashes, shared)]
+    return len(set(suspects.tolist())) == len(suspects)
+
+
+def _word_hash(words):
+    """One uint64 per row of the (n, k) uint64 array ``words``, from its k words in turn."""
+    hashes = np.zeros(len(words), np.uint64)
+    for column in words.T:
+        hashes = (hashes ^ column) * np.uint64(0x9E3779B97F4A7C15)  # odd: the product permutes
+    return hashes
 
 
 def _csv_reader_columns(fh, config: AnalysisConfig):
@@ -507,10 +583,15 @@ def two_groups(ds: FirmDataset) -> tuple[tuple[str, np.ndarray], ...]:
     """
     if ds.group is None:
         raise CodaError("the dataset has no group column")
-    values = sorted(set(ds.group))
+    return _two_groups(ds.group)
+
+
+def _two_groups(group) -> tuple[tuple[str, np.ndarray], ...]:
+    """:func:`two_groups` of the group column ``group``."""
+    values = sorted(set(group))
     if len(values) != 2:
         raise SingleGroupError(values)
-    return tuple((value, np.flatnonzero(ds.group == value)) for value in values)
+    return tuple((value, np.flatnonzero(group == value)) for value in values)
 
 
 # ---------------------------------------------------------------------------

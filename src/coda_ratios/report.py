@@ -107,18 +107,14 @@ def run_analysis(
     ``timestamp`` is echoed into the report metadata verbatim; pass None
     for a timestamp-free (fully input-determined) report.
     """
-    return _analyze(ds.values, ds.part_labels, _group_rows(ds, config), config, timestamp)
-
-
-def _group_rows(ds: FirmDataset, config: AnalysisConfig):
-    """None, or two_groups(ds) when ``config`` names a group variable."""
-    return None if config.group_variable is None else two_groups(ds)
+    groups = None if config.group_variable is None else two_groups(ds)
+    return _analyze(ds.values, ds.part_labels, groups, config, timestamp)
 
 
 # overflow is reported by _require_finite as an error, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _analyze(values, part_labels, groups, config: AnalysisConfig, timestamp) -> AnalysisReport:
-    """run_analysis on the dataset columns it reads, ``groups`` from _group_rows: no firm id."""
+    """run_analysis on the dataset columns it reads, ``groups`` as two_groups gives them: no firm id."""
     Y = ilr_matrix(values, part_labels, config.tree)
 
     # one (kind, values) per name of config.variable_names, in the same order, each

@@ -6,7 +6,10 @@ are part of the contract and are stated inline.
 """
 
 import math
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from coda_ratios import (
     emit_report,
     ilr_inverse,
     ilr_matrix,
+    load_config,
+    load_dataset_csv,
     parse_sbp,
     run_analysis,
     table1_demo,
@@ -233,3 +238,43 @@ def test_criterion_10_deterministic_outputs(tmp_path, monkeypatch, capsys):
     ok = outputs["first"] == outputs["second"]
     sizes = ", ".join(str(len(b)) for b in outputs["first"])
     _verdict(10, ok, f"json/csv/svg byte-identical across runs ({sizes} bytes)")
+
+
+def _sector_report(workdir, seed: int, n: int = 1000):
+    """The library pipeline's report on the benchmark's seeded sector of ``n`` firms: five
+    parts, three ratios, a brand group and 1% of firms with a zero part, replaced."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import WORKLOADS, generate, write_inputs
+    finally:
+        sys.path.pop(0)
+    write_inputs(generate(replace(WORKLOADS["sector-analyze"], n=n), seed), workdir)
+    config = load_config(workdir / "analysis.ini")
+    return run_analysis(load_dataset_csv(workdir / "firms.csv", config), config)
+
+
+def test_criterion_11_balances_less_skewed_and_fewer_outliers_than_ratios(tmp_path):
+    # the paper: with log-ratio coordinates, outliers and skewness are much reduced.  At
+    # n = 1000 both held for every one of 50 seeds; at the paper's n = 110 they do not always
+    worst = []
+    for seed in range(10):
+        variables = _sector_report(tmp_path, seed).variables
+        balances = [v for v in variables if v.kind.startswith("balance")]
+        ratios = [v for v in variables if v.kind.startswith("ratio")]
+        assert len(balances) == 8 and len(ratios) == 6
+        skew = max(abs(v.stats.skewness) for v in balances), min(abs(v.stats.skewness) for v in ratios)
+        outliers = max(v.box.n_outliers for v in balances), min(v.box.n_outliers for v in ratios)
+        worst.append((seed, skew, outliers))
+    ok = all(skew[0] < skew[1] and outliers[0] < outliers[1] for _, skew, outliers in worst)
+    detail = "; ".join(f"seed {s}: |skew| {b:.2f} < {r:.2f}, outliers {ob} < {orr}" for s, (b, r), (ob, orr) in worst)
+    _verdict(11, ok, f"n=1000, seeds 0-9, every balance below every ratio ({detail})")
+
+
+def test_criterion_12_ratio_orientations_disagree_where_balance_twins_cannot(tmp_path):
+    # the paper: a ratio's conclusion depends on which figure is the numerator, a balance's does
+    # not.  A split at 0.05 is a fact of the seed: seed 8 at n = 1000 splits 'current'
+    variables = _sector_report(tmp_path, 8).variables
+    p = {v.name: v.comparison.p for v in variables}
+    balances = [v.name for v in variables if v.kind == "balance"]
+    ok = p["current"] < 0.05 <= p["currentp"] and len(balances) == 4 and all(p[b] == p[b + "p"] for b in balances)
+    _verdict(12, ok, f"seed 8: p(current)={p['current']:.4f}, p(currentp)={p['currentp']:.4f}; balance twins equal")

@@ -49,7 +49,7 @@ def _imports(*argv, cwd=None) -> tuple[int, set[str]]:
     """Exit code and the modules imported by a fresh ``python -X importtime *argv``."""
     result = subprocess.run(
         [sys.executable, "-X", "importtime", *argv],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, encoding="utf-8", cwd=cwd,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]

@@ -20,13 +20,14 @@ def test_bench_smoke_outputs_are_correct():
         cwd=ROOT,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=600,
     )
     lines = [json.loads(line) for line in result.stdout.splitlines() if line.startswith("{")]
     records = [line["record"] for line in lines if "record" in line]
     results = [line for line in lines if "record" not in line]
     assert len(records) == len(results), result.stderr
-    declared = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    declared = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]}
     assert declared <= {record["workload"] for record in records}, result.stderr
     for record, outcome in zip(records, results):
         assert outcome["correct"] is True, (record["workload"], record.get("failures"), result.stderr)

@@ -727,49 +727,70 @@ def test_program_entry_freezes_the_heap():
 
 def test_transform_holds_one_block_of_rows_at_a_time(workdir, monkeypatch):
     # past the load, what transform allocates is set by the formatter block, not by n: no
-    # whole-table log or coordinate matrix, and no string of every id
+    # whole-table log or coordinate matrix, and no text of every id, which an ASCII file's
+    # load holds as bytes and any other file's as str, each encoded a block at a time
     n, block = 50_000, 1024
     values = np.random.default_rng(2).lognormal(3.0, 1.5, size=(n, 3))
-    ds = FirmDataset(firm_ids=[f"f{i}" for i in range(n)], part_labels=("TA", "NCL", "CL"), values=values)
-    monkeypatch.setattr(cli, "load_dataset_csv", lambda path, config: ds)
+    config = cli.load_config(workdir / "analysis.ini")
     monkeypatch.setattr(_floattext, "_BLOCK", block)
 
     class Discard:  # stdout that keeps nothing
         write = staticmethod(len)
 
-    with contextlib.redirect_stdout(Discard()):
-        assert main(["transform", *_args(workdir)]) == 0  # first-call costs, such as imports
-        tracemalloc.start()
-        try:
-            assert main(["transform", *_args(workdir)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 400 * block  # bytes; the (n, 3) values alone take 1.2 MB
+    for id_kind in ("S16", object):
+        firm_ids = np.array([f"f{i}" for i in range(n)], dtype=id_kind)
+        monkeypatch.setattr(cli, "_load", lambda args: (config, firm_ids, values, None))
+        with contextlib.redirect_stdout(Discard()):
+            assert main(["transform", *_args(workdir)]) == 0  # first-call costs, such as imports
+            tracemalloc.start()
+            try:
+                assert main(["transform", *_args(workdir)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 400 * block, id_kind  # bytes; the (n, 3) values alone take 1.2 MB, the ids 0.8 MB
+
+
+def test_transform_writes_the_ids_of_an_ascii_file_read_as_bytes(workdir, capsys):
+    assert main(["transform", *_args(workdir)]) == 0
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "firm_id", "f1", "f2", "f3", "f4", "f5", "f6"
+    ]
 
 
 def test_analyze_lets_the_dataset_go_before_the_statistics(workdir, monkeypatch, capsys):
-    # no statistic reads a firm id or group cell, so none is held while they run: on every
-    # Python, also where a call's arguments stay referenced from the caller's frame (3.10)
+    # the load stages build no dataset, an ASCII file's ids are bytes (no str per firm) and any
+    # other file's str, and no statistic reads a firm id or group cell, so none is held while
+    # they run: on every Python, also where a call's arguments stay referenced from the
+    # caller's frame (3.10)
     from coda_ratios import report
 
-    load, describe = cli.load_dataset_csv, report.describe
-    held, alive = [], []
+    zero_policy, describe = cli._past_zero_policy, report.describe
+    held, kinds, alive = [], [], []
 
-    def loading(path, config):
-        ds = load(path, config)
-        held.extend(weakref.ref(x) for x in (ds, ds.firm_ids, ds.group))
-        return ds
+    def resolving(firm_ids, values, group, config):
+        columns = zero_policy(firm_ids, values, group, config)
+        held.extend(weakref.ref(x) for x in (firm_ids, group, columns[0], columns[2]))
+        kinds.append(columns[0].dtype.kind)
+        return columns
 
     def describing(values):
         alive.append([ref() is not None for ref in held])
         return describe(values)
 
-    monkeypatch.setattr(cli, "load_dataset_csv", loading)
+    def holding(*args):
+        raise AssertionError("a dataset was built")
+
+    monkeypatch.setattr(cli, "_past_zero_policy", resolving)
     monkeypatch.setattr(report, "describe", describing)
-    assert main(["analyze", *_args(workdir)]) == 0
-    assert json.loads(capsys.readouterr().out)["metadata"]["n"] == 6
-    assert alive[0] == [False, False, False]
+    monkeypatch.setattr(FirmDataset, "_hold", holding)
+    for first_id, kind in [("f1", "S"), ("f\u00e91", "O")]:
+        (workdir / "firms.csv").write_text(CSV_TEXT.replace("\nf1,", f"\n{first_id},"), encoding="utf-8")
+        held.clear(), kinds.clear(), alive.clear()
+        assert main(["analyze", *_args(workdir)]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["n"] == 6
+        assert kinds == [kind]
+        assert alive[0] == [False] * 4, kind
 
 
 def test_program_to_a_pipe_writes_the_in_process_bytes(workdir, capsys):

@@ -64,6 +64,8 @@ odd_cells = st.sampled_from(
 )
 # str.strip() removes the non-ASCII and the '\x0b' and '\x0c' paddings too
 PADS = ["", " ", "\t", "\xa0", "\u3000", "\x0b", "\x0c"]
+# an ASCII file's ids are read as 16-byte fields: one of 16 bytes or more may have been cut
+ID_FORMS = ["f{}"] * 4 + ["{:w>15}", "{:w>16}", "{:w>17}", "\xe9{}", "\u015b{}", "\u20ac{}"]
 brands = st.sampled_from(["yes", "no", " yes ", "", "\xa0no\xa0", "\u3000yes", "no\x0b", "\x0cyes"])
 unused_cells = st.sampled_from(["", "Gent", " Sint-Niklaas ", "\xa0Liège", "64.19", "x" * 300])
 line_ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
@@ -88,13 +90,17 @@ def csv_texts(draw):
     def cell(usual):
         return draw(st.one_of(usual, usual, usual, odd_cells) if odd else usual)
 
-    rows = []
+    rows, ids = [], []
     for i in range(draw(st.integers(0 if odd else 1, 6))):
         cells = []
         for name in header:
             if name == "firm_id":
                 pad = draw(st.sampled_from(PADS))
-                cells.append(cell(st.sampled_from([f"{pad}f{i}{pad}"] * 4 + ["f0"])))
+                firm_id = f"{pad}{draw(st.sampled_from(ID_FORMS)).format(i)}{pad}"
+                # some repeat the first row's id or an earlier row's
+                firm_id = draw(st.sampled_from([firm_id] * 4 + ["f0", *ids]))
+                ids.append(firm_id)
+                cells.append(cell(st.just(firm_id)))
             elif name.strip() in ("TA", "NCL", "CL"):
                 cells.append(cell(numbers))
             elif name in UNUSED:
@@ -191,6 +197,33 @@ def data_file(tmp_path_factory):
 )
 # a cell starting with '\x1c', which np.loadtxt strips as whitespace and float() does not
 @example(text="firm_id,TA,NCL,CL\nf1,\x1c1,2,3\nf2,4,5,6\n", newline="", mode="reject", group=False)
+# an ASCII file with a repeated id, which the bytes check finds and the csv.reader path words
+@example(text="firm_id,TA,NCL,CL\nf1,1,2,3\nf2,4,5,6\nf1,7,8,9\n", newline="", mode="reject", group=False)
+# ids of 15, 16 and 17 bytes: a 16-byte field may cut the last two
+@example(
+    text="firm_id,TA,NCL,CL\n" + "a" * 15 + ",1,2,3\n" + "b" * 16 + ",4,5,6\n" + "c" * 17 + ",7,8,9\n",
+    newline="",
+    mode="reject",
+    group=False,
+)
+# ASCII ids padded with ' ', '\x0b' or '\x0c', which bytes.strip removes as str.strip does
+@example(
+    text="firm_id,TA,NCL,CL,brand\n f1 ,1,2,3,yes\n\x0bf2\x0b,4,5,6,no\n\x0cf3 ,7,8,9,no\n",
+    newline="",
+    mode="drop_row",
+    group=True,
+)
+# ids that are not ASCII, read as str
+@example(
+    text="firm_id,TA,NCL,CL\n\xe91,1,2,3\n\u015b2,4,5,6\n\u20ac3,7,8,9\n", newline="", mode="reject", group=False
+)
+# a file whose only non-ASCII byte is in a column no config names
+@example(
+    text="firm_id,TA,NCL,CL,brand,town\nf1,1,2,3,yes,Li\xe8ge\nf2,4,5,6,no,Gent\n",
+    newline="",
+    mode="reject",
+    group=True,
+)
 # a cell past the csv field limit, which no np.loadtxt pass may read
 @example(
     text="firm_id,TA,NCL,CL,brand\nf1,1,2,3," + "y" * LONG + "\nf2,4,5,6,no\n",
@@ -243,6 +276,81 @@ def test_a_plain_file_whose_only_fault_is_a_negative_part_is_read_once():
     with mock.patch.object(dataset, "_csv_reader_columns", side_effect=AssertionError):
         with pytest.raises(NonPositivePartError, match=r"f2:NCL=-5\.0"):
             read_dataset_csv(io.StringIO(NEGATIVE_ONLY, newline=""), config)
+
+
+def test_an_ascii_files_ids_are_read_as_bytes_and_loaded_as_str(tmp_path):
+    config = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))")
+    text = "firm_id,TA,NCL,CL\n f1 ,1,2,3\n" + "w" * 15 + ",4,5,6\n"
+    firm_ids, _, _ = dataset._loadtxt_columns(io.StringIO(text), config)
+    assert firm_ids.dtype == "S16" and firm_ids.tolist() == [b"f1", b"w" * 15]
+    path = tmp_path / "firms.csv"
+    path.write_text(text, encoding="utf-8")
+    for ds in (load_dataset_csv(path, config), read_dataset_csv(io.StringIO(text), config)):
+        assert ds.firm_ids.dtype == object and ds.firm_ids.tolist() == ["f1", "w" * 15]
+        assert all(type(firm_id) is str for firm_id in ds.firm_ids)
+
+
+@pytest.mark.parametrize(("first_id", "id_kinds"), [("a" * 17, ["O"]), ("f0", ["S", "O"])], ids=["first", "later"])
+def test_an_ascii_file_with_ids_of_16_bytes_or_more_is_read_by_loadtxt_as_str(
+    tmp_path, monkeypatch, first_id, id_kinds
+):
+    # ids that fill the bytes field may have been cut: a long first id has the one pass read
+    # them as str, a later one a second pass; neither is read by the csv.reader path
+    config = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))")
+    text = f"firm_id,TA,NCL,CL\n{first_id},1,2,3\n" + "b" * 16 + ",4,5,6\n " + "c" * 17 + " ,7,8,9\n"
+    path = tmp_path / "firms.csv"
+    path.write_text(text, encoding="utf-8")
+    loadtxt, kinds = np.loadtxt, []
+
+    def reading(*args, **kwargs):
+        kinds.append(np.dtype(kwargs["dtype"])["c0"].kind)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", reading)
+    monkeypatch.setattr(dataset, "_csv_reader_columns", mock.Mock(side_effect=AssertionError))
+    for read in (lambda: load_dataset_csv(path, config), lambda: read_dataset_csv(io.StringIO(text), config)):
+        kinds.clear()
+        assert read().firm_ids.tolist() == [first_id, "b" * 16, "c" * 17]
+        assert kinds == id_kinds
+
+
+@pytest.mark.parametrize(
+    ("text", "ids"),
+    [
+        ("firm_id,TA,NCL,CL\nf1\x00,1,2,3\nf1,4,5,6\n", ["f1\x00", "f1"]),  # S items end in NUL padding
+        ("firm_id,TA,NCL,CL,town\nf1,1,2,3,Li\xe8ge\n", ["f1"]),
+    ],
+    ids=["nul", "non_ascii_unused_cell"],
+)
+def test_a_file_not_ascii_or_holding_a_nul_has_its_ids_read_as_str(text, ids):
+    config = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))")
+    firm_ids, _, _ = dataset._loadtxt_columns(io.StringIO(text), config)
+    assert firm_ids.dtype == object and firm_ids.tolist() == ids
+
+
+def test_ids_whose_hashes_all_collide_are_still_compared_exactly(monkeypatch):
+    monkeypatch.setattr(dataset, "_word_hash", lambda words: np.zeros(len(words), np.uint64))
+    config = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))")
+    rows = "".join(f"f{i},1,2,3\n" for i in range(50))
+    with mock.patch.object(dataset, "_csv_reader_columns", side_effect=AssertionError):
+        ds = read_dataset_csv(io.StringIO("firm_id,TA,NCL,CL\n" + rows, newline=""), config)
+    assert ds.firm_ids.tolist() == [f"f{i}" for i in range(50)]
+    repeated = "firm_id,TA,NCL,CL\n" + rows + "f7 ,4,5,6\n"
+    with pytest.raises(DuplicateFirmIdError, match=r"^duplicate firm_id 'f7' at line 52$"):
+        read_dataset_csv(io.StringIO(repeated, newline=""), config)
+
+
+def test_errors_name_an_ascii_files_ids_as_text(tmp_path, capsys):
+    (tmp_path / "analysis.ini").write_text("[analysis]\nparts = TA, NCL, CL\nsbp = (TA|(NCL|CL))\n", encoding="utf-8")
+    argv = ["--data", str(tmp_path / "firms.csv"), "--config", str(tmp_path / "analysis.ini")]
+    for text, message in [
+        ("firm_id,TA,NCL,CL\nf1,1,2,3\nf2,4,-5,6\n", "non-positive part value(s): f2:NCL=-5.0"),
+        ("firm_id,TA,NCL,CL\nf1,1,2,3\nf2,4,0,6\n", "zero values are not allowed under the 'reject' policy: f2:NCL"),
+    ]:
+        (tmp_path / "firms.csv").write_text(text, encoding="utf-8")
+        for command in ("analyze", "transform", "validate"):
+            assert cli.main([command, *argv]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_loadtxt_path_reads_only_files_without_quotes():

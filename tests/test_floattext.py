@@ -177,7 +177,7 @@ def test_text_does_not_depend_on_avx512(tmp_path):
     )
     done = subprocess.run(
         [sys.executable, "-c", _CHILD, str(tmp_path / "values.npy")],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=300,
     )
     assert done.returncode == 0, done.stderr
     avx512, text = done.stdout.split("\n", 1)

@@ -207,7 +207,7 @@ def test_golden_bytes_do_not_depend_on_openblas_kernel(coretype, tmp_path):
         workdir.mkdir()
         done = subprocess.run(
             [sys.executable, "-c", script, case, str(workdir)],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=env, capture_output=True, text=True, encoding="utf-8", timeout=300,
         )
         assert done.returncode == 0, done.stderr
         differing += [

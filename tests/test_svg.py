@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -176,3 +177,17 @@ def test_names_xml_can_carry_parse_back():
     ns = "{http://www.w3.org/2000/svg}"
     assert [g.get("data-variable") for g in root.iter(f"{ns}g") if "data-variable" in g.attrib] == names
     assert [el.text for el in root.iter(f"{ns}text")] == names
+
+
+def test_the_pieces_go_before_the_document_is_encoded():
+    # the pieces, the joined text and its UTF-8 bytes would be three copies of the document
+    rng = np.random.default_rng(11)
+    boxes = [(f"v{i}", box_summary(rng.standard_t(2, size=20_000))) for i in range(6)]
+    size = len(emit_boxplot_svg(boxes))
+    tracemalloc.start()
+    try:
+        emit_boxplot_svg(boxes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * size
