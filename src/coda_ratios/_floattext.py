@@ -118,9 +118,9 @@ def block_rows(width: int) -> int:
     return max(1, _BLOCK // width)
 
 
-def repr_blocks(table: np.ndarray, before: bytes, end: bytes) -> Iterator[str]:
+def repr_blocks(table: np.ndarray, before: bytes, end: bytes) -> Iterator[bytes]:
     """Each row of the 2-D float64 ``table`` as ``before + repr(v)`` per value, then ``end``,
-    as one string per block of whole rows."""
+    as one ASCII bytes object per block of whole rows."""
     rows, width = table.shape
     cell = len(before) + _CELL
     step = block_rows(width)
@@ -131,9 +131,9 @@ def repr_blocks(table: np.ndarray, before: bytes, end: bytes) -> Iterator[str]:
         body[:, :, : len(before)] = np.frombuffer(before, np.uint8)
         body[:, :, len(before) :] = _repr_cells(block.ravel()).reshape(len(block), width, _CELL)
         grid[:, width * cell :] = np.frombuffer(end, np.uint8)
-        yield grid.tobytes().translate(None, b"\0").decode("ascii")
+        yield grid.tobytes().translate(None, b"\0")
 
 
-def repr_rows(table: np.ndarray, before: bytes, end: bytes) -> str:
-    """All of ``repr_blocks`` as one string."""
-    return "".join(repr_blocks(table, before, end))
+def repr_rows(table: np.ndarray, before: bytes, end: bytes) -> bytes:
+    """All of ``repr_blocks`` as one bytes object."""
+    return b"".join(repr_blocks(table, before, end))

@@ -182,7 +182,7 @@ def _write_table(header, firm_ids, tables) -> None:
     # one write per formatter block, which bounds the text held
     start = 0
     for block in chain.from_iterable(_floattext.repr_blocks(t, b",", b"\n") for t in tables):
-        rows = block.encode("utf-8").splitlines(keepends=True)
+        rows = block.splitlines(keepends=True)
         ids = firm_ids[start : start + len(rows)]
         ascii_ids = isinstance(ids, np.ndarray) and ids.dtype.kind == "S"
         pieces = [b""] * (2 * len(rows))  # id, row, id, row, ...

@@ -9,8 +9,9 @@ variable (e.g. a yes/no brand flag) is kept, as the dataset's group
 column.  A row may be shorter than the header (missing cells are empty)
 but not longer, and every firm_id must be non-empty.  A CSV written by
 the program quotes a field holding ',', '"', CR or LF, doubling its '"'.
-A file without quotes or long lines is read by ``np.loadtxt``, a regular
-file from its path in numpy's C chunks; any other by ``csv.reader``.
+Every source is opened once and its text scanned once.  A file without
+quotes or long lines is read by ``np.loadtxt``, a regular file from its
+path in numpy's C chunks; any other by ``csv.reader``, from the same handle.
 
 A loaded dataset holds each column once: the firm ids and the group
 column as read-only 1-D object arrays of ``str``, built from the reader's
@@ -25,7 +26,7 @@ bytes as one ``S16`` bytes array, no ``str`` per firm: checked for empty and
 repeated ids by a hash of each id's 8-byte words, exactly, written as they
 are and decoded only where an error names an id.  Other files' ids are read
 as ``str``; where a later id fills the 16 bytes, by a second ``np.loadtxt``
-pass.
+call alone.
 
 Zeros are a policy decision, negatives are not: a negative magnitude is a
 hard error under every policy, because repairing it means restructuring
@@ -43,7 +44,7 @@ import os
 import re
 import warnings
 from array import array
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -320,23 +321,19 @@ def _open_utf8(path, newline=None):
 def load_dataset_csv(path, config: AnalysisConfig) -> FirmDataset:
     """Load a firm-per-row CSV and return a validated dataset.
 
-    A regular file, found by stat before any open (opening a FIFO waits for a writer), is read
-    from its absolute path, never taken for a URL; anything else (a pipe, a bytes path, a name
-    np.loadtxt would decompress) is read as :func:`read_dataset_csv` reads."""
+    The file is opened once and read as :func:`read_dataset_csv` reads a stream, except that
+    ``np.loadtxt`` reads a regular file from its absolute path, never taken for a URL.  A regular
+    file is found by stat before the open (opening a FIFO waits for a writer); a pipe, a bytes path
+    or a name np.loadtxt would decompress is read from the handle alone."""
     return _dataset(_read_csv(path, config), config)
 
 
 def _read_csv(path, config: AnalysisConfig):
     """The ``(firm_ids, values, group)`` :func:`load_dataset_csv` reads, as a reader gives them."""
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
-    if not (isinstance(name, str) and os.path.isfile(name) and not name.endswith(_COMPRESSED)):
-        with _open_utf8(path, newline="") as fh:
-            return _read_stream(fh, config)
-    columns = _loadtxt_columns(os.path.abspath(name), config)
-    if columns is None:
-        with _open_utf8(path, newline="") as fh:
-            columns = _csv_reader_columns(fh, config)
-    return columns
+    regular = isinstance(name, str) and os.path.isfile(name) and not name.endswith(_COMPRESSED)
+    with _open_utf8(path, newline="") as fh:
+        return _read_stream(fh, config, os.path.abspath(name) if regular else None)
 
 
 def _records(reader):
@@ -355,19 +352,21 @@ def _records(reader):
 def read_dataset_csv(fh, config: AnalysisConfig) -> FirmDataset:
     """Like load_dataset_csv but from an open text stream, read from where it stands.
 
-    One ``np.loadtxt`` pass reads a plain file by lines; a file it cannot read, or with an
-    empty or repeated id or a number that is not finite, is read again by the ``csv.reader``
-    path, which words every error with its line.  A pipe is read into memory first.
+    The text is scanned once; one ``np.loadtxt`` pass reads a plain file by lines, and a file it
+    cannot read, or with an empty or repeated id or a number that is not finite, is read again
+    by the ``csv.reader`` path, which words every error with its line.  A pipe is read into
+    memory first.
     """
     return _dataset(_read_stream(fh, config), config)
 
 
-def _read_stream(fh, config: AnalysisConfig):
-    """The ``(firm_ids, values, group)`` :func:`read_dataset_csv` reads, as a reader gives them."""
+def _read_stream(fh, config: AnalysisConfig, path=None):
+    """The ``(firm_ids, values, group)`` of the text stream ``fh``, as a reader gives them: where
+    ``path``, the regular file ``fh`` reads, is given, ``np.loadtxt`` reads that instead."""
     if not fh.seekable():
         fh = io.StringIO(fh.read(), newline="")
     start = fh.tell()
-    columns = _loadtxt_columns(fh, config)
+    columns = _loadtxt_columns(fh, config, path)
     if columns is None:
         fh.seek(start)
     return columns or _csv_reader_columns(fh, config)
@@ -394,16 +393,15 @@ def _dataset(columns, config: AnalysisConfig) -> FirmDataset:
 
 
 def _is_plain(read) -> tuple[bool, bool]:
-    """Whether the text or bytes ``read(size)`` gives are plain: no ``_NOT_PLAIN`` character, and a
-    line end in every full chunk; and whether they are ASCII without NUL, which ends an ``S`` item.
-    A line past the csv field limit covers a whole chunk of half that limit, so it never passes (nor
-    do some shorter ones)."""
+    """Whether the text ``read(size)`` gives is plain: no ``_NOT_PLAIN`` character, and a line end
+    in every full chunk; and whether it is ASCII without NUL, which ends an ``S`` item.  A line
+    past the csv field limit covers a whole chunk of half that limit, so it never passes (nor do
+    some shorter ones)."""
     size = max(1, min(1 << 16, csv.field_size_limit() // 2))
     data = read(size)
-    marks, ends, nul = (c if isinstance(data, str) else c.encode() for c in (_NOT_PLAIN, "\r\n", "\0"))
     ascii_ = True
-    while data and not any(c in data for c in marks) and (len(data) < size or any(c in data for c in ends)):
-        ascii_ = ascii_ and data.isascii() and nul not in data
+    while data and not any(c in data for c in _NOT_PLAIN) and (len(data) < size or any(c in data for c in "\r\n")):
+        ascii_ = ascii_ and data.isascii() and "\0" not in data
         data = read(size)
     return not data, ascii_
 
@@ -422,13 +420,14 @@ def _header_columns(header, config: AnalysisConfig) -> list[str]:
     return header
 
 
-def _loadtxt_columns(source, config: AnalysisConfig, bytes_ids=True):
-    """``(firm_ids, values, group)`` of ``source`` from one ``np.loadtxt`` pass, or None.
+def _loadtxt_columns(fh, config: AnalysisConfig, path=None):
+    """``(firm_ids, values, group)`` of the seekable text stream ``fh`` from ``np.loadtxt``, or None.
 
-    ``source`` is a regular file's absolute path, read in numpy's C chunks, or a seekable text
-    stream, read by lines from where it stands.  The ids of an ASCII file without NUL whose first
-    id is shorter than 16 bytes are ``S16`` bytes, stripped after the read; a later id that fills
-    the field (and may have been cut) has the file read once more with ``bytes_ids`` false.
+    ``fh`` is scanned, and its header and first row peeked, from where it stands.  ``np.loadtxt``
+    then reads ``path``, the absolute path of the regular file ``fh`` reads, in numpy's C chunks,
+    or else ``fh`` by lines.  The ids of an ASCII file without NUL whose first id is shorter than
+    16 bytes are ``S16`` bytes, stripped after the read; a later id that fills the field (and may
+    have been cut) has ``np.loadtxt`` read the file once more, the ids as ``str``.
     Other ids and the group column are 1-D object arrays, each cell stripped by a converter as
     it is read, the group column with one ``str`` per distinct value.  Other columns are
     ``"U1"``: no ``str``, but counted, unlike with ``usecols``.
@@ -436,51 +435,48 @@ def _loadtxt_columns(source, config: AnalysisConfig, bytes_ids=True):
     None means the csv.reader path must read the file: it is not plain; the header or a row
     is one that path rejects or reads differently (a short row, say); an id is empty or
     repeated or a part not finite (a negative part is apply_zero_policy's to find); or a part
-    is named firm_id.  A failed read may have consumed any part of a stream.
+    is named firm_id.  A failed read may have consumed any part of ``fh``.
     """
     if "firm_id" in config.parts:  # one column, read as both text and number
         return None
     try:
-        path = isinstance(source, str)
-        with open(source, encoding="utf-8-sig", newline="") if path else nullcontext(source) as fh:
-            start = fh.tell()
-            plain, ascii_ = _is_plain(fh.buffer.read if path else fh.read)  # a path's bytes, undecoded
-            if not plain:
-                return None
-            fh.seek(start)
-            # a plain file's header is its first line, which np.loadtxt skips
-            header = _header_columns(next(csv.reader([fh.readline()], strict=True)), config)
-            first_row = fh.readline().rstrip("\r\n").split(",")  # as np.loadtxt splits a plain line
-            fh.seek(start)
+        start = fh.tell()
+        plain, ascii_ = _is_plain(fh.read)
+        if not plain:
+            return None
+        fh.seek(start)
+        # a plain file's header is its first line, which np.loadtxt skips
+        header = _header_columns(next(csv.reader([fh.readline()], strict=True)), config)
+        first_row = fh.readline().rstrip("\r\n").split(",")  # as np.loadtxt splits a plain line
+        field = {name: f"c{j}" for j, name in enumerate(header)}
+        kinds = {"firm_id": f"S{_ID_WIDTH}", **dict.fromkeys(config.parts, np.float64)}
         # a first id as long as the field has every id read as str, in one pass
         first_id = dict(zip(header, first_row)).get("firm_id", "")
-        bytes_ids = bytes_ids and ascii_ and len(first_id) < _ID_WIDTH
-        # text columns read as str are stripped as they are read, the group's cells shared too;
-        # an encoding hands a converter str, where older numpy's default, "bytes", hands it bytes
-        converters = {} if bytes_ids else {header.index("firm_id"): str.strip}
-        if config.group_variable is not None:
-            converters[header.index(config.group_variable)] = _shared_strip()
-        kinds = {"firm_id": f"S{_ID_WIDTH}", **dict.fromkeys(config.parts, np.float64)}
-        dtype = [
-            (f"c{j}", object if j in converters else kinds.get(name, "U1")) for j, name in enumerate(header)
-        ]
-        with warnings.catch_warnings():
-            # a header-only file is an EmptyDataError, and stderr carries only the error line
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(
-                source, dtype=dtype, delimiter=",", quotechar=None, comments=None, ndmin=1,
-                converters=converters, encoding="utf-8-sig", skiprows=1,
-            )
+        bytes_ids = ascii_ and len(first_id) < _ID_WIDTH
+        while True:
+            fh.seek(start)
+            # text columns read as str are stripped as they are read, the group's cells shared too;
+            # an encoding hands a converter str, where older numpy's default, "bytes", hands it bytes
+            converters = {} if bytes_ids else {header.index("firm_id"): str.strip}
+            if config.group_variable is not None:
+                converters[header.index(config.group_variable)] = _shared_strip()
+            dtype = [
+                (f"c{j}", object if j in converters else kinds.get(name, "U1")) for j, name in enumerate(header)
+            ]
+            with warnings.catch_warnings():
+                # a header-only file is an EmptyDataError, and stderr carries only the error line
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(
+                    path or fh, dtype=dtype, delimiter=",", quotechar=None, comments=None, ndmin=1,
+                    converters=converters, encoding="utf-8-sig", skiprows=1,
+                )
+            firm_ids = table[field["firm_id"]].copy()
+            if not (bytes_ids and firm_ids.view(np.uint8).reshape(-1, _ID_WIDTH)[:, -1].any()):
+                break
+            del table, firm_ids  # an id may have been cut: the ids are read again, as str
+            bytes_ids = False
     except (CodaError, csv.Error, ValueError, OSError):  # the csv.reader path words each, by the name given
         return None
-    field = {name: f"c{j}" for j, name in enumerate(header)}
-
-    firm_ids = table[field["firm_id"]].copy()
-    if bytes_ids and firm_ids.view(np.uint8).reshape(-1, _ID_WIDTH)[:, -1].any():  # an id may have been cut
-        del table, firm_ids
-        if not path:
-            source.seek(start)
-        return _loadtxt_columns(source, config, bytes_ids=False)
     group = None if config.group_variable is None else table[field[config.group_variable]].copy()
     values = np.empty((len(firm_ids), len(config.parts)))
     for j, part in enumerate(config.parts):

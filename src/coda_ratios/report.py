@@ -184,7 +184,7 @@ def _json_lists(boxes):
     values = np.concatenate([np.empty(0), *lists])
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    text = memoryview(repr_rows(values[:, None], b" " * 10, b",\n").encode())
+    text = memoryview(repr_rows(values[:, None], b" " * 10, b",\n"))
     line = np.concatenate(([0], np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1))
     for i, j in pairwise(np.cumsum([0, *map(len, lists)])):
         # the list's last line loses its ",\n"

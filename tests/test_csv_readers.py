@@ -278,28 +278,8 @@ def test_a_plain_file_whose_only_fault_is_a_negative_part_is_read_once():
             read_dataset_csv(io.StringIO(NEGATIVE_ONLY, newline=""), config)
 
 
-def test_an_ascii_files_ids_are_read_as_bytes_and_loaded_as_str(tmp_path):
-    config = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))")
-    text = "firm_id,TA,NCL,CL\n f1 ,1,2,3\n" + "w" * 15 + ",4,5,6\n"
-    firm_ids, _, _ = dataset._loadtxt_columns(io.StringIO(text), config)
-    assert firm_ids.dtype == "S16" and firm_ids.tolist() == [b"f1", b"w" * 15]
-    path = tmp_path / "firms.csv"
-    path.write_text(text, encoding="utf-8")
-    for ds in (load_dataset_csv(path, config), read_dataset_csv(io.StringIO(text), config)):
-        assert ds.firm_ids.dtype == object and ds.firm_ids.tolist() == ["f1", "w" * 15]
-        assert all(type(firm_id) is str for firm_id in ds.firm_ids)
-
-
-@pytest.mark.parametrize(("first_id", "id_kinds"), [("a" * 17, ["O"]), ("f0", ["S", "O"])], ids=["first", "later"])
-def test_an_ascii_file_with_ids_of_16_bytes_or_more_is_read_by_loadtxt_as_str(
-    tmp_path, monkeypatch, first_id, id_kinds
-):
-    # ids that fill the bytes field may have been cut: a long first id has the one pass read
-    # them as str, a later one a second pass; neither is read by the csv.reader path
-    config = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))")
-    text = f"firm_id,TA,NCL,CL\n{first_id},1,2,3\n" + "b" * 16 + ",4,5,6\n " + "c" * 17 + " ,7,8,9\n"
-    path = tmp_path / "firms.csv"
-    path.write_text(text, encoding="utf-8")
+def _id_kinds(monkeypatch):
+    """The kind of the id field of each np.loadtxt call from now on, in a list that grows."""
     loadtxt, kinds = np.loadtxt, []
 
     def reading(*args, **kwargs):
@@ -307,11 +287,49 @@ def test_an_ascii_file_with_ids_of_16_bytes_or_more_is_read_by_loadtxt_as_str(
         return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", reading)
+    return kinds
+
+
+def test_an_ascii_files_ids_are_read_as_bytes_and_loaded_as_str(tmp_path, monkeypatch):
+    config = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))")
+    text = "firm_id,TA,NCL,CL\n f1 ,1,2,3\n" + "w" * 15 + ",4,5,6\n"
+    firm_ids, _, _ = dataset._loadtxt_columns(io.StringIO(text), config)
+    assert firm_ids.dtype == "S16" and firm_ids.tolist() == [b"f1", b"w" * 15]
+    path = tmp_path / "firms.csv"
+    kinds = _id_kinds(monkeypatch)
+    # a byte-order mark is dropped as the file is opened, by path or as a utf-8-sig stream
+    for encoding in ("utf-8", "utf-8-sig"):
+        path.write_text(text, encoding=encoding)
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            for source in (path, fh, io.StringIO(text)):
+                kinds.clear()
+                ds = load_dataset_csv(source, config) if source is path else read_dataset_csv(source, config)
+                assert kinds == ["S"]
+                assert ds.firm_ids.dtype == object and ds.firm_ids.tolist() == ["f1", "w" * 15]
+                assert all(type(firm_id) is str for firm_id in ds.firm_ids)
+
+
+@pytest.mark.parametrize(("first_id", "id_kinds"), [("a" * 17, ["O"]), ("f0", ["S", "O"])], ids=["first", "later"])
+def test_an_ascii_file_with_ids_of_16_bytes_or_more_is_read_by_loadtxt_as_str(
+    tmp_path, monkeypatch, first_id, id_kinds
+):
+    # ids that fill the bytes field may have been cut: a long first id has the one pass read
+    # them as str, a later one a second np.loadtxt call; the text is scanned once either way,
+    # and neither is read by the csv.reader path
+    config = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))")
+    text = f"firm_id,TA,NCL,CL\n{first_id},1,2,3\n" + "b" * 16 + ",4,5,6\n " + "c" * 17 + " ,7,8,9\n"
+    path = tmp_path / "firms.csv"
+    path.write_text(text, encoding="utf-8")
+    kinds = _id_kinds(monkeypatch)
+    scans = mock.Mock(wraps=dataset._is_plain)
+    monkeypatch.setattr(dataset, "_is_plain", scans)
     monkeypatch.setattr(dataset, "_csv_reader_columns", mock.Mock(side_effect=AssertionError))
     for read in (lambda: load_dataset_csv(path, config), lambda: read_dataset_csv(io.StringIO(text), config)):
         kinds.clear()
+        scans.reset_mock()
         assert read().firm_ids.tolist() == [first_id, "b" * 16, "c" * 17]
         assert kinds == id_kinds
+        assert scans.call_count == 1
 
 
 @pytest.mark.parametrize(

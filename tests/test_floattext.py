@@ -22,7 +22,7 @@ from coda_ratios._floattext import repr_rows
 
 def _reprs(values) -> list[str]:
     """One repr_rows line per value."""
-    return repr_rows(np.asarray(values, dtype=np.float64)[:, None], b"", b"\n").split("\n")[:-1]
+    return repr_rows(np.asarray(values, dtype=np.float64)[:, None], b"", b"\n").decode("ascii").split("\n")[:-1]
 
 
 def _samples(seed: int, n: int) -> dict[str, np.ndarray]:
@@ -72,7 +72,7 @@ def test_fast_domain_covers_typical_values():
     # still pass every comparison with repr
     values = np.array([0.1, 1 / 3, -12.5, 0.00123, 99999.99999999999, 1234567.125, 3.0])
     with mock.patch("builtins.repr", side_effect=AssertionError("repr called")):
-        text = repr_rows(values[:, None], b"", b"\n")
+        text = repr_rows(values[:, None], b"", b"\n").decode("ascii")
     assert text.split("\n")[:-1] == [repr(v) for v in values.tolist()]
 
 
@@ -84,7 +84,7 @@ def test_rows_across_block_boundaries(width, monkeypatch):
     for rows in (0, 1, 12 // width - 1, 12 // width, 12 // width + 1, 29):
         table = rng.choice(values, size=(rows, width))
         expected = "".join(",".join(["", *map(repr, row)]) + "\n" for row in table.tolist())
-        assert repr_rows(table, b",", b"\n") == expected
+        assert repr_rows(table, b",", b"\n") == expected.encode("ascii")
 
 
 def _significant_digits(text: str) -> int:
@@ -159,7 +159,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 from coda_ratios._floattext import repr_rows
 values = np.load(sys.argv[1])
 print(__cpu_features__.get("X86_V4", False))
-sys.stdout.write(repr_rows(values[:, None], b"", b"\\n"))
+sys.stdout.write(repr_rows(values[:, None], b"", b"\\n").decode("ascii"))
 """
 
 

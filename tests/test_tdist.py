@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coda_ratios import two_sample_t_equal_var
+from coda_ratios import tdist, two_sample_t_equal_var
 from coda_ratios.errors import CodaError
 from coda_ratios.tdist import regularized_incomplete_beta, student_t_two_sided_p
 
@@ -182,3 +182,10 @@ def test_beta_rejects_bad_arguments():
         regularized_incomplete_beta(1.0, -2.0, 0.5)
     with pytest.raises(ValueError):
         regularized_incomplete_beta(1.0, 1.0, 1.5)
+
+
+def test_a_continued_fraction_that_does_not_converge_is_an_error(monkeypatch):
+    monkeypatch.setattr(tdist, "_MAX_ITER", 2)
+    message = "incomplete beta continued fraction did not converge within 2 iterations"
+    with pytest.raises(CodaError, match=f"^{message}$"):
+        student_t_two_sided_p(1.5, 20)
