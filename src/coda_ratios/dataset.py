@@ -20,13 +20,16 @@ column holds one ``str`` object per distinct value, shared by every firm
 that has it, so a few values cost a few strings however many firms there
 are; compare its values with ``==``, not ``is``.
 
-The command-line tool runs the load stages without a dataset, and holds the
-ids of a plain, all-ASCII file without NUL whose first id is shorter than 16
-bytes as one ``S16`` bytes array, no ``str`` per firm: checked for empty and
-repeated ids by a hash of each id's 8-byte words, exactly, written as they
-are and decoded only where an error names an id.  Other files' ids are read
-as ``str``; where a later id fills the 16 bytes, by a second ``np.loadtxt``
-call alone.
+The command-line tool runs the load stages without a dataset.  It holds the
+ids and the group column of a plain, all-ASCII file without NUL whose first
+id and first group cell are shorter than 16 bytes as ``S16`` bytes arrays, no
+``str`` per firm, stripped only where the text holds a blank (' ', '\t',
+'\v' or '\f').  The ids are checked for empty and repeated ids by a hash of
+each id's 8-byte words, exactly, written as they are and decoded only where
+an error names an id; the group column is split by comparing each row's
+words with two rows', and only its values are decoded.  Other files' ids and
+group cells are read as ``str``; where a later cell fills the 16 bytes, by a
+second ``np.loadtxt`` call alone.
 
 Zeros are a policy decision, negatives are not: a negative magnitude is a
 hard error under every policy, because repairing it means restructuring
@@ -75,7 +78,8 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt decompresses a path 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
-_ID_WIDTH = 16  # bytes of an ASCII file's id field; an id that fills it may have been cut
+_TEXT_WIDTH = 16  # bytes of an ASCII file's id and group fields; a cell that fills one may have been cut
+_BLANKS = " \t\v\f"  # all that can pad a cell of a plain ASCII file: CR and LF end its lines
 
 
 def _csv_fields(texts):
@@ -384,26 +388,32 @@ def _past_zero_policy(firm_ids, values, group, config: AnalysisConfig):
 
 
 def _dataset(columns, config: AnalysisConfig) -> FirmDataset:
-    """The dataset of a read's columns past the zero policy, a ``str`` per firm id."""
+    """The dataset of a read's columns past the zero policy: a ``str`` per firm id, and one shared
+    ``str`` per distinct group value."""
     firm_ids, values, group = _past_zero_policy(*columns, config)
     if firm_ids.dtype.kind == "S":
         firm_ids = firm_ids.astype(str).astype(object)
+    if group is not None and group.dtype.kind == "S":
+        distinct, rows = np.unique(group, return_inverse=True)
+        group = np.array([value.decode("ascii") for value in distinct.tolist()], dtype=object)[rows]
     # the ids are unique and, past the zero policy, every part positive: no check runs twice
     return FirmDataset._checked(firm_ids, config.parts, values, group)
 
 
-def _is_plain(read) -> tuple[bool, bool]:
+def _is_plain(read) -> tuple[bool, bool, bool]:
     """Whether the text ``read(size)`` gives is plain: no ``_NOT_PLAIN`` character, and a line end
-    in every full chunk; and whether it is ASCII without NUL, which ends an ``S`` item.  A line
-    past the csv field limit covers a whole chunk of half that limit, so it never passes (nor do
-    some shorter ones)."""
+    in every full chunk; whether it is ASCII without NUL, which ends an ``S`` item; and whether
+    it holds a ``_BLANKS`` character, without which no cell of a plain ASCII file has padding.
+    A line past the csv field limit covers a whole chunk of half that limit, so it never passes
+    (nor do some shorter ones)."""
     size = max(1, min(1 << 16, csv.field_size_limit() // 2))
     data = read(size)
-    ascii_ = True
+    ascii_, blank = True, False
     while data and not any(c in data for c in _NOT_PLAIN) and (len(data) < size or any(c in data for c in "\r\n")):
         ascii_ = ascii_ and data.isascii() and "\0" not in data
+        blank = blank or any(c in data for c in _BLANKS)
         data = read(size)
-    return not data, ascii_
+    return not data, ascii_, blank
 
 
 def _header_columns(header, config: AnalysisConfig) -> list[str]:
@@ -425,12 +435,13 @@ def _loadtxt_columns(fh, config: AnalysisConfig, path=None):
 
     ``fh`` is scanned, and its header and first row peeked, from where it stands.  ``np.loadtxt``
     then reads ``path``, the absolute path of the regular file ``fh`` reads, in numpy's C chunks,
-    or else ``fh`` by lines.  The ids of an ASCII file without NUL whose first id is shorter than
-    16 bytes are ``S16`` bytes, stripped after the read; a later id that fills the field (and may
-    have been cut) has ``np.loadtxt`` read the file once more, the ids as ``str``.
-    Other ids and the group column are 1-D object arrays, each cell stripped by a converter as
-    it is read, the group column with one ``str`` per distinct value.  Other columns are
-    ``"U1"``: no ``str``, but counted, unlike with ``usecols``.
+    or else ``fh`` by lines.  The ids and the group column of an ASCII file without NUL whose
+    first id and first group cell are shorter than 16 bytes are ``S16`` bytes, read with no
+    converter and stripped after the read, unless the text holds no blank to strip; a later
+    cell that fills either field (and may have been cut) has ``np.loadtxt`` read the file once
+    more, both as ``str``.  Otherwise the ids and the group column are 1-D object arrays, each
+    cell stripped by a converter as it is read, the group column with one ``str`` per distinct
+    value.  Other columns are ``"U1"``: no ``str``, but counted, unlike with ``usecols``.
 
     None means the csv.reader path must read the file: it is not plain; the header or a row
     is one that path rejects or reads differently (a short row, say); an id is empty or
@@ -441,7 +452,7 @@ def _loadtxt_columns(fh, config: AnalysisConfig, path=None):
         return None
     try:
         start = fh.tell()
-        plain, ascii_ = _is_plain(fh.read)
+        plain, ascii_, blank = _is_plain(fh.read)
         if not plain:
             return None
         fh.seek(start)
@@ -449,17 +460,18 @@ def _loadtxt_columns(fh, config: AnalysisConfig, path=None):
         header = _header_columns(next(csv.reader([fh.readline()], strict=True)), config)
         first_row = fh.readline().rstrip("\r\n").split(",")  # as np.loadtxt splits a plain line
         field = {name: f"c{j}" for j, name in enumerate(header)}
-        kinds = {"firm_id": f"S{_ID_WIDTH}", **dict.fromkeys(config.parts, np.float64)}
-        # a first id as long as the field has every id read as str, in one pass
-        first_id = dict(zip(header, first_row)).get("firm_id", "")
-        bytes_ids = ascii_ and len(first_id) < _ID_WIDTH
+        names = [name for name in ("firm_id", config.group_variable) if name is not None]
+        kinds = {**dict.fromkeys(names, f"S{_TEXT_WIDTH}"), **dict.fromkeys(config.parts, np.float64)}
+        # a first id or group cell as long as its field has both read as str, in one pass
+        first = dict(zip(header, first_row))
+        as_bytes = ascii_ and all(len(first.get(name, "")) < _TEXT_WIDTH for name in names)
         while True:
             fh.seek(start)
             # text columns read as str are stripped as they are read, the group's cells shared too;
             # an encoding hands a converter str, where older numpy's default, "bytes", hands it bytes
-            converters = {} if bytes_ids else {header.index("firm_id"): str.strip}
-            if config.group_variable is not None:
-                converters[header.index(config.group_variable)] = _shared_strip()
+            converters = {}
+            if not as_bytes:
+                converters = {header.index(name): f for name, f in zip(names, (str.strip, _shared_strip()))}
             dtype = [
                 (f"c{j}", object if j in converters else kinds.get(name, "U1")) for j, name in enumerate(header)
             ]
@@ -470,20 +482,20 @@ def _loadtxt_columns(fh, config: AnalysisConfig, path=None):
                     path or fh, dtype=dtype, delimiter=",", quotechar=None, comments=None, ndmin=1,
                     converters=converters, encoding="utf-8-sig", skiprows=1,
                 )
-            firm_ids = table[field["firm_id"]].copy()
-            if not (bytes_ids and firm_ids.view(np.uint8).reshape(-1, _ID_WIDTH)[:, -1].any()):
+            texts = [table[field[name]].copy() for name in names]  # a field of the table has no byte view
+            if not (as_bytes and any(t.view(np.uint8)[_TEXT_WIDTH - 1 :: _TEXT_WIDTH].any() for t in texts)):
                 break
-            del table, firm_ids  # an id may have been cut: the ids are read again, as str
-            bytes_ids = False
+            del table, texts  # a cell may have been cut: both columns are read again, as str
+            as_bytes = False
     except (CodaError, csv.Error, ValueError, OSError):  # the csv.reader path words each, by the name given
         return None
-    group = None if config.group_variable is None else table[field[config.group_variable]].copy()
-    values = np.empty((len(firm_ids), len(config.parts)))
+    values = np.empty((len(table), len(config.parts)))
     for j, part in enumerate(config.parts):
         values[:, j] = table[field[part]]
     del table  # before the ids are checked: the columns taken out are all that is kept
-    if bytes_ids:
-        firm_ids = np.char.strip(firm_ids)  # on a plain (no '\x1c'-'\x1f') ASCII file, str.strip
+    if as_bytes and blank:  # on a plain (no '\x1c'-'\x1f') ASCII file, str.strip
+        texts = [np.char.strip(t) for t in texts]
+    firm_ids, group = (*texts, None)[:2]  # no group variable: None
     if not _distinct(firm_ids) or not np.isfinite(values).all():
         return None
     return firm_ids, values, group
@@ -494,8 +506,8 @@ def _distinct(firm_ids) -> bool:
     ids by a sorted hash of each id's uint64 words, then a set of those whose hash repeats."""
     if firm_ids.dtype == object:
         return "" not in (ids := set(firm_ids)) and len(ids) == len(firm_ids)
-    words = firm_ids.view(np.uint64).reshape(-1, _ID_WIDTH // 8)
-    if not words.any(axis=1).all():  # an empty id: every byte is NUL padding
+    words = firm_ids.view(np.uint64).reshape(-1, _TEXT_WIDTH // 8)
+    if not words[:, 0].all():  # an empty id: its first word is NUL padding; no id holds a NUL
         return False
     hashes = _word_hash(words)
     ordered = np.sort(hashes)
@@ -583,7 +595,17 @@ def two_groups(ds: FirmDataset) -> tuple[tuple[str, np.ndarray], ...]:
 
 
 def _two_groups(group) -> tuple[tuple[str, np.ndarray], ...]:
-    """:func:`two_groups` of the group column ``group``."""
+    """:func:`two_groups` of the group column ``group``: an ``S`` column of ASCII bytes by comparing
+    each row's uint64 words with row 0's and with those of the first row that differs."""
+    if group.dtype.kind == "S":
+        low, high = group.view(np.uint64).reshape(-1, _TEXT_WIDTH // 8).T  # an item's two words
+        first = (low == low[0]) & (high == high[0])
+        other = int(first.argmin())  # the first row that differs, or 0 where none does
+        second = (low == low[other]) & (high == high[other])
+        if other and (first | second).all():
+            pairs = sorted(zip(group[[0, other]].astype(str).tolist(), (first, second)))
+            return tuple((value, np.flatnonzero(mask)) for value, mask in pairs)
+        group = group.astype(str).astype(object)  # not two values: the error names them as str
     values = sorted(set(group))
     if len(values) != 2:
         raise SingleGroupError(values)

@@ -56,17 +56,24 @@ def _imports(*argv, cwd=None) -> tuple[int, set[str]]:
     return result.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
 
 
-def test_commands_but_analyze_load_only_their_own_code(tmp_path):
+FILES = ("--data", "firms.csv", "--config", "analysis.ini")
+
+
+def _write_inputs(tmp_path, rows="f1,1,2,x\nf2,3,4,y\n"):
+    """The files of FILES in ``tmp_path``: two parts and a group, and by default no blank."""
     (tmp_path / "analysis.ini").write_text(
         "[analysis]\nparts = A, B\nsbp = (A|B)\ngroup_variable = g\n", encoding="utf-8"
     )
-    (tmp_path / "firms.csv").write_text("firm_id,A,B,g\nf1,1,2,x\nf2,3,4,y\n", encoding="utf-8")
-    files = ("--data", "firms.csv", "--config", "analysis.ini")
+    (tmp_path / "firms.csv").write_text("firm_id,A,B,g\n" + rows, encoding="utf-8")
+
+
+def test_commands_but_analyze_load_only_their_own_code(tmp_path):
+    _write_inputs(tmp_path)
     _, numpy_alone = _imports("-c", "import numpy")
     runs = {
         "import": ("-c", "import coda_ratios.cli"),
-        "transform": ("-m", "coda_ratios.cli", "transform", *files),
-        "validate": ("-m", "coda_ratios.cli", "validate", *files),
+        "transform": ("-m", "coda_ratios.cli", "transform", *FILES),
+        "validate": ("-m", "coda_ratios.cli", "validate", *FILES),
         "demo": ("-m", "coda_ratios.cli", "demo", "table1"),
     }
     for name, argv in runs.items():
@@ -77,9 +84,25 @@ def test_commands_but_analyze_load_only_their_own_code(tmp_path):
         extra = {m for m in modules - numpy_alone if m.split(".")[0] in UNUSED_STDLIB}
         assert not extra, name
     # analyze loads the analysis modules on its own
-    code, modules = _imports("-m", "coda_ratios.cli", "analyze", *files, cwd=tmp_path)
+    code, modules = _imports("-m", "coda_ratios.cli", "analyze", *FILES, cwd=tmp_path)
     assert code == 0
     assert ANALYSIS_MODULES <= modules
+
+
+def test_a_file_without_blanks_is_not_stripped(tmp_path):
+    # nothing pads a cell of a plain ASCII file without ' ', '\t', '\v' or '\f', so no
+    # np.char.strip runs, nor its lazy import (numpy 1.x imports numpy.char with numpy)
+    _write_inputs(tmp_path)
+    _, numpy_alone = _imports("-c", "import numpy")
+    for command in ("analyze", "transform", "validate"):
+        code, modules = _imports("-m", "coda_ratios.cli", command, *FILES, cwd=tmp_path)
+        assert code == 0, command
+        assert "numpy.char" not in modules - numpy_alone, command
+    # a file with a padded id and group cell is still stripped, by np.char.strip
+    _write_inputs(tmp_path, rows=" f1 ,1,2,x\nf2,3,4,\ty\n")
+    code, modules = _imports("-m", "coda_ratios.cli", "validate", *FILES, cwd=tmp_path)
+    assert code == 0
+    assert "numpy.char" in modules
 
 
 def test_removed_names_are_not_exported():

@@ -759,8 +759,8 @@ def test_transform_writes_the_ids_of_an_ascii_file_read_as_bytes(workdir, capsys
 
 
 def test_analyze_lets_the_dataset_go_before_the_statistics(workdir, monkeypatch, capsys):
-    # the load stages build no dataset, an ASCII file's ids are bytes (no str per firm) and any
-    # other file's str, and no statistic reads a firm id or group cell, so none is held while
+    # the load stages build no dataset, an ASCII file's ids and group cells are bytes (no str per
+    # firm) and any other file's str, and no statistic reads a firm id or group cell, so none is held while
     # they run: on every Python, also where a call's arguments stay referenced from the
     # caller's frame (3.10)
     from coda_ratios import report
@@ -771,7 +771,7 @@ def test_analyze_lets_the_dataset_go_before_the_statistics(workdir, monkeypatch,
     def resolving(firm_ids, values, group, config):
         columns = zero_policy(firm_ids, values, group, config)
         held.extend(weakref.ref(x) for x in (firm_ids, group, columns[0], columns[2]))
-        kinds.append(columns[0].dtype.kind)
+        kinds.append((columns[0].dtype.kind, columns[2].dtype.kind))
         return columns
 
     def describing(values):
@@ -789,7 +789,7 @@ def test_analyze_lets_the_dataset_go_before_the_statistics(workdir, monkeypatch,
         held.clear(), kinds.clear(), alive.clear()
         assert main(["analyze", *_args(workdir)]) == 0
         assert json.loads(capsys.readouterr().out)["metadata"]["n"] == 6
-        assert kinds == [kind]
+        assert kinds == [(kind, kind)]
         assert alive[0] == [False] * 4, kind
 
 

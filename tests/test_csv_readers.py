@@ -17,6 +17,7 @@ import io
 import os
 import sys
 import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -66,7 +67,11 @@ odd_cells = st.sampled_from(
 PADS = ["", " ", "\t", "\xa0", "\u3000", "\x0b", "\x0c"]
 # an ASCII file's ids are read as 16-byte fields: one of 16 bytes or more may have been cut
 ID_FORMS = ["f{}"] * 4 + ["{:w>15}", "{:w>16}", "{:w>17}", "\xe9{}", "\u015b{}", "\u20ac{}"]
-brands = st.sampled_from(["yes", "no", " yes ", "", "\xa0no\xa0", "\u3000yes", "no\x0b", "\x0cyes"])
+# an ASCII file's group values are read as 16-byte fields too, and split by comparing their words
+brands = st.sampled_from(
+    ["yes", "no", " yes ", "", "\xa0no\xa0", "\u3000yes", "no\x0b", "\x0cyes"] * 2
+    + ["y" * 15, "n" * 16, "n" * 17, "maybe"]
+)
 unused_cells = st.sampled_from(["", "Gent", " Sint-Niklaas ", "\xa0Liège", "64.19", "x" * 300])
 line_ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 EXTRA_LINES = ["", " ", "\t", ",,,,", "\ufeff"]  # blank lines are skipped, the others are rows
@@ -131,16 +136,29 @@ def csv_texts(draw):
 
 
 def _outcome(text, newline, config, path=None):
-    """The dataset of ``text`` read from a stream, or from ``path`` when given, or its error."""
+    """The dataset of ``text`` read from a stream, or from ``path`` when given, or its error;
+    with ``path``, also the command-line tool's group split of it."""
     try:
         if path is None:
             ds = read_dataset_csv(io.StringIO(text, newline=newline), config)
         else:
             ds = load_dataset_csv(path, config)
     except CodaError as exc:
+        outcome = type(exc), str(exc)
+    else:
+        group = None if ds.group is None else ds.group.tolist()
+        outcome = ds.firm_ids.tolist(), ds.values.shape, ds.values.tobytes(), group
+    return outcome if path is None else (outcome, _cli_split(config, path))
+
+
+def _cli_split(config, path):
+    """``cli._load`` of ``path``, then ``dataset._two_groups``: each value and its rows, or the error."""
+    try:
+        with mock.patch.object(cli, "load_config", return_value=config):
+            _, _, _, group = cli._load(SimpleNamespace(config=None, data=path))
+        return None if group is None else [(value, rows.tolist()) for value, rows in dataset._two_groups(group)]
+    except CodaError as exc:
         return type(exc), str(exc)
-    group = None if ds.group is None else ds.group.tolist()
-    return ds.firm_ids.tolist(), ds.values.shape, ds.values.tobytes(), group
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +249,22 @@ def data_file(tmp_path_factory):
     mode="reject",
     group=True,
 )
+# an ASCII group column of two values, one padded, which the command-line tool splits by words
+@example(
+    text="firm_id,TA,NCL,CL,brand\nf1,1,2,3,yes\nf2,4,5,6, no\nf3,7,8,9,yes\n", newline="", mode="reject", group=True
+)
+# group values of 15, 16 and 17 bytes: a 16-byte field would cut the last two to one value
+@example(
+    text="firm_id,TA,NCL,CL,brand\nf1,1,2,3," + "y" * 15 + "\nf2,4,5,6," + "n" * 16 + "\nf3,7,8,9," + "n" * 17 + "\n",
+    newline="",
+    mode="reject",
+    group=True,
+)
+# one group value, and three, which no split takes
+@example(text="firm_id,TA,NCL,CL,brand\nf1,1,2,3,yes\nf2,4,5,6,yes\n", newline="", mode="reject", group=True)
+@example(
+    text="firm_id,TA,NCL,CL,brand\nf1,1,2,3,yes\nf2,4,5,6,no\nf3,7,8,9,maybe\n", newline="", mode="reject", group=True
+)
 def test_loadtxt_path_agrees_with_csv_reader_path(data_file, text, newline, mode, group):
     config = AnalysisConfig(
         parts=("TA", "NCL", "CL"),
@@ -278,12 +312,13 @@ def test_a_plain_file_whose_only_fault_is_a_negative_part_is_read_once():
             read_dataset_csv(io.StringIO(NEGATIVE_ONLY, newline=""), config)
 
 
-def _id_kinds(monkeypatch):
-    """The kind of the id field of each np.loadtxt call from now on, in a list that grows."""
+def _field_kinds(monkeypatch, field="c0"):
+    """The kind of ``field`` (the id's, by default) of each np.loadtxt call from now on, in a list
+    that grows."""
     loadtxt, kinds = np.loadtxt, []
 
     def reading(*args, **kwargs):
-        kinds.append(np.dtype(kwargs["dtype"])["c0"].kind)
+        kinds.append(np.dtype(kwargs["dtype"])[field].kind)
         return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", reading)
@@ -296,7 +331,7 @@ def test_an_ascii_files_ids_are_read_as_bytes_and_loaded_as_str(tmp_path, monkey
     firm_ids, _, _ = dataset._loadtxt_columns(io.StringIO(text), config)
     assert firm_ids.dtype == "S16" and firm_ids.tolist() == [b"f1", b"w" * 15]
     path = tmp_path / "firms.csv"
-    kinds = _id_kinds(monkeypatch)
+    kinds = _field_kinds(monkeypatch)
     # a byte-order mark is dropped as the file is opened, by path or as a utf-8-sig stream
     for encoding in ("utf-8", "utf-8-sig"):
         path.write_text(text, encoding=encoding)
@@ -320,7 +355,7 @@ def test_an_ascii_file_with_ids_of_16_bytes_or_more_is_read_by_loadtxt_as_str(
     text = f"firm_id,TA,NCL,CL\n{first_id},1,2,3\n" + "b" * 16 + ",4,5,6\n " + "c" * 17 + " ,7,8,9\n"
     path = tmp_path / "firms.csv"
     path.write_text(text, encoding="utf-8")
-    kinds = _id_kinds(monkeypatch)
+    kinds = _field_kinds(monkeypatch)
     scans = mock.Mock(wraps=dataset._is_plain)
     monkeypatch.setattr(dataset, "_is_plain", scans)
     monkeypatch.setattr(dataset, "_csv_reader_columns", mock.Mock(side_effect=AssertionError))
@@ -330,6 +365,57 @@ def test_an_ascii_file_with_ids_of_16_bytes_or_more_is_read_by_loadtxt_as_str(
         assert read().firm_ids.tolist() == [first_id, "b" * 16, "c" * 17]
         assert kinds == id_kinds
         assert scans.call_count == 1
+
+
+GROUP_CONFIG = AnalysisConfig(parts=("TA", "NCL", "CL"), sbp="(TA|(NCL|CL))", group_variable="brand")
+
+
+@pytest.mark.parametrize(("brand", "kind"), [("yes", "S"), ("y\xe9s", "O")], ids=["ascii", "non_ascii"])
+def test_an_ascii_files_group_is_read_as_bytes_and_loaded_as_shared_str(tmp_path, monkeypatch, brand, kind):
+    # no converter runs on an ASCII file's group cells; a padded one is stripped after the read
+    text = f"firm_id,TA,NCL,CL,brand\nf1,1,2,3,{brand}\nf2,4,5,6, no \nf3,7,8,9,{brand}\n"
+    path = tmp_path / "firms.csv"
+    path.write_text(text, encoding="utf-8")
+    kinds = _field_kinds(monkeypatch, "c4")
+    strips = mock.Mock(wraps=dataset._shared_strip)
+    monkeypatch.setattr(dataset, "_shared_strip", strips)
+    monkeypatch.setattr(dataset, "_csv_reader_columns", mock.Mock(side_effect=AssertionError))
+    for read in (
+        lambda: load_dataset_csv(path, GROUP_CONFIG),
+        lambda: read_dataset_csv(io.StringIO(text), GROUP_CONFIG),
+    ):
+        kinds.clear()
+        strips.reset_mock()
+        group = read().group
+        assert kinds == [kind]
+        assert strips.called == (kind == "O")
+        # one str object per distinct value, as the library promises
+        assert group.dtype == object and group.tolist() == [brand, "no", brand]
+        assert type(group[0]) is str and group[0] is group[2]
+
+
+@pytest.mark.parametrize(
+    ("first_brand", "group_kinds"), [("a" * 17, ["O"]), ("no", ["S", "O"])], ids=["first", "later"]
+)
+def test_an_ascii_file_with_group_values_of_16_bytes_or_more_is_read_by_loadtxt_as_str(
+    tmp_path, monkeypatch, first_brand, group_kinds
+):
+    # group values that fill the bytes field may have been cut, as ids may: both are read as str,
+    # in the one pass for a long first value, in a second np.loadtxt call for a later one
+    text = f"firm_id,TA,NCL,CL,brand\nf1,1,2,3,{first_brand}\nf2,4,5,6," + "b" * 16 + "\nf3,7,8,9, " + "b" * 17 + " \n"
+    path = tmp_path / "firms.csv"
+    path.write_text(text, encoding="utf-8")
+    kinds = _field_kinds(monkeypatch, "c4")
+    monkeypatch.setattr(dataset, "_csv_reader_columns", mock.Mock(side_effect=AssertionError))
+    for read in (
+        lambda: load_dataset_csv(path, GROUP_CONFIG),
+        lambda: read_dataset_csv(io.StringIO(text), GROUP_CONFIG),
+    ):
+        kinds.clear()
+        ds = read()
+        assert ds.group.tolist() == [first_brand, "b" * 16, "b" * 17]
+        assert ds.firm_ids.tolist() == ["f1", "f2", "f3"]
+        assert kinds == group_kinds
 
 
 @pytest.mark.parametrize(
